@@ -10,14 +10,10 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import dataclasses
 import datetime
-import math
 import os
 import re
 import sys
-
-import numpy as np
 
 from . import data as data_mod
 from . import eval as eval_mod
@@ -35,7 +31,6 @@ _SPEC_RE = re.compile(r"^(?:(\d+)\*)?([a-z]+)(?:\(([^)]*)\))?$")
 _KERNEL_FIELD_TYPES = {
     "p": float, "alpha": float, "c": float, "gamma": float,
     "a": float, "b": float, "num_gauss": int,
-    "learn_variances": lambda s: s.lower() in ("1", "true", "yes"),
     "mog_log_of_sum": lambda s: s.lower() in ("1", "true", "yes"),
 }
 

@@ -93,29 +93,6 @@ class CorpusSplit:
     seed: int
 
 
-def split_corpus(lines: Sequence[str], vocab: Vocabulary,
-                 fractions=(0.8, 0.1, 0.1), seed: int = 0,
-                 lowercase: bool = True) -> CorpusSplit:
-    if not math.isclose(sum(fractions), 1.0):
-        raise ValueError("split fractions must sum to 1")
-    lines = [l for l in lines if tokenize(l, lowercase)]
-    if not lines:
-        raise EmptyCorpus("no non-empty lines")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(lines))
-    n_train = int(round(fractions[0] * len(lines)))
-    n_dev = int(round(fractions[1] * len(lines)))
-    idx = {
-        "train": order[:n_train],
-        "dev": order[n_train:n_train + n_dev],
-        "test": order[n_train + n_dev:],
-    }
-    enc = lambda ids: [vocab.encode_line(lines[i], lowercase) for i in sorted(ids)]
-    return CorpusSplit(train=enc(idx["train"]), dev=enc(idx["dev"]),
-                       test=enc(idx["test"]), fractions=tuple(fractions),
-                       seed=seed)
-
-
 def prepare_corpus(lines: Sequence[str], max_size: int, min_count: int = 1,
                    fractions=(0.8, 0.1, 0.1), seed: int = 0,
                    lowercase: bool = True):

@@ -14,7 +14,15 @@ class HpbOutsideBall(KsoftmaxError):
 
 
 class NonFiniteScore(KsoftmaxError):
-    """A kernel score overflowed or otherwise became non-finite."""
+    """A kernel score overflowed or otherwise became non-finite.
+
+    ``component`` is the index of the mixture component that produced it,
+    when known.
+    """
+
+    def __init__(self, message, component=None):
+        super().__init__(message)
+        self.component = component
 
 
 class WrongKernelKind(KsoftmaxError):
@@ -33,11 +41,17 @@ class EmptyCorpus(KsoftmaxError):
     """No usable lines were found when building a vocabulary."""
 
 
-class DivergenceDetected(KsoftmaxError):
-    """Training hit a non-finite loss or gradient.
+class CorruptCheckpoint(KsoftmaxError):
+    """A checkpoint file is malformed, truncated or does not match its
+    recorded configuration."""
 
-    Carries the global step at which it happened and, when known, the
-    mixture component that produced the non-finite value.
+
+class DivergenceDetected(KsoftmaxError):
+    """Training hit a non-finite logit, loss or gradient.
+
+    Carries the global step at which it happened and, when known, where the
+    non-finite value came from: the mixture component index for a logit,
+    the tensor name for a gradient.
     """
 
     def __init__(self, message, step=None, component=None):

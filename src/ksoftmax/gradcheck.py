@@ -7,7 +7,6 @@ floor or the relative error is below the tolerance.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from typing import Callable, Sequence
 
@@ -70,7 +69,7 @@ def _random_spec(kind: str, rng: np.random.Generator) -> KernelSpec:
 
 
 def _random_inputs(kind: str, d: int, rng: np.random.Generator):
-    if kind == "hpb":
+    if kernels.KERNELS[kind].in_ball:
         # keep both vectors safely inside the unit ball
         w = rng.uniform(-1.0, 1.0, d)
         w *= rng.uniform(0.1, 0.8) / np.linalg.norm(w)
@@ -78,6 +77,30 @@ def _random_inputs(kind: str, d: int, rng: np.random.Generator):
         h *= rng.uniform(0.1, 0.8) / np.linalg.norm(h)
         return w, h
     return rng.uniform(-2.0, 2.0, d), rng.uniform(-2.0, 2.0, d)
+
+
+def _gauss_checks(spec: KernelSpec, d: int, rng: np.random.Generator) -> list:
+    """(analytic, numeric) pairs for the mean and log-variance of every
+    Gaussian on each side of a random ssg/mog pair."""
+    G = math.prod(kernels.variance_shape(spec))
+    sides = [[GaussianParams(rng.uniform(-2, 2, d), float(rng.normal(0, 0.5)))
+              for _ in range(G)] for _ in range(2)]
+    g = kernels.grad(spec, w_gauss=sides[0], h_gauss=sides[1])
+    analytic = [(g.d_w, g.d_w_log_var), (g.d_h, g.d_h_log_var)]
+    checks = []
+    for s, side in enumerate(sides):
+        d_mean = np.reshape(analytic[s][0], (G, d))
+        d_lv = np.reshape(analytic[s][1], (G,))
+        for i, gi in enumerate(side):
+            def f(mean, lv):
+                moved = list(sides)
+                moved[s] = side[:i] + [GaussianParams(mean, float(lv))] + side[i + 1:]
+                return kernels.score(spec, w_gauss=moved[0], h_gauss=moved[1])
+            checks.append((d_mean[i], central_diff(lambda m: f(m, gi.log_var),
+                                                   gi.mean.copy())))
+            checks.append((d_lv[i], central_diff(lambda lv: f(gi.mean, lv),
+                                                 np.asarray(gi.log_var))))
+    return checks
 
 
 def check_kernel(kind: str, dims: Sequence[int] = (2, 8, 32),
@@ -91,56 +114,8 @@ def check_kernel(kind: str, dims: Sequence[int] = (2, 8, 32),
     for d in dims:
         for trial in range(trials):
             spec = _random_spec(kind, rng)
-            if kind == "ssg":
-                gw = GaussianParams(rng.uniform(-2, 2, d), float(rng.normal(0, 0.5)))
-                gh = GaussianParams(rng.uniform(-2, 2, d), float(rng.normal(0, 0.5)))
-                g = kernels.grad(spec, w_gauss=gw, h_gauss=gh)
-                checks = [
-                    (g.d_w, central_diff(lambda m: kernels.score(
-                        spec, w_gauss=GaussianParams(m, gw.log_var), h_gauss=gh), gw.mean.copy())),
-                    (g.d_h, central_diff(lambda m: kernels.score(
-                        spec, w_gauss=gw, h_gauss=GaussianParams(m, gh.log_var)), gh.mean.copy())),
-                    (g.d_w_log_var, central_diff(lambda lv: kernels.score(
-                        spec, w_gauss=GaussianParams(gw.mean, float(lv)), h_gauss=gh),
-                        np.asarray(gw.log_var))),
-                    (g.d_h_log_var, central_diff(lambda lv: kernels.score(
-                        spec, w_gauss=gw, h_gauss=GaussianParams(gh.mean, float(lv))),
-                        np.asarray(gh.log_var))),
-                ]
-            elif kind == "mog":
-                G = spec.num_gauss
-                gw = [GaussianParams(rng.uniform(-2, 2, d), float(rng.normal(0, 0.5)))
-                      for _ in range(G)]
-                gh = [GaussianParams(rng.uniform(-2, 2, d), float(rng.normal(0, 0.5)))
-                      for _ in range(G)]
-                g = kernels.grad(spec, w_gauss=gw, h_gauss=gh)
-                checks = []
-                for i in range(G):
-                    def f_mean(m, i=i):
-                        side = [GaussianParams(m, gw[i].log_var) if j == i else gw[j]
-                                for j in range(G)]
-                        return kernels.score(spec, w_gauss=side, h_gauss=gh)
-                    checks.append((g.d_w[i], central_diff(f_mean, gw[i].mean.copy())))
-
-                    def f_lv(lv, i=i):
-                        side = [GaussianParams(gw[i].mean, float(lv)) if j == i else gw[j]
-                                for j in range(G)]
-                        return kernels.score(spec, w_gauss=side, h_gauss=gh)
-                    checks.append((g.d_w_log_var[i],
-                                   central_diff(f_lv, np.asarray(gw[i].log_var))))
-
-                    def f_mean_h(m, i=i):
-                        side = [GaussianParams(m, gh[i].log_var) if j == i else gh[j]
-                                for j in range(G)]
-                        return kernels.score(spec, w_gauss=gw, h_gauss=side)
-                    checks.append((g.d_h[i], central_diff(f_mean_h, gh[i].mean.copy())))
-
-                    def f_lv_h(lv, i=i):
-                        side = [GaussianParams(gh[i].mean, float(lv)) if j == i else gh[j]
-                                for j in range(G)]
-                        return kernels.score(spec, w_gauss=gw, h_gauss=side)
-                    checks.append((g.d_h_log_var[i],
-                                   central_diff(f_lv_h, np.asarray(gh[i].log_var))))
+            if kernels.variance_shape(spec) is not None:
+                checks = _gauss_checks(spec, d, rng)
             else:
                 w, h = _random_inputs(kind, d, rng)
                 g = kernels.grad(spec, w, h)

@@ -13,16 +13,20 @@ Nine kernels are supported, identified by short names:
     hpb   negative hyperbolic (Poincare ball) distance
     wav   cos(||w - h||^2 / a) * exp(-||w - h||^2 / b)
 
-Every operation here is a pure function of its inputs. Batched variants
-compute squared distances from cached norms and one inner-product matrix
-(the norm-expansion trick), never materializing per-pair difference vectors.
+Each kind is defined once, as an entry of ``KERNELS``: a score and its
+vector-Jacobian product (VJP) on the kind's sufficient statistics, the dot
+product w.h (lin, pol) or the squared distance x = ||w - h||^2 (the rest;
+hpb also reads the norms, ssg/mog the summed variances). The batched path
+computes x by norm expansion, x = ||w||^2 + ||h||^2 - 2 w.h, and backward
+applies the chain rule through it; the scalar score/grad compute x from
+the explicit difference w - h, an independent distance computation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -33,14 +37,10 @@ from .errors import (
     WrongKernelKind,
 )
 
-KINDS = ("lin", "log", "pow", "pol", "rbf", "ssg", "mog", "hpb", "wav")
-
 # Kernels whose score is a function of the squared distance ||w - h||^2
-# (hpb additionally depends on the two norms).
+# alone (hpb additionally depends on the two norms); the order is the one
+# the trick-equivalence audit draws its inputs in.
 DISTANCE_KINDS = ("log", "pow", "rbf", "wav", "hpb")
-
-# Kernels that take Gaussian parameters instead of plain vectors.
-GAUSSIAN_KINDS = ("ssg", "mog")
 
 # Margin kept between hpb vectors and the unit sphere.
 BALL_MARGIN = 1e-5
@@ -65,11 +65,10 @@ class KernelSpec:
     a: float = 1.0
     b: float = 1.0
     num_gauss: int = 2
-    learn_variances: bool = True
     mog_log_of_sum: bool = False
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in KERNELS:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
         if self.kind in ("log", "pow", "pol"):
             if not self.p > 0:
@@ -93,15 +92,12 @@ class KernelSpec:
             return self.gamma
         return 1.0 / d if d else 1.0
 
-    def to_dict(self) -> dict:
-        out = {"kind": self.kind}
-        for name in ("p", "alpha", "c", "gamma", "a", "b", "num_gauss",
-                     "learn_variances", "mog_log_of_sum"):
-            out[name] = getattr(self, name)
-        return out
-
     @staticmethod
     def from_dict(d: dict) -> "KernelSpec":
+        d = dict(d)
+        # checkpoints written before the never-read learn_variances field
+        # was removed still carry it
+        d.pop("learn_variances", None)
         return KernelSpec(**d)
 
 
@@ -164,103 +160,242 @@ def _sq_dist(w_norm_sq, h_norm_sq, dot):
     return np.maximum(w_norm_sq + h_norm_sq - 2.0 * dot, 0.0)
 
 
-# ---------------------------------------------------------------------------
-# Radial profiles phi(x), x = squared distance, for log/pow/rbf/wav.
-# ---------------------------------------------------------------------------
+@dataclass(frozen=True)
+class Kernel:
+    """One kind's entry in the kernel table.
 
-def _phi(spec: KernelSpec, x, gamma: float):
-    if spec.kind == "pow":
-        return -np.power(x, 0.5 * spec.p)
-    if spec.kind == "log":
-        return -np.log1p(np.power(x, 0.5 * spec.p))
-    if spec.kind == "rbf":
-        return np.exp(-gamma * np.asarray(x, dtype=np.float64))
-    if spec.kind == "wav":
-        x = np.asarray(x, dtype=np.float64)
-        return np.cos(x / spec.a) * np.exp(-x / spec.b)
-    raise WrongKernelKind(f"{spec.kind} has no radial profile")
+    ``score(spec, st)`` maps a statistics dict to logits and may add
+    intermediates to it for the VJP. ``st`` holds "d" (the dimension, None
+    when unknown), "dot" or "x" as B x V arrays, for hpb "wn" (1 x V) and
+    "hn" (B x 1), and for ssg/mog the word and component log-variances
+    "wlv"/"clv". ``vjp(spec, st, dL, kink)`` maps the cotangent of the
+    logits to cotangents of those entries, with the zero subgradient where
+    the ``kink`` mask is set.
+    """
+
+    stat: str                             # "dot" or "x"
+    score: Callable
+    vjp: Callable
+    kink: Optional[Callable] = None       # (spec, st) -> mask of kinks, or None
+    var_shape: Optional[Callable] = None  # spec -> component log-variance shape
+    in_ball: bool = False                 # vectors must lie in the unit ball
 
 
-def _dphi_dx(spec: KernelSpec, x, gamma: float):
-    """d phi / d x. At x = 0 with p < 2 the result is non-finite; callers
-    mask those entries and raise the singular flag."""
-    x = np.asarray(x, dtype=np.float64)
-    if spec.kind == "pow":
+def _pol_score(spec, st):
+    st["base"] = base = spec.resolved_alpha(st["d"]) * st["dot"] + spec.c
+    return base ** int(spec.p)
+
+
+def _pol_vjp(spec, st, dL, kink):
+    p = int(spec.p)
+    return {"dot": dL * (p * spec.resolved_alpha(st["d"]) * st["base"] ** (p - 1))}
+
+
+def _radial(phi, dphi, kink=None) -> Kernel:
+    """A kernel that is a profile phi(spec, x, d) of the squared distance."""
+    def vjp(spec, st, dL, kink_mask):
+        # at x = 0 with p < 2 dphi is non-finite; kink_mask replaces it
         with np.errstate(divide="ignore", invalid="ignore"):
-            return -0.5 * spec.p * np.power(x, 0.5 * spec.p - 1.0)
-    if spec.kind == "log":
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xp = np.power(x, 0.5 * spec.p)
-            return -0.5 * spec.p * np.power(x, 0.5 * spec.p - 1.0) / (xp + 1.0)
-    if spec.kind == "rbf":
-        return -gamma * np.exp(-gamma * x)
-    if spec.kind == "wav":
-        decay = np.exp(-x / spec.b)
-        return -decay * (np.sin(x / spec.a) / spec.a + np.cos(x / spec.a) / spec.b)
-    raise WrongKernelKind(f"{spec.kind} has no radial profile")
+            dx = dphi(spec, st["x"], st["d"])
+        if kink_mask is not None:
+            dx = np.where(kink_mask, 0.0, dx)
+        return {"x": dL * dx}
+    return Kernel("x", lambda spec, st: phi(spec, st["x"], st["d"]), vjp, kink)
 
 
-def _radial_singular_at_zero(spec: KernelSpec) -> bool:
-    return spec.kind in ("log", "pow") and spec.p < 2.0
+def _below_p2_kink(spec, st):
+    return st["x"] == 0.0 if spec.p < 2.0 else None
+
+
+def _hpb_score(spec, st):
+    for side, norms in (("word column", st["wn"]), ("context row", st["hn"])):
+        if np.any(norms >= 1.0):
+            raise HpbOutsideBall(
+                f"{side} {int(np.argmax(norms >= 1.0))} has norm >= 1")
+    st["A"] = A = 1.0 - st["wn"]
+    st["Bn"] = Bn = 1.0 - st["hn"]
+    st["z"] = z = np.maximum(1.0 + 2.0 * st["x"] / (Bn * A), 1.0)
+    return -np.arccosh(z)
+
+
+def _hpb_vjp(spec, st, dL, kink):
+    A, Bn, x, z = st["A"], st["Bn"], st["x"], st["z"]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dz = -dL / np.sqrt(z * z - 1.0)
+    if kink is not None:
+        dz = np.where(kink, 0.0, dz)
+    inv_ab = 1.0 / (Bn * A)
+    # z depends on the norms through A = 1 - wn and Bn = 1 - hn
+    return {"x": dz * 2.0 * inv_ab,
+            "wn": (dz * (2.0 * x) * inv_ab / A).sum(axis=0, keepdims=True),
+            "hn": (dz * (2.0 * x) * inv_ab / Bn).sum(axis=1, keepdims=True)}
+
+
+def _gauss_ell(d, x, s):
+    """log of the integral of two spherical Gaussians in d dimensions with
+    squared mean distance x and summed variance s."""
+    return -0.5 * d * (LOG_2PI + np.log(s)) - x / (2.0 * s)
+
+
+def _gauss_ell_vjp(d, x, s, g):
+    """(x, s) cotangents of _gauss_ell given its cotangent g."""
+    return g * (-1.0 / (2.0 * s)), g * ((-0.5 * d / s) + x / (2.0 * s * s))
+
+
+def _log_mean_exp(ell):
+    """log of the mean of exp over the trailing G x G pair axes."""
+    flat = ell.reshape(ell.shape[:-2] + (-1,))
+    m = flat.max(axis=-1)
+    return (m + np.log(np.exp(flat - m[..., None]).sum(axis=-1))
+            - 2.0 * math.log(ell.shape[-1]))
+
+
+def _pair_posterior(ell):
+    """Softmax over the trailing G x G pair axes: d _log_mean_exp / d ell."""
+    flat = ell.reshape(ell.shape[:-2] + (-1,))
+    e = np.exp(flat - flat.max(axis=-1, keepdims=True))
+    return (e / e.sum(axis=-1, keepdims=True)).reshape(ell.shape)
+
+
+def _ssg_score(spec, st):
+    st["s"] = s = np.exp(st["wlv"]) + math.exp(float(st["clv"]))
+    return _gauss_ell(st["d"], st["x"], s)
+
+
+def _ssg_vjp(spec, st, dL, kink):
+    dx, ds = _gauss_ell_vjp(st["d"], st["x"], st["s"], dL)
+    ds_v = ds.sum(axis=0)
+    return {"x": dx, "wlv": ds_v * np.exp(st["wlv"]),
+            "clv": np.float64(ds_v.sum() * math.exp(float(st["clv"])))}
+
+
+def _mog_score(spec, st):
+    """Each word and each context carry G Gaussians sharing one mean; s is
+    V x G x G over (word Gaussian, context Gaussian) pairs."""
+    st["s"] = s = np.exp(st["wlv"])[:, :, None] + np.exp(st["clv"])[None, None, :]
+    d, x = st["d"], st["x"]
+    if spec.mog_log_of_sum:
+        st["ell"] = ell = _gauss_ell(d, x[:, :, None, None], s)
+        return _log_mean_exp(ell)
+    # the sum over pairs is affine in the shared x
+    st["c2"] = c2 = (1.0 / (2.0 * s)).sum(axis=(1, 2))
+    return -0.5 * d * (LOG_2PI + np.log(s)).sum(axis=(1, 2))[None, :] - x * c2[None, :]
+
+
+def _mog_vjp(spec, st, dL, kink):
+    d, x, s = st["d"], st["x"], st["s"]
+    if spec.mog_log_of_sum:
+        dell = dL[:, :, None, None] * _pair_posterior(st["ell"])
+        dx, ds = _gauss_ell_vjp(d, x[:, :, None, None], s, dell)
+        dx, ds = dx.sum(axis=(2, 3)), ds.sum(axis=0)
+    else:
+        dx = dL * (-st["c2"])[None, :]
+        ds = ((-0.5 * d / s) * dL.sum(axis=0)[:, None, None]
+              + (1.0 / (2.0 * s * s)) * (dL * x).sum(axis=0)[:, None, None])
+    return {"x": dx, "wlv": ds.sum(axis=2) * np.exp(st["wlv"]),
+            "clv": ds.sum(axis=(0, 1)) * np.exp(st["clv"])}
+
+
+KERNELS = {
+    "lin": Kernel("dot", lambda spec, st: st["dot"],
+                  lambda spec, st, dL, kink: {"dot": dL}),
+    "log": _radial(
+        lambda spec, x, d: -np.log1p(np.power(x, 0.5 * spec.p)),
+        lambda spec, x, d: (-0.5 * spec.p * np.power(x, 0.5 * spec.p - 1.0)
+                            / (np.power(x, 0.5 * spec.p) + 1.0)),
+        _below_p2_kink),
+    "pow": _radial(
+        lambda spec, x, d: -np.power(x, 0.5 * spec.p),
+        lambda spec, x, d: -0.5 * spec.p * np.power(x, 0.5 * spec.p - 1.0),
+        _below_p2_kink),
+    "pol": Kernel("dot", _pol_score, _pol_vjp),
+    "rbf": _radial(
+        lambda spec, x, d: np.exp(-spec.resolved_gamma(d) * x),
+        lambda spec, x, d: -spec.resolved_gamma(d) * np.exp(-spec.resolved_gamma(d) * x)),
+    "ssg": Kernel("x", _ssg_score, _ssg_vjp, var_shape=lambda spec: ()),
+    "mog": Kernel("x", _mog_score, _mog_vjp,
+                  var_shape=lambda spec: (spec.num_gauss,)),
+    "hpb": Kernel("x", _hpb_score, _hpb_vjp,
+                  kink=lambda spec, st: st["z"] <= 1.0, in_ball=True),
+    "wav": _radial(
+        lambda spec, x, d: np.cos(x / spec.a) * np.exp(-x / spec.b),
+        lambda spec, x, d: -np.exp(-x / spec.b) * (np.sin(x / spec.a) / spec.a
+                                                   + np.cos(x / spec.a) / spec.b)),
+}
+
+KINDS = tuple(KERNELS)
+
+
+def variance_shape(spec: KernelSpec):
+    """Shape of one component's log-variance parameter: () for ssg, (G,)
+    for mog, None for kinds without Gaussian parameters."""
+    var_shape = KERNELS[spec.kind].var_shape
+    return var_shape(spec) if var_shape is not None else None
+
+
+def context_scale(spec: KernelSpec, d: int) -> float:
+    """Constant rescale of tanh-bounded contexts (norm <= sqrt(d)) that keeps
+    them strictly inside the unit ball for kinds that need it; 1 otherwise."""
+    return (1.0 - BALL_MARGIN) / math.sqrt(d) if KERNELS[spec.kind].in_ball else 1.0
 
 
 def radial_profile(spec: KernelSpec, x):
-    """(score, d score / d x) as a function of squared distance x.
+    """(score, d score / d x) as a function of the kind's statistic x: the
+    squared distance, or the dot product for lin and pol.
 
-    Used by the curve emitter. hpb is profiled at zero vector norms,
-    ssg/mog at d = 1 with unit variances. alpha/gamma resolve to 1 here.
+    Used by the curve emitter. Evaluated at d = 1 (alpha/gamma resolve to
+    1), hpb at zero vector norms, ssg/mog with unit variances, and without
+    the zero subgradient at kinks.
     """
     x = np.asarray(x, dtype=np.float64)
-    kind = spec.kind
-    if kind in ("log", "pow", "rbf", "wav"):
-        gamma = spec.resolved_gamma(None)
-        return _phi(spec, x, gamma), _dphi_dx(spec, x, gamma)
-    if kind == "hpb":
-        z = 1.0 + 2.0 * x
-        s = -np.arccosh(z)
-        with np.errstate(divide="ignore"):
-            ds = -2.0 / np.sqrt(z * z - 1.0)
-        return s, ds
-    if kind == "ssg":
-        sv = 2.0  # both log-variances 0
-        return (-0.5 * (LOG_2PI + math.log(sv)) - x / (2.0 * sv),
-                np.full_like(x, -1.0 / (2.0 * sv)))
-    if kind == "mog":
-        g = spec.num_gauss
-        sv = 2.0
-        term = -0.5 * (LOG_2PI + math.log(sv)) - x / (2.0 * sv)
-        if spec.mog_log_of_sum:
-            # equal pairs collapse: LSE of identical terms
-            return term, np.full_like(x, -1.0 / (2.0 * sv))
-        return g * g * term, np.full_like(x, -g * g / (2.0 * sv))
-    if kind == "lin":
-        # profiled against the dot product instead of a distance
-        return x.copy(), np.ones_like(x)
-    if kind == "pol":
-        alpha = spec.resolved_alpha(None)
-        base = alpha * x + spec.c
-        p = int(spec.p)
-        return base ** p, p * alpha * base ** (p - 1)
-    raise WrongKernelKind(kind)
+    kernel = KERNELS[spec.kind]
+    row = x.reshape(1, -1)
+    st = {"d": 1, kernel.stat: row, "wn": np.zeros((1, 1)), "hn": np.zeros((1, 1))}
+    if kernel.var_shape is not None:
+        shape = kernel.var_shape(spec)
+        st.update(wlv=np.zeros(row.shape[1:] + shape), clv=np.zeros(shape))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = kernel.score(spec, st)
+        ds = kernel.vjp(spec, st, np.ones_like(row), None)[kernel.stat]
+    return np.array(s).reshape(x.shape), ds.reshape(x.shape)
 
 
 # ---------------------------------------------------------------------------
 # Scalar score / grad
 # ---------------------------------------------------------------------------
 
-def _ssg_log_integral(x: float, s: float, d: int) -> float:
-    """log of the integral of two spherical Gaussians with squared mean
-    distance x and summed variance s, in d dimensions."""
-    return -0.5 * d * (LOG_2PI + math.log(s)) - x / (2.0 * s)
+def _pair_stats(kernel: Kernel, w, h) -> tuple:
+    """(statistics of one (w, h) pair as 1 x 1 arrays, w, h); x comes from
+    the explicit difference w - h."""
+    w, h = _check_pair(w, h)
+    st = {"d": w.shape[0]}
+    if kernel.stat == "dot":
+        st["dot"] = np.full((1, 1), np.dot(w, h))
+    else:
+        diff = w - h
+        st.update(x=np.full((1, 1), np.dot(diff, diff)),
+                  wn=np.full((1, 1), np.dot(w, w)), hn=np.full((1, 1), np.dot(h, h)))
+    return st, w, h
 
 
-def _gauss_list(g, spec: KernelSpec, name: str) -> list:
-    if isinstance(g, GaussianParams):
-        g = [g]
-    if g is None or len(g) != spec.num_gauss:
-        raise DimensionMismatch(
-            f"{name}: mog expects {spec.num_gauss} GaussianParams")
-    return list(g)
+def _gauss_pairs(spec: KernelSpec, w_gauss, h_gauss) -> tuple:
+    """Statistics of every (word Gaussian i, context Gaussian j) pair, from
+    the explicit mean differences: (differences G x G x d, x, summed
+    variances s, word variances, context variances). ssg is the G = 1 case
+    of mog; pass it one GaussianParams per side."""
+    G = math.prod(variance_shape(spec))
+    sides = []
+    for name, g in (("w_gauss", w_gauss), ("h_gauss", h_gauss)):
+        g = [g] if isinstance(g, GaussianParams) else g
+        if g is None or len(g) != G or not all(isinstance(gi, GaussianParams) for gi in g):
+            raise DimensionMismatch(f"{name}: {spec.kind} expects {G} GaussianParams")
+        sides.append(list(g))
+    means = [_as_vec(g.mean, "mean") for g in sides[0] + sides[1]]
+    if len({m.shape for m in means}) > 1:
+        raise DimensionMismatch(f"{spec.kind}: Gaussian means differ in shape")
+    diff = np.stack(means[:G])[:, None, :] - np.stack(means[G:])[None, :, :]
+    vw, vh = (np.array([g.var for g in side]) for side in sides)
+    return diff, np.einsum("ijd,ijd->ij", diff, diff), vw[:, None] + vh[None, :], vw, vh
 
 
 def score(spec: KernelSpec, w=None, h=None, w_gauss=None, h_gauss=None) -> float:
@@ -269,55 +404,15 @@ def score(spec: KernelSpec, w=None, h=None, w_gauss=None, h_gauss=None) -> float
     For ssg pass one GaussianParams per side, for mog a sequence of
     ``spec.num_gauss`` of them; w/h are ignored for those kinds.
     """
-    kind = spec.kind
-    if kind == "ssg":
-        if not isinstance(w_gauss, GaussianParams) or not isinstance(h_gauss, GaussianParams):
-            raise DimensionMismatch("ssg requires GaussianParams for both sides")
-        mw, mh = _check_pair(w_gauss.mean, h_gauss.mean)
-        d = mw.shape[0]
-        s = w_gauss.var + h_gauss.var
-        x = float(np.dot(mw - mh, mw - mh))
-        return float(_check_finite(_ssg_log_integral(x, s, d), "ssg"))
-    if kind == "mog":
-        gw = _gauss_list(w_gauss, spec, "w_gauss")
-        gh = _gauss_list(h_gauss, spec, "h_gauss")
-        d = _as_vec(gw[0].mean, "mean").shape[0]
-        terms = []
-        for gi in gw:
-            for gj in gh:
-                mi, mj = _check_pair(gi.mean, gj.mean)
-                s = gi.var + gj.var
-                x = float(np.dot(mi - mj, mi - mj))
-                terms.append(_ssg_log_integral(x, s, d))
-        if spec.mog_log_of_sum:
-            terms = np.asarray(terms)
-            m = terms.max()
-            val = m + math.log(np.exp(terms - m).sum()) - 2.0 * math.log(spec.num_gauss)
-        else:
-            val = float(sum(terms))
-        return float(_check_finite(val, "mog"))
-
-    w, h = _check_pair(w, h)
-    d = w.shape[0]
-    if kind == "lin":
-        return float(_check_finite(np.dot(w, h), "lin"))
-    if kind == "pol":
-        alpha = spec.resolved_alpha(d)
-        base = alpha * float(np.dot(w, h)) + spec.c
-        return float(_check_finite(base ** int(spec.p), "pol"))
-    if kind == "hpb":
-        wn = float(np.dot(w, w))
-        hn = float(np.dot(h, h))
-        if wn >= 1.0 or hn >= 1.0:
-            raise HpbOutsideBall(f"norms^2 ({wn:.4g}, {hn:.4g}) must be < 1")
-        x = _sq_dist(wn, hn, float(np.dot(w, h)))
-        z = max(1.0 + 2.0 * x / ((1.0 - wn) * (1.0 - hn)), 1.0)
-        return float(_check_finite(-math.acosh(z), "hpb"))
-    # radial kernels
-    diff = w - h
-    x = float(np.dot(diff, diff))
-    gamma = spec.resolved_gamma(d)
-    return float(_check_finite(_phi(spec, x, gamma), spec.kind))
+    kernel = KERNELS[spec.kind]
+    if kernel.var_shape is not None:
+        diff, x, s, _, _ = _gauss_pairs(spec, w_gauss, h_gauss)
+        ell = _gauss_ell(diff.shape[2], x, s)
+        val = _log_mean_exp(ell) if spec.mog_log_of_sum else ell.sum()
+    else:
+        st, _, _ = _pair_stats(kernel, w, h)
+        val = kernel.score(spec, st)[0, 0]
+    return float(_check_finite(val, spec.kind))
 
 
 def score_via_trick(spec: KernelSpec, w_norm_sq: float, h_norm_sq: float,
@@ -325,110 +420,60 @@ def score_via_trick(spec: KernelSpec, w_norm_sq: float, h_norm_sq: float,
     """Score a distance-based kernel from cached norms and a dot product.
 
     The squared distance is recovered via the norm expansion
-    ||w - h||^2 = ||w||^2 + ||h||^2 - 2 w.h, clamped at 0.
+    ||w - h||^2 = ||w||^2 + ||h||^2 - 2 w.h, clamped at 0: the batched
+    path at B = V = 1.
     """
     if spec.kind not in DISTANCE_KINDS:
         raise WrongKernelKind(
             f"norm-expansion trick is vacuous for {spec.kind!r}")
     if w_norm_sq < 0 or h_norm_sq < 0:
         raise DimensionMismatch("squared norms must be nonnegative")
-    x = float(_sq_dist(w_norm_sq, h_norm_sq, dot))
-    if spec.kind == "hpb":
-        if w_norm_sq >= 1.0 or h_norm_sq >= 1.0:
-            raise HpbOutsideBall("norms^2 must be < 1")
-        z = max(1.0 + 2.0 * x / ((1.0 - w_norm_sq) * (1.0 - h_norm_sq)), 1.0)
-        return float(_check_finite(-math.acosh(z), "hpb"))
-    gamma = spec.resolved_gamma(None) if spec.gamma is not None else None
     # gamma default 1/d needs the dimension, which the trick does not see;
     # callers relying on the default must resolve it into the spec first.
-    if spec.kind == "rbf" and gamma is None:
+    if spec.kind == "rbf" and spec.gamma is None:
         raise WrongKernelKind("rbf via trick needs an explicit gamma")
-    return float(_check_finite(_phi(spec, x, gamma), spec.kind))
+    wn, hn = np.full((1, 1), float(w_norm_sq)), np.full((1, 1), float(h_norm_sq))
+    st = {"d": None, "wn": wn, "hn": hn, "x": _sq_dist(wn, hn, float(dot))}
+    return float(_check_finite(KERNELS[spec.kind].score(spec, st)[0, 0], spec.kind))
 
 
 def grad(spec: KernelSpec, w=None, h=None, w_gauss=None, h_gauss=None) -> KernelGrad:
     """Analytic gradient of score() with respect to its vector arguments
     (and log-variances for ssg/mog)."""
-    kind = spec.kind
-    if kind == "ssg":
-        mw, mh = _check_pair(w_gauss.mean, h_gauss.mean)
-        d = mw.shape[0]
-        s = w_gauss.var + h_gauss.var
-        diff = mw - mh
-        x = float(np.dot(diff, diff))
-        d_mw = -diff / s
-        ds = -0.5 * d / s + x / (2.0 * s * s)
-        return KernelGrad(
-            d_w=d_mw, d_h=-d_mw,
-            d_w_log_var=np.float64(ds * w_gauss.var),
-            d_h_log_var=np.float64(ds * h_gauss.var))
-    if kind == "mog":
-        gw = _gauss_list(w_gauss, spec, "w_gauss")
-        gh = _gauss_list(h_gauss, spec, "h_gauss")
-        G = spec.num_gauss
-        d = _as_vec(gw[0].mean, "mean").shape[0]
-        ell = np.empty((G, G))
-        for i, gi in enumerate(gw):
-            for j, gj in enumerate(gh):
-                mi, mj = _check_pair(gi.mean, gj.mean)
-                s = gi.var + gj.var
-                x = float(np.dot(mi - mj, mi - mj))
-                ell[i, j] = _ssg_log_integral(x, s, d)
-        if spec.mog_log_of_sum:
-            wgt = np.exp(ell - ell.max())
-            wgt /= wgt.sum()
-        else:
-            wgt = np.ones((G, G))
-        d_w = np.zeros((G, d))
-        d_h = np.zeros((G, d))
-        d_wlv = np.zeros(G)
-        d_hlv = np.zeros(G)
-        for i, gi in enumerate(gw):
-            for j, gj in enumerate(gh):
-                s = gi.var + gj.var
-                diff = np.asarray(gi.mean, dtype=np.float64) - np.asarray(gj.mean, dtype=np.float64)
-                x = float(np.dot(diff, diff))
-                ds = -0.5 * d / s + x / (2.0 * s * s)
-                d_w[i] += wgt[i, j] * (-diff / s)
-                d_h[j] += wgt[i, j] * (diff / s)
-                d_wlv[i] += wgt[i, j] * ds * gi.var
-                d_hlv[j] += wgt[i, j] * ds * gj.var
-        return KernelGrad(d_w=d_w, d_h=d_h, d_w_log_var=d_wlv, d_h_log_var=d_hlv)
+    kernel = KERNELS[spec.kind]
+    if kernel.var_shape is not None:
+        return _gauss_grad(spec, w_gauss, h_gauss)
+    st, w, h = _pair_stats(kernel, w, h)
+    kernel.score(spec, st)  # checks the inputs and fills in what the VJP reads
+    kink = kernel.kink(spec, st) if kernel.kink is not None else None
+    if kink is not None and kink.any():
+        # documented zero subgradient at the w == h kink
+        return KernelGrad(d_w=np.zeros_like(w), d_h=np.zeros_like(h), singular=True)
+    g = kernel.vjp(spec, st, np.ones((1, 1)), kink)
+    if kernel.stat == "dot":
+        c = g["dot"][0, 0]
+        d_w, d_h = c * h, c * w
+    else:
+        c = 2.0 * g["x"][0, 0]
+        d_w, d_h = c * (w - h), c * (h - w)
+    if "wn" in g:
+        d_w = d_w + 2.0 * g["wn"][0, 0] * w
+        d_h = d_h + 2.0 * g["hn"][0, 0] * h
+    return KernelGrad(d_w=d_w, d_h=d_h)
 
-    w, h = _check_pair(w, h)
-    d = w.shape[0]
-    if kind == "lin":
-        return KernelGrad(d_w=h.copy(), d_h=w.copy())
-    if kind == "pol":
-        alpha = spec.resolved_alpha(d)
-        p = int(spec.p)
-        base = alpha * float(np.dot(w, h)) + spec.c
-        coef = p * alpha * base ** (p - 1)
-        return KernelGrad(d_w=coef * h, d_h=coef * w)
-    if kind == "hpb":
-        wn = float(np.dot(w, w))
-        hn = float(np.dot(h, h))
-        if wn >= 1.0 or hn >= 1.0:
-            raise HpbOutsideBall(f"norms^2 ({wn:.4g}, {hn:.4g}) must be < 1")
-        A = 1.0 - wn
-        B = 1.0 - hn
-        x = _sq_dist(wn, hn, float(np.dot(w, h)))
-        z = 1.0 + 2.0 * x / (A * B)
-        if z <= 1.0:
-            # distance kink at w == h: documented zero subgradient
-            return KernelGrad(d_w=np.zeros(d), d_h=np.zeros(d), singular=True)
-        coef = -1.0 / math.sqrt(z * z - 1.0)
-        dz_dw = 4.0 * (w - h) / (A * B) + 4.0 * x * w / (A * A * B)
-        dz_dh = 4.0 * (h - w) / (A * B) + 4.0 * x * h / (A * B * B)
-        return KernelGrad(d_w=coef * dz_dw, d_h=coef * dz_dh)
-    # radial kernels
-    diff = w - h
-    x = float(np.dot(diff, diff))
-    if x == 0.0 and _radial_singular_at_zero(spec):
-        return KernelGrad(d_w=np.zeros(d), d_h=np.zeros(d), singular=True)
-    gamma = spec.resolved_gamma(d)
-    dphi = float(_dphi_dx(spec, x, gamma))
-    return KernelGrad(d_w=2.0 * dphi * diff, d_h=-2.0 * dphi * diff)
+
+def _gauss_grad(spec: KernelSpec, w_gauss, h_gauss) -> KernelGrad:
+    diff, x, s, vw, vh = _gauss_pairs(spec, w_gauss, h_gauss)
+    ell = _gauss_ell(diff.shape[2], x, s)
+    wgt = _pair_posterior(ell) if spec.mog_log_of_sum else np.ones_like(ell)
+    dx, ds = _gauss_ell_vjp(diff.shape[2], x, s, wgt)
+    step = 2.0 * dx[:, :, None] * diff
+    g = KernelGrad(d_w=step.sum(axis=1), d_h=-step.sum(axis=0),
+                   d_w_log_var=ds.sum(axis=1) * vw, d_h_log_var=ds.sum(axis=0) * vh)
+    if variance_shape(spec) == ():
+        # ssg: one Gaussian per side, returned unstacked
+        g = KernelGrad(g.d_w[0], g.d_h[0], g.d_w_log_var[0], g.d_h_log_var[0])
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -437,15 +482,13 @@ def grad(spec: KernelSpec, w=None, h=None, w_gauss=None, h_gauss=None) -> Kernel
 
 @dataclass
 class LogitCache:
-    """Intermediates of forward_logits needed by backward_logits."""
+    """Intermediates of forward_logits needed by backward_logits: the
+    statistics dict the kernel's score filled in."""
 
-    spec: KernelSpec
     W: np.ndarray
     H: np.ndarray
     logits: np.ndarray
-    dots: Optional[np.ndarray] = None
-    x: Optional[np.ndarray] = None
-    extras: dict = field(default_factory=dict)
+    stats: dict
 
 
 def forward_logits(spec: KernelSpec, W: np.ndarray, H: np.ndarray,
@@ -461,71 +504,27 @@ def forward_logits(spec: KernelSpec, W: np.ndarray, H: np.ndarray,
     H = np.asarray(H, dtype=np.float64)
     if W.ndim != 2 or H.ndim != 2 or W.shape[0] != H.shape[1]:
         raise DimensionMismatch(f"W {W.shape} vs H {H.shape}")
-    d, V = W.shape
-    if V < 2:
+    if W.shape[1] < 2:
         raise DimensionMismatch("need V >= 2")
-    kind = spec.kind
+    kernel = KERNELS[spec.kind]
+    st = {"d": W.shape[0]}
     dots = H @ W  # B x V
-    cache = LogitCache(spec=spec, W=W, H=H, logits=None, dots=dots)
-
-    if kind == "lin":
-        L = dots
-    elif kind == "pol":
-        alpha = spec.resolved_alpha(d)
-        p = int(spec.p)
-        base = alpha * dots + spec.c
-        L = base ** p
-        cache.extras["base"] = base
-        cache.extras["alpha"] = alpha
+    if kernel.stat == "dot":
+        st["dot"] = dots
     else:
-        wn = np.einsum("dv,dv->v", W, W)
-        hn = np.einsum("bd,bd->b", H, H)
-        x = _sq_dist(wn[None, :], hn[:, None], dots)
-        cache.x = x
-        if kind in ("log", "pow", "rbf", "wav"):
-            gamma = spec.resolved_gamma(d)
-            L = _phi(spec, x, gamma)
-            cache.extras["gamma"] = gamma
-        elif kind == "hpb":
-            if np.any(wn >= 1.0):
-                raise HpbOutsideBall(f"word column {int(np.argmax(wn >= 1.0))} has norm >= 1")
-            if np.any(hn >= 1.0):
-                raise HpbOutsideBall(f"context row {int(np.argmax(hn >= 1.0))} has norm >= 1")
-            A = 1.0 - wn   # V
-            Bn = 1.0 - hn  # B
-            z = np.maximum(1.0 + 2.0 * x / (Bn[:, None] * A[None, :]), 1.0)
-            L = -np.arccosh(z)
-            cache.extras.update(A=A, Bn=Bn, z=z)
-        elif kind == "ssg":
-            sv = np.exp(np.asarray(word_log_vars, dtype=np.float64)) + math.exp(float(comp_log_vars))
-            L = -0.5 * d * (LOG_2PI + np.log(sv))[None, :] - x / (2.0 * sv)[None, :]
-            cache.extras.update(sv=sv, word_log_vars=np.asarray(word_log_vars, dtype=np.float64),
-                                comp_log_vars=float(comp_log_vars))
-        elif kind == "mog":
-            wlv = np.asarray(word_log_vars, dtype=np.float64)  # V x G
-            clv = np.asarray(comp_log_vars, dtype=np.float64)  # G
-            s = np.exp(wlv)[:, :, None] + np.exp(clv)[None, None, :]  # V x G x G
-            if spec.mog_log_of_sum:
-                ell = (-0.5 * d * (LOG_2PI + np.log(s))[None, :, :, :]
-                       - x[:, :, None, None] / (2.0 * s)[None, :, :, :])  # B x V x G x G
-                flat = ell.reshape(ell.shape[0], ell.shape[1], -1)
-                m = flat.max(axis=2)
-                L = m + np.log(np.exp(flat - m[:, :, None]).sum(axis=2)) \
-                    - 2.0 * math.log(spec.num_gauss)
-                cache.extras["ell"] = ell
-            else:
-                c1 = (LOG_2PI + np.log(s)).sum(axis=(1, 2))  # V
-                c2 = (1.0 / (2.0 * s)).sum(axis=(1, 2))      # V
-                L = -0.5 * d * c1[None, :] - x * c2[None, :]
-            cache.extras.update(s=s, wlv=wlv, clv=clv)
-        else:
-            raise WrongKernelKind(kind)
-
+        wn = np.einsum("dv,dv->v", W, W)[None, :]
+        hn = np.einsum("bd,bd->b", H, H)[:, None]
+        st.update(x=_sq_dist(wn, hn, dots), wn=wn, hn=hn)
+    if kernel.var_shape is not None:
+        if word_log_vars is None or comp_log_vars is None:
+            raise DimensionMismatch(f"{spec.kind} needs word and component log-variances")
+        st.update(wlv=np.asarray(word_log_vars, dtype=np.float64),
+                  clv=np.asarray(comp_log_vars, dtype=np.float64))
+    L = kernel.score(spec, st)
     if not np.all(np.isfinite(L)):
         b, v = np.argwhere(~np.isfinite(L))[0]
-        raise NonFiniteScore(f"non-finite {kind} logit at (b={b}, v={v})")
-    cache.logits = L
-    return L, cache
+        raise NonFiniteScore(f"non-finite {spec.kind} logit at (b={b}, v={v})")
+    return L, LogitCache(W=W, H=H, logits=L, stats=st)
 
 
 def batch_logits(spec: KernelSpec, W: np.ndarray, H: np.ndarray,
@@ -541,82 +540,21 @@ def backward_logits(spec: KernelSpec, cache: LogitCache, dL: np.ndarray):
     Returns (dW, dH, d_word_log_vars, d_comp_log_vars); the last two are
     None for kernels without Gaussian parameters.
     """
-    W, H = cache.W, cache.H
-    d = W.shape[0]
-    kind = spec.kind
-    d_wlv = None
-    d_clv = None
-
-    if kind == "lin":
-        return H.T @ dL, dL @ W.T, None, None
-    if kind == "pol":
-        p = int(spec.p)
-        alpha = cache.extras["alpha"]
-        base = cache.extras["base"]
-        dD = dL * (p * alpha * base ** (p - 1))
-        return H.T @ dD, dD @ W.T, None, None
-
-    x = cache.x
-    if kind in ("log", "pow", "rbf", "wav"):
-        gamma = cache.extras["gamma"]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dphi = _dphi_dx(spec, x, gamma)
-        if _radial_singular_at_zero(spec):
-            dphi = np.where(x == 0.0, 0.0, dphi)  # zero subgradient
-        dx = dL * dphi
-    elif kind == "hpb":
-        A = cache.extras["A"]
-        Bn = cache.extras["Bn"]
-        z = cache.extras["z"]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dz = np.where(z > 1.0, -dL / np.sqrt(z * z - 1.0), 0.0)
-        inv_ab = 1.0 / (Bn[:, None] * A[None, :])
-        dx = dz * 2.0 * inv_ab
-        # d z / d A_v = -2 x / (A^2 B); dA_v/dW_v = -2 W_v
-        gA = (dz * (-2.0 * x) * inv_ab / A[None, :]).sum(axis=0)   # V
-        gB = (dz * (-2.0 * x) * inv_ab / Bn[:, None]).sum(axis=1)  # B
-        dW_extra = -2.0 * W * gA[None, :]
-        dH_extra = -2.0 * H * gB[:, None]
-        dW = 2.0 * (W * dx.sum(axis=0)[None, :] - H.T @ dx) + dW_extra
-        dH = 2.0 * (H * dx.sum(axis=1)[:, None] - dx @ W.T) + dH_extra
-        return dW, dH, None, None
-    elif kind == "ssg":
-        sv = cache.extras["sv"]
-        dx = dL * (-1.0 / (2.0 * sv))[None, :]
-        ds = dL * ((-0.5 * d / sv)[None, :] + x / (2.0 * sv * sv)[None, :])
-        ds_v = ds.sum(axis=0)  # V
-        d_wlv = ds_v * np.exp(cache.extras["word_log_vars"])
-        d_clv = np.float64(ds_v.sum() * math.exp(cache.extras["comp_log_vars"]))
-    elif kind == "mog":
-        s = cache.extras["s"]          # V x G x G
-        wlv = cache.extras["wlv"]
-        clv = cache.extras["clv"]
-        if spec.mog_log_of_sum:
-            ell = cache.extras["ell"]  # B x V x G x G
-            B_, V_ = dL.shape
-            flat = ell.reshape(B_, V_, -1)
-            m = flat.max(axis=2, keepdims=True)
-            e = np.exp(flat - m)
-            wgt = (e / e.sum(axis=2, keepdims=True)).reshape(ell.shape)  # pair posteriors
-            dell = dL[:, :, None, None] * wgt
-            dx = (dell * (-1.0 / (2.0 * s))[None, :, :, :]).sum(axis=(2, 3))
-            ds_pair = (dell * ((-0.5 * d / s)[None, :, :, :]
-                               + x[:, :, None, None] / (2.0 * s * s)[None, :, :, :])
-                       ).sum(axis=0)  # V x G x G
-        else:
-            u = dL.sum(axis=0)            # V
-            r = (dL * x).sum(axis=0)      # V
-            c2 = (1.0 / (2.0 * s)).sum(axis=(1, 2))
-            dx = dL * (-c2)[None, :]
-            ds_pair = (-0.5 * d / s) * u[:, None, None] + (1.0 / (2.0 * s * s)) * r[:, None, None]
-        d_wlv = ds_pair.sum(axis=2) * np.exp(wlv)       # V x G
-        d_clv = ds_pair.sum(axis=(0, 1)) * np.exp(clv)  # G
+    W, H, st = cache.W, cache.H, cache.stats
+    kernel = KERNELS[spec.kind]
+    kink = kernel.kink(spec, st) if kernel.kink is not None else None
+    g = kernel.vjp(spec, st, dL, kink)
+    if kernel.stat == "dot":
+        dW, dH = H.T @ g["dot"], g["dot"] @ W.T
     else:
-        raise WrongKernelKind(kind)
-
-    dW = 2.0 * (W * dx.sum(axis=0)[None, :] - H.T @ dx)
-    dH = 2.0 * (H * dx.sum(axis=1)[:, None] - dx @ W.T)
-    return dW, dH, d_wlv, d_clv
+        # chain rule through x = wn + hn - 2 w.h
+        dx = g["x"]
+        dW = 2.0 * (W * dx.sum(axis=0)[None, :] - H.T @ dx)
+        dH = 2.0 * (H * dx.sum(axis=1)[:, None] - dx @ W.T)
+    if "wn" in g:
+        dW = dW + 2.0 * W * g["wn"]
+        dH = dH + 2.0 * H * g["hn"]
+    return dW, dH, g.get("wlv"), g.get("clv")
 
 
 def project_to_ball(W: np.ndarray, margin: float = BALL_MARGIN) -> np.ndarray:

@@ -13,14 +13,13 @@ the log domain; mixed logits are never softmaxed jointly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from . import kernels
-from .errors import DimensionMismatch, HpbOutsideBall, NonFiniteScore, TargetOutOfRange
-from .kernels import KernelSpec, BALL_MARGIN
+from .errors import DimensionMismatch, NonFiniteScore, TargetOutOfRange
 
 
 @dataclass(frozen=True)
@@ -29,57 +28,30 @@ class MixtureConfig:
     d: int
     V: int
     rho: float = 0.0
-    tie_projection: bool = True
     reg_across_data: bool = False
 
     def __post_init__(self):
         if len(self.components) < 1:
             raise ValueError("need at least one mixture component")
-        if not self.tie_projection:
-            raise ValueError("untied projection matrices are not supported")
         if self.rho < 0:
             raise ValueError("rho must be nonnegative")
-        gs = {s.num_gauss for s in self.components if s.kind == "mog"}
-        if len(gs) > 1:
-            raise ValueError("all mog components must share num_gauss")
         object.__setattr__(self, "components", tuple(self.components))
+        if len({s for s in self.variance_shapes if s}) > 1:
+            raise ValueError("all mog components must share num_gauss")
 
     @property
     def K(self) -> int:
         return len(self.components)
 
     @property
-    def transform_contexts_enabled(self) -> bool:
-        return self.K > 1
+    def variance_shapes(self) -> list:
+        """Per component, the shape of its log-variance parameter (None for
+        kinds without Gaussian parameters)."""
+        return [kernels.variance_shape(s) for s in self.components]
 
     @property
-    def num_gauss(self) -> int:
-        for s in self.components:
-            if s.kind == "mog":
-                return s.num_gauss
-        return 1
-
-    @property
-    def needs_word_vars(self) -> bool:
-        return any(s.kind in kernels.GAUSSIAN_KINDS for s in self.components)
-
-    @property
-    def has_hpb(self) -> bool:
-        return any(s.kind == "hpb" for s in self.components)
-
-    def to_dict(self) -> dict:
-        return {
-            "components": [s.to_dict() for s in self.components],
-            "d": self.d, "V": self.V, "rho": self.rho,
-            "tie_projection": self.tie_projection,
-            "reg_across_data": self.reg_across_data,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "MixtureConfig":
-        d = dict(d)
-        d["components"] = tuple(KernelSpec.from_dict(c) for c in d["components"])
-        return MixtureConfig(**d)
+    def uses_ball(self) -> bool:
+        return any(kernels.KERNELS[s.kind].in_ball for s in self.components)
 
 
 @dataclass
@@ -106,22 +78,28 @@ def init_output_params(config: MixtureConfig, rng: np.random.Generator) -> Outpu
     W = rng.uniform(-scale, scale, size=(d, V))
     M = rng.uniform(-scale, scale, size=(d, K)) if K > 1 else None
     C = rng.uniform(-scale, scale, size=(K, d, d)) if K > 1 else None
-    word_lv = None
-    if config.needs_word_vars:
-        has_mog = any(s.kind == "mog" for s in config.components)
-        word_lv = np.zeros((V, config.num_gauss)) if has_mog else np.zeros(V)
-    comp_lv = []
-    for spec in config.components:
-        if spec.kind == "ssg":
-            comp_lv.append(np.zeros(()))
-        elif spec.kind == "mog":
-            comp_lv.append(np.zeros(spec.num_gauss))
-        else:
-            comp_lv.append(None)
-    if config.has_hpb:
+    shapes = config.variance_shapes
+    comp_lv = [np.zeros(s) if s is not None else None for s in shapes]
+    # one word array serves every Gaussian component: (V,) for ssg alone,
+    # (V, G) once a mog is present
+    word = max((s for s in shapes if s is not None), key=len, default=None)
+    word_lv = np.zeros((V,) + word) if word is not None else None
+    if config.uses_ball:
         kernels.project_to_ball(W)
     return OutputParams(W=W, M=M, C=C, word_log_vars=word_lv,
                         component_log_vars=comp_lv)
+
+
+def _variances(word_log_vars, component_log_vars, k: int) -> tuple:
+    """The (word, component) log-variances component k reads, as views into
+    the given arrays; () for kinds without Gaussian parameters. ssg reads
+    column 0 of a word array shared with mog."""
+    comp = component_log_vars[k] if component_log_vars is not None else None
+    if comp is None:
+        return ()
+    if word_log_vars.ndim > comp.ndim + 1:
+        return word_log_vars[:, 0], comp
+    return word_log_vars, comp
 
 
 @dataclass
@@ -134,8 +112,6 @@ class ForwardCache:
     lsm: np.ndarray           # K x B x V, per-component log-softmax
     log_posterior: np.ndarray # B x V
     h_tilde: list             # K tanh outputs (or H itself when K = 1)
-    h_eff: list               # contexts actually fed to the kernels
-    hpb_scale: list           # per-component context scaling (1.0 if none)
     kernel_caches: list
     reg_term: float = 0.0
 
@@ -178,42 +154,24 @@ def _forward(config: MixtureConfig, params: OutputParams, H: np.ndarray) -> Forw
 
     lsm = np.empty((K, B, config.V))
     caches = []
-    h_eff = []
-    scales = []
     for k, spec in enumerate(config.components):
-        hk = h_tilde[k]
-        scale = 1.0
-        if spec.kind == "hpb":
-            # tanh-bounded contexts have norm <= sqrt(d); a constant rescale
-            # keeps them strictly inside the unit ball
-            scale = (1.0 - BALL_MARGIN) / math.sqrt(config.d)
-            hk = hk * scale
-        if spec.kind == "ssg":
-            wlv = params.word_log_vars[:, 0] if params.word_log_vars.ndim == 2 \
-                else params.word_log_vars
-            clv = params.component_log_vars[k]
-            L, cache = kernels.forward_logits(spec, params.W, hk, wlv, float(clv))
-        elif spec.kind == "mog":
+        try:
             L, cache = kernels.forward_logits(
-                spec, params.W, hk, params.word_log_vars,
-                params.component_log_vars[k])
-        else:
-            try:
-                L, cache = kernels.forward_logits(spec, params.W, hk)
-            except NonFiniteScore as e:
-                raise NonFiniteScore(f"component {k} ({spec.kind}): {e}") from e
+                spec, params.W, h_tilde[k] * kernels.context_scale(spec, config.d),
+                *_variances(params.word_log_vars, params.component_log_vars, k))
+        except NonFiniteScore as e:
+            raise NonFiniteScore(f"component {k} ({spec.kind}): {e}",
+                                 component=k) from e
         lsm[k] = _log_softmax(L)
         caches.append(cache)
-        h_eff.append(hk)
-        scales.append(scale)
 
     # log p(v | b) = LSE_k(log pi + lsm)
     mix = log_pi.T[:, :, None] + lsm  # K x B x V
     m = mix.max(axis=0)
     log_post = m + np.log(np.exp(mix - m[None]).sum(axis=0))
     return ForwardCache(H=H, pi=pi, log_pi=log_pi, lsm=lsm,
-                        log_posterior=log_post, h_tilde=h_tilde, h_eff=h_eff,
-                        hpb_scale=scales, kernel_caches=caches)
+                        log_posterior=log_post, h_tilde=h_tilde,
+                        kernel_caches=caches)
 
 
 def posterior(config: MixtureConfig, params: OutputParams, H: np.ndarray):
@@ -294,13 +252,10 @@ def backward(config: MixtureConfig, params: OutputParams, cache: ForwardCache,
             spec, cache.kernel_caches[k], dL)
         dW += dWk
         if dwlv_k is not None:
-            if spec.kind == "ssg" and d_wlv.ndim == 2:
-                d_wlv[:, 0] += dwlv_k
-            else:
-                d_wlv += dwlv_k
-        if dclv_k is not None:
-            d_clv[k] += dclv_k
-        dHk = dHk * cache.hpb_scale[k]
+            word, comp = _variances(d_wlv, d_clv, k)
+            word += dwlv_k
+            comp += dclv_k
+        dHk = dHk * kernels.context_scale(spec, d)
         if K > 1:
             ht = cache.h_tilde[k]
             dpre = dHk * (1.0 - ht * ht)

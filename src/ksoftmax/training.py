@@ -26,7 +26,7 @@ from . import encoder as encoder_mod
 from . import eval as eval_mod
 from . import kernels
 from . import output_layer
-from .errors import DivergenceDetected, KsoftmaxError, NonFiniteScore
+from .errors import CorruptCheckpoint, DivergenceDetected, KsoftmaxError, NonFiniteScore
 from .kernels import KernelSpec
 from .output_layer import MixtureConfig, OutputParams
 
@@ -71,9 +71,7 @@ class TrainConfig:
         return self.d_e if self.d_e is not None else self.d
 
     def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["components"] = [s.to_dict() for s in self.components]
-        return out
+        return dataclasses.asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "TrainConfig":
@@ -183,7 +181,7 @@ def _apply_update(state: TrainState, grads: dict):
             mhat = m / (1 - b1 ** t)
             vhat = v / (1 - b2 ** t)
             arr -= lr * mhat / (np.sqrt(vhat) + eps)
-    if state.mixture.has_hpb:
+    if state.mixture.uses_ball:
         kernels.project_to_ball(state.out.W)
 
 
@@ -199,7 +197,8 @@ def train_step(state: TrainState, windows: np.ndarray, targets: np.ndarray):
         loss_val, cache = output_layer.loss(state.mixture, state.out, H, targets)
     except NonFiniteScore as e:
         raise DivergenceDetected(
-            f"non-finite logits at step {state.step}: {e}", step=state.step)
+            f"non-finite logits at step {state.step}: {e}", step=state.step,
+            component=e.component)
     if not math.isfinite(loss_val):
         raise DivergenceDetected(
             f"non-finite loss at step {state.step}", step=state.step)
@@ -346,14 +345,22 @@ def _copy_state(state: TrainState) -> TrainState:
 # Checkpoints: text header + row-major little-endian float64 blobs
 # ---------------------------------------------------------------------------
 
-def save_checkpoint(state: TrainState, path):
+def _checkpoint_tensors(state: TrainState) -> list:
+    """Every tensor a checkpoint stores, in file order: the trainable
+    tensors, then the Adam slots."""
     tensors = named_tensors(state)
     slot_tensors = []
     for name, _ in tensors:
         if name in state.opt_m:
             slot_tensors.append((f"adam.m.{name}", state.opt_m[name]))
             slot_tensors.append((f"adam.v.{name}", state.opt_v[name]))
-    all_tensors = tensors + slot_tensors
+    return tensors + slot_tensors
+
+
+def save_checkpoint(state: TrainState, path):
+    """Write ``state`` to ``path`` atomically: a crash mid-write leaves any
+    previous file at ``path`` intact."""
+    all_tensors = _checkpoint_tensors(state)
     header = io.StringIO()
     header.write(f"{CHECKPOINT_MAGIC} {CHECKPOINT_VERSION}\n")
     header.write("config " + json.dumps(state.config.to_dict(), sort_keys=True) + "\n")
@@ -368,27 +375,45 @@ def save_checkpoint(state: TrainState, path):
         shape = " ".join(str(s) for s in np.asarray(arr).shape)
         header.write(f"tensor {name} {shape}".rstrip() + "\n")
     header.write("end\n")
-    with open(path, "wb") as f:
-        f.write(header.getvalue().encode("utf-8"))
-        for _, arr in all_tensors:
-            f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(header.getvalue().encode("utf-8"))
+            for _, arr in all_tensors:
+                f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path) -> TrainState:
+    """Read a checkpoint written by save_checkpoint. Raises
+    CorruptCheckpoint when the file is malformed or its tensors do not
+    match the recorded configuration."""
     with open(path, "rb") as f:
         blob = f.read()
-    end_marker = b"end\n"
+    try:
+        return _parse_checkpoint(blob)
+    except CorruptCheckpoint as e:
+        raise CorruptCheckpoint(f"{path}: {e}") from e
+    except (ValueError, TypeError, KeyError, IndexError) as e:
+        raise CorruptCheckpoint(f"{path}: malformed checkpoint: {e!r}") from e
+
+
+def _parse_checkpoint(blob: bytes) -> TrainState:
+    end_marker = b"\nend\n"
     split_at = blob.index(end_marker) + len(end_marker)
     header_lines = blob[:split_at].decode("utf-8").splitlines()
     body = blob[split_at:]
-    magic = header_lines[0].split()
-    if magic[0] != CHECKPOINT_MAGIC or int(magic[1]) != CHECKPOINT_VERSION:
-        raise KsoftmaxError(f"bad checkpoint header: {header_lines[0]!r}")
+    if header_lines[0].split() != [CHECKPOINT_MAGIC, str(CHECKPOINT_VERSION)]:
+        raise CorruptCheckpoint(f"bad checkpoint header: {header_lines[0]!r}")
     fields = {}
     tensor_specs = []
-    for line in header_lines[1:]:
-        if line == "end":
-            break
+    for line in header_lines[1:-1]:
         key, _, rest = line.partition(" ")
         if key == "tensor":
             parts = rest.split()
@@ -396,21 +421,22 @@ def load_checkpoint(path) -> TrainState:
         else:
             fields[key] = rest
     config = TrainConfig.from_dict(json.loads(fields["config"]))
-    V = int(fields["V"])
-    state = init_state(config, V)
-    arrays = {}
+    state = init_state(config, int(fields["V"]))
+    tensors = _checkpoint_tensors(state)
+    expected = [(name, arr.shape) for name, arr in tensors]
+    if tensor_specs != expected:
+        got, want = next(pair for pair in itertools.zip_longest(tensor_specs, expected)
+                         if pair[0] != pair[1])
+        raise CorruptCheckpoint(f"tensor {got} where the configuration has {want}")
+    size = sum(8 * math.prod(shape) for _, shape in expected)
+    if len(body) != size:
+        raise CorruptCheckpoint(f"body is {len(body)} bytes, expected {size}")
     offset = 0
-    for name, shape in tensor_specs:
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(body, dtype="<f8", count=count,
-                            offset=offset).reshape(shape).copy()
+    for _, arr in tensors:
+        count = arr.size
+        arr[...] = np.frombuffer(body, dtype="<f8", count=count,
+                                 offset=offset).reshape(arr.shape)
         offset += count * 8
-        arrays[name] = arr
-    for name, arr in named_tensors(state):
-        arr[...] = arrays[name]
-    for name in list(state.opt_m):
-        state.opt_m[name][...] = arrays[f"adam.m.{name}"]
-        state.opt_v[name][...] = arrays[f"adam.v.{name}"]
     state.epoch = int(fields["epoch"])
     state.step = int(fields["step"])
     state.step_in_epoch = int(fields["step_in_epoch"])

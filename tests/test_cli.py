@@ -33,6 +33,7 @@ class TestKernelListParsing:
 
     @pytest.mark.parametrize("bad", [
         "", "xyz", "pow(q=1)", "2*", "pow(p=oops)", "lin()extra",
+        "ssg(learn_variances=false)",
     ])
     def test_rejects_malformed(self, bad):
         with pytest.raises(KsoftmaxError):
@@ -97,6 +98,41 @@ class TestTrainEvalPipeline:
                            + FAST)
         assert code == 2
         assert "diverged" in capsys.readouterr().err
+
+
+# each corruption maps (header lines before "end", body) to a malformed pair
+CHECKPOINT_CORRUPTIONS = {
+    "missing-tensor-line": lambda lines, body: (
+        [l for l in lines if not l.startswith(b"tensor out.W ")], body),
+    "missing-header-field": lambda lines, body: (
+        [l for l in lines if not l.startswith(b"epoch ")], body),
+    "one-token-magic-line": lambda lines, body: ([b"ksoftmax-checkpoint"] + lines[1:], body),
+    "trailing-bytes": lambda lines, body: (lines, body + bytes(8)),
+    "wrong-tensor-shape": lambda lines, body: (
+        [b"tensor out.W 1" if l.startswith(b"tensor out.W ") else l for l in lines], body),
+    "truncated-body": lambda lines, body: (lines, body[:-8]),
+}
+
+
+class TestCorruptCheckpoint:
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory, corpus_file):
+        out = tmp_path_factory.mktemp("trained")
+        assert cli.run(["train", "--corpus", corpus_file, "--out", str(out)]
+                       + FAST) == 0
+        return out
+
+    @pytest.mark.parametrize("corruption", sorted(CHECKPOINT_CORRUPTIONS))
+    def test_eval_rejects_with_exit_1(self, trained, corruption, capsys):
+        head, body = (trained / "best.ckpt").read_bytes().split(b"\nend\n", 1)
+        lines, body = CHECKPOINT_CORRUPTIONS[corruption](head.split(b"\n"), body)
+        path = trained / f"{corruption}.ckpt"
+        path.write_bytes(b"\n".join(lines) + b"\nend\n" + body)
+        capsys.readouterr()
+        assert cli.run(["eval", "--checkpoint", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err and corruption in captured.err
 
 
 class TestValidationErrors:

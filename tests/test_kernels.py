@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ksoftmax import kernels
 from ksoftmax.errors import (
@@ -323,9 +325,12 @@ class TestBatchLogits:
         W = np.zeros((2, 2))
         W[0, 1] = 20.0  # ||w - h||^2 = 800 for h = (-20, 0)
         H = np.array([[-20.0, 0.0]])
-        L = kernels.batch_logits(KernelSpec("rbf", gamma=1.0), W, H)
+        L, cache = kernels.forward_logits(KernelSpec("rbf", gamma=1.0), W, H)
         assert L[0, 1] == 0.0
         assert np.all(np.isfinite(L))
+        dW, dH, _, _ = kernels.backward_logits(KernelSpec("rbf", gamma=1.0), cache,
+                                               np.array([[0.0, 1.0]]))
+        assert not dW.any() and not dH.any()
 
     def test_hpb_raises_outside_ball(self):
         W = np.array([[2.0, 0.0], [0.0, 0.2]])
@@ -340,3 +345,122 @@ class TestProjectToBall:
         kernels.project_to_ball(W)
         assert np.linalg.norm(W[:, 0]) == pytest.approx(1 - 1e-5)
         assert W[0, 1] == 0.1
+
+
+# ---------------------------------------------------------------------------
+# Batched forward/backward against the scalar score/grad
+# ---------------------------------------------------------------------------
+
+PROPERTY_SPECS = [
+    KernelSpec("lin"),
+    KernelSpec("log", p=1.5), KernelSpec("log", p=3.0),
+    KernelSpec("pow", p=1.2), KernelSpec("pow", p=2.0),
+    KernelSpec("pol", p=3, alpha=0.5, c=0.3),
+    KernelSpec("rbf"), KernelSpec("rbf", gamma=5.0),
+    KernelSpec("ssg"),
+    KernelSpec("mog", num_gauss=2),
+    KernelSpec("mog", num_gauss=3, mog_log_of_sum=True),
+    KernelSpec("hpb"),
+    KernelSpec("wav", a=1.3, b=0.7),
+]
+
+
+def property_inputs(spec, rng, B, V, d, edge):
+    """W (d x V), H (B x d) and the Gaussian log-variances, if any. ``edge``
+    puts the hpb words or the hpb contexts near the ball edge, spreads the
+    others far enough for rbf to underflow, and sets log-variances to +-5."""
+    W = rng.normal(size=(d, V))
+    H = rng.normal(size=(B, d))
+    if spec.kind == "hpb":
+        # The two sides get norms from disjoint ranges, so every pair is at
+        # least 0.09 apart: a near-coincident pair leaves the norm
+        # expansion's x with too few correct digits for the comparison.
+        near, far = ((0.99, 0.999), (0.05, 0.9)) if edge else ((0.5, 0.9), (0.05, 0.4))
+        if rng.random() < 0.5:
+            near, far = far, near
+        W *= rng.uniform(*near, V) / np.linalg.norm(W, axis=0)
+        H *= rng.uniform(*far, (B, 1)) / np.linalg.norm(H, axis=1, keepdims=True)
+    elif edge:
+        W *= 10.0
+    shape = kernels.variance_shape(spec)
+    if shape is None:
+        return W, H, ()
+    if edge:
+        draw = lambda size: rng.choice([-5.0, 5.0], size)
+    else:
+        draw = lambda size: rng.normal(0.0, 0.5, size)
+    return W, H, (draw((V,) + shape), draw(shape))
+
+
+def scalar_pair(spec, W, H, gauss, b, v):
+    """(score, d/dW[:, v], d/dH[b], d/d word log-vars of v, d/d component
+    log-vars) of one pair through the scalar API."""
+    if not gauss:
+        g = kernels.grad(spec, W[:, v], H[b])
+        return kernels.score(spec, W[:, v], H[b]), g.d_w, g.d_h, 0.0, 0.0
+    wlv, clv = gauss
+    gw = [GaussianParams(W[:, v], lv) for lv in np.atleast_1d(wlv[v])]
+    gh = [GaussianParams(H[b], lv) for lv in np.atleast_1d(clv)]
+    g = kernels.grad(spec, w_gauss=gw, h_gauss=gh)
+    # every Gaussian of a side shares that side's mean
+    d = W.shape[0]
+    return (kernels.score(spec, w_gauss=gw, h_gauss=gh),
+            np.reshape(g.d_w, (-1, d)).sum(axis=0),
+            np.reshape(g.d_h, (-1, d)).sum(axis=0),
+            np.reshape(g.d_w_log_var, np.shape(wlv[v])),
+            np.reshape(g.d_h_log_var, np.shape(clv)))
+
+
+def close(got, terms, rtol=1e-8):
+    """got agrees with the sum of terms up to rtol of the terms' magnitude."""
+    terms = np.asarray(terms)
+    want = terms.sum(axis=0)
+    return np.all(np.abs(got - want) <= rtol * np.abs(terms).sum(axis=0) + 1e-12)
+
+
+class TestBatchedAgainstScalar:
+    @pytest.mark.parametrize("spec", PROPERTY_SPECS,
+                             ids=lambda s: f"{s.kind}-p{s.p:g}-g{s.gamma}-lse{s.mog_log_of_sum:d}")
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2 ** 31 - 1), B=st.integers(1, 4),
+           V=st.integers(2, 6), d=st.integers(1, 5), edge=st.booleans())
+    def test_rows_match_scalar_score_and_grad(self, spec, seed, B, V, d, edge):
+        rng = np.random.default_rng(seed)
+        W, H, gauss = property_inputs(spec, rng, B, V, d, edge)
+        L, cache = kernels.forward_logits(spec, W, H, *gauss)
+        dL = rng.normal(size=L.shape)
+        dW, dH, dwlv, dclv = kernels.backward_logits(spec, cache, dL)
+        assert np.all(np.isfinite(dW)) and np.all(np.isfinite(dH))
+        pairs = {(b, v): scalar_pair(spec, W, H, gauss, b, v)
+                 for b in range(B) for v in range(V)}
+        for b in range(B):
+            scores = [pairs[b, v][0] for v in range(V)]
+            assert np.allclose(L[b], scores, rtol=1e-9, atol=1e-9), (b, L[b], scores)
+            assert close(dH[b], [dL[b, v] * pairs[b, v][2] for v in range(V)]), b
+        for v in range(V):
+            assert close(dW[:, v], [dL[b, v] * pairs[b, v][1] for b in range(B)]), v
+        if gauss:
+            for v in range(V):
+                assert close(dwlv[v], [dL[b, v] * pairs[b, v][3] for b in range(B)]), v
+            assert close(dclv, [dL[b, v] * pairs[b, v][4] for b, v in pairs])
+
+    @pytest.mark.parametrize("spec", [KernelSpec("pow", p=1.0),
+                                      KernelSpec("log", p=1.5), KernelSpec("hpb")],
+                             ids=lambda s: s.kind)
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2 ** 31 - 1), B=st.integers(1, 4),
+           V=st.integers(2, 6), d=st.integers(1, 5))
+    def test_zero_subgradient_where_context_equals_word(self, spec, seed, B, V, d):
+        rng = np.random.default_rng(seed)
+        # multiples of 1/8 keep every product and sum exact, so the norm
+        # expansion also gives x == 0 at the coincident pair
+        W = rng.integers(-2, 3, size=(d, V)) / 8.0
+        H = rng.integers(-2, 3, size=(B, d)) / 8.0
+        b, v = int(rng.integers(B)), int(rng.integers(V))
+        H[b] = W[:, v]
+        assert kernels.grad(spec, W[:, v], H[b]).singular
+        _, cache = kernels.forward_logits(spec, W, H)
+        dL = np.zeros((B, V))
+        dL[b, v] = 1.0
+        dW, dH, _, _ = kernels.backward_logits(spec, cache, dL)
+        assert not dW.any() and not dH.any()

@@ -124,6 +124,43 @@ class TestCheckpoint:
         assert state.step == resumed.step
         assert state.opt_t == resumed.opt_t
 
+    def test_failed_write_leaves_previous_file_intact(self, tmp_path, monkeypatch):
+        path = tmp_path / "last.ckpt"
+        state = init_state(make_config(), V)
+        save_checkpoint(state, path)
+        before = path.read_bytes()
+        train_steps(state, toy_split(), 2)
+        written = []
+
+        def fail_on_third_tensor(arr, dtype=None):
+            written.append(arr)
+            if len(written) == 3:
+                raise OSError("disk full")
+            return np.asarray(arr, dtype=dtype)
+        monkeypatch.setattr(np, "ascontiguousarray", fail_on_third_tensor)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(state, path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["last.ckpt"]
+        assert load_checkpoint(path).step == 0
+
+    def test_loads_checkpoint_carrying_learn_variances(self, tmp_path):
+        # the removed KernelSpec.learn_variances field is still present in
+        # the header of checkpoints written before its removal
+        config = make_config(components=(KernelSpec("lin"), KernelSpec("ssg")))
+        state = init_state(config, V)
+        save_checkpoint(state, tmp_path / "new.ckpt")
+        blob = (tmp_path / "new.ckpt").read_bytes()
+        old = blob.replace(b'"mog_log_of_sum"',
+                           b'"learn_variances": true, "mog_log_of_sum"')
+        assert old.count(b"learn_variances") == 2
+        (tmp_path / "old.ckpt").write_bytes(old)
+        loaded = load_checkpoint(tmp_path / "old.ckpt")
+        assert loaded.config == config
+        for (name, a), (_, b) in zip(named_tensors(state), named_tensors(loaded)):
+            assert np.array_equal(a, b), name
+
     def test_round_trip_preserves_config(self, tmp_path):
         config = make_config(rho=0.25, optimizer="sgd",
                              components=(KernelSpec("rbf", gamma=0.5),
@@ -161,6 +198,17 @@ class TestTrainLoop:
         best, metrics = train(make_config(max_epochs=3), split, V)
         assert best.best_dev_ppl == pytest.approx(
             min(row["dev_ppl"] for row in metrics))
+
+    def test_non_finite_logits_name_their_component(self):
+        split = toy_split()
+        state = init_state(make_config(
+            components=(KernelSpec("lin"), KernelSpec("ssg"))), V)
+        state.out.word_log_vars[:] = np.nan
+        windows, targets = next(data.batch_windows(split.train, 2, 8, seed=0))
+        with pytest.raises(DivergenceDetected) as info:
+            train_step(state, windows, targets)
+        assert info.value.component == 1
+        assert "component 1 (ssg)" in str(info.value)
 
     def test_divergence_saves_last_finite_checkpoint(self, tmp_path):
         split = toy_split()
