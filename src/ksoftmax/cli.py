@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import datetime
 import os
 import re
@@ -20,7 +21,7 @@ from . import eval as eval_mod
 from . import gradcheck
 from . import training
 from .errors import DivergenceDetected, KsoftmaxError
-from .kernels import KINDS, KernelSpec
+from .kernels import KERNELS, KINDS, KernelSpec
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -51,8 +52,8 @@ def parse_kernel_list(text: str) -> tuple:
             for pair in m.group(3).split(","):
                 key, _, val = pair.partition("=")
                 key = key.strip()
-                if key not in _KERNEL_FIELD_TYPES:
-                    raise KsoftmaxError(f"unknown kernel field {key!r} in {item!r}")
+                if key not in KERNELS[kind].fields:
+                    raise KsoftmaxError(f"{kind} has no kernel field {key!r} in {item!r}")
                 try:
                     kwargs[key] = _KERNEL_FIELD_TYPES[key](val.strip())
                 except ValueError as e:
@@ -67,35 +68,30 @@ def parse_kernel_list(text: str) -> tuple:
     return tuple(specs)
 
 
-# config keys: (section, type)
+# config key -> (section, type, default[, extra argparse keywords]). Every
+# key is also a --flag (underscores become dashes); a bool flag sets True.
 _CONFIG_KEYS = {
-    "kernels": ("mixture", str),
-    "rho": ("mixture", float),
-    "reg_across_data": ("mixture", bool),
-    "n": ("training", int),
-    "d": ("training", int),
-    "d_e": ("training", int),
-    "batch_size": ("training", int),
-    "learning_rate": ("training", float),
-    "optimizer": ("training", str),
-    "clip_norm": ("training", float),
-    "max_epochs": ("training", int),
-    "patience": ("training", int),
-    "seed": ("training", int),
-    "corpus": ("data", str),
-    "vocab_size": ("data", int),
-    "min_count": ("data", int),
-    "fractions": ("data", str),
-    "lowercase": ("data", bool),
+    "kernels": ("mixture", str, "lin", {"help": "kernel list, e.g. 'lin 3*pow(p=2)'"}),
+    "rho": ("mixture", float, 0.1),
+    "reg_across_data": ("mixture", bool, False),
+    "n": ("training", int, 3),
+    "d": ("training", int, 32),
+    "d_e": ("training", int, None),
+    "batch_size": ("training", int, 64),
+    "learning_rate": ("training", float, 1e-3),
+    "optimizer": ("training", str, "adam", {"choices": ("sgd", "adam")}),
+    "clip_norm": ("training", float, 5.0),
+    "max_epochs": ("training", int, 20),
+    "patience": ("training", int, 5),
+    "seed": ("training", int, None),
+    "corpus": ("data", str, None),
+    "vocab_size": ("data", int, 10000),
+    "min_count": ("data", int, 1),
+    "fractions": ("data", str, "0.8,0.1,0.1"),
+    "lowercase": ("data", bool, True),
 }
 
-_DEFAULTS = {
-    "kernels": "lin", "rho": 0.1, "reg_across_data": False,
-    "n": 3, "d": 32, "d_e": None, "batch_size": 64, "learning_rate": 1e-3,
-    "optimizer": "adam", "clip_norm": 5.0, "max_epochs": 20, "patience": 5,
-    "seed": None, "corpus": None, "vocab_size": 10000, "min_count": 1,
-    "fractions": "0.8,0.1,0.1", "lowercase": True,
-}
+_DEFAULTS = {key: entry[2] for key, entry in _CONFIG_KEYS.items()}
 
 
 def _read_config_file(path) -> dict:
@@ -109,7 +105,7 @@ def _read_config_file(path) -> dict:
             if key not in _CONFIG_KEYS:
                 raise KsoftmaxError(
                     f"{path}: unknown key {key!r} in section [{section}]")
-            expected_section, typ = _CONFIG_KEYS[key]
+            expected_section, typ = _CONFIG_KEYS[key][:2]
             if section != expected_section:
                 raise KsoftmaxError(
                     f"{path}: key {key!r} belongs in [{expected_section}], "
@@ -132,15 +128,21 @@ def _effective_config(args) -> dict:
         flag_val = getattr(args, key, None)
         if flag_val is not None:
             values[key] = flag_val
-    if values["seed"] is None:
-        env = os.environ.get("KSOFTMAX_SEED")
-        values["seed"] = int(env) if env else 0
+    values["seed"] = _resolve_seed(values["seed"])
     return values
+
+
+def _resolve_seed(seed):
+    """An unset seed falls back to $KSOFTMAX_SEED, then 0."""
+    if seed is None:
+        env = os.environ.get("KSOFTMAX_SEED")
+        seed = int(env) if env else 0
+    return seed
 
 
 def _echo_config(values: dict, path):
     parser = configparser.ConfigParser()
-    for key, (section, _) in _CONFIG_KEYS.items():
+    for key, (section, *_) in _CONFIG_KEYS.items():
         if values.get(key) is None:
             continue
         if not parser.has_section(section):
@@ -151,16 +153,11 @@ def _echo_config(values: dict, path):
 
 
 def _train_config_from(values: dict) -> training.TrainConfig:
+    fields = {f.name for f in dataclasses.fields(training.TrainConfig)}
     try:
         return training.TrainConfig(
             components=parse_kernel_list(values["kernels"]),
-            n=values["n"], d=values["d"], d_e=values["d_e"],
-            batch_size=values["batch_size"],
-            learning_rate=values["learning_rate"],
-            optimizer=values["optimizer"], clip_norm=values["clip_norm"],
-            max_epochs=values["max_epochs"], patience=values["patience"],
-            seed=values["seed"], rho=values["rho"],
-            reg_across_data=values["reg_across_data"])
+            **{key: val for key, val in values.items() if key in fields})
     except ValueError as e:
         raise KsoftmaxError(str(e))
 
@@ -217,7 +214,8 @@ def cmd_eval(args) -> int:
     if args.corpus:
         values["corpus"] = args.corpus
     if values["seed"] is None:
-        values["seed"] = 0
+        # the checkpoint records the seed its training split was drawn with
+        values["seed"] = state.config.seed
     _, split = _load_corpus(values)
     sentences = getattr(split, args.split)
     ppl = eval_mod.perplexity(state, sentences)
@@ -297,10 +295,7 @@ def cmd_probe(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    seed = args.seed
-    if seed is None:
-        env = os.environ.get("KSOFTMAX_SEED")
-        seed = int(env) if env else 0
+    seed = _resolve_seed(args.seed)
     if args.kind == "zipf":
         lines = data_mod.generate_zipf(args.vocab, args.tokens, s=args.zipf_s,
                                        seed=seed, copy_prob=args.copy_prob)
@@ -315,25 +310,11 @@ def cmd_synth(args) -> int:
 
 def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", help="INI config file")
-    p.add_argument("--kernels", help="kernel list, e.g. 'lin 3*pow(p=2)'")
-    p.add_argument("--rho", type=float)
-    p.add_argument("--reg-across-data", dest="reg_across_data",
-                   action="store_const", const=True)
-    p.add_argument("--n", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--d-e", dest="d_e", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--optimizer", choices=("sgd", "adam"))
-    p.add_argument("--clip-norm", dest="clip_norm", type=float)
-    p.add_argument("--max-epochs", dest="max_epochs", type=int)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--corpus")
-    p.add_argument("--vocab-size", dest="vocab_size", type=int)
-    p.add_argument("--min-count", dest="min_count", type=int)
-    p.add_argument("--fractions")
-    p.add_argument("--lowercase", action="store_const", const=True)
+    for key, (_, typ, _, *extra) in _CONFIG_KEYS.items():
+        action = (dict(action="store_const", const=True) if typ is bool
+                  else dict(type=typ))
+        p.add_argument("--" + key.replace("_", "-"), dest=key, **action,
+                       **(extra[0] if extra else {}))
 
 
 def build_parser() -> argparse.ArgumentParser:

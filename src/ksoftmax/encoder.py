@@ -70,19 +70,14 @@ def encode(params: EncoderParams, windows: np.ndarray):
     return H, EncodeCache(windows=windows, X=X, H=H)
 
 
-@dataclass
-class EncoderGrads:
-    dE: np.ndarray
-    dF: np.ndarray
-    dbias: np.ndarray
-
-
 def encode_backward(params: EncoderParams, cache: EncodeCache,
-                    dH: np.ndarray) -> EncoderGrads:
+                    dH: np.ndarray) -> EncoderParams:
+    """Gradients of E, F and bias given dL/dH, in the parameters' own
+    structure."""
     dpre = dH * (1.0 - cache.H * cache.H)
     dF = cache.X.T @ dpre
     dbias = dpre.sum(axis=0)
     dX = (dpre @ params.F.T).reshape(-1, params.n, params.d_e)
     dE = np.zeros_like(params.E)
     np.add.at(dE, cache.windows, dX)
-    return EncoderGrads(dE=dE, dF=dF, dbias=dbias)
+    return EncoderParams(E=dE, F=dF, bias=dbias, n=params.n)

@@ -179,6 +179,7 @@ class Kernel:
     kink: Optional[Callable] = None       # (spec, st) -> mask of kinks, or None
     var_shape: Optional[Callable] = None  # spec -> component log-variance shape
     in_ball: bool = False                 # vectors must lie in the unit ball
+    fields: tuple = ()                    # the KernelSpec fields the kind reads
 
 
 def _pol_score(spec, st):
@@ -191,7 +192,7 @@ def _pol_vjp(spec, st, dL, kink):
     return {"dot": dL * (p * spec.resolved_alpha(st["d"]) * st["base"] ** (p - 1))}
 
 
-def _radial(phi, dphi, kink=None) -> Kernel:
+def _radial(phi, dphi, fields, kink=None) -> Kernel:
     """A kernel that is a profile phi(spec, x, d) of the squared distance."""
     def vjp(spec, st, dL, kink_mask):
         # at x = 0 with p < 2 dphi is non-finite; kink_mask replaces it
@@ -200,7 +201,8 @@ def _radial(phi, dphi, kink=None) -> Kernel:
         if kink_mask is not None:
             dx = np.where(kink_mask, 0.0, dx)
         return {"x": dL * dx}
-    return Kernel("x", lambda spec, st: phi(spec, st["x"], st["d"]), vjp, kink)
+    return Kernel("x", lambda spec, st: phi(spec, st["x"], st["d"]), vjp, kink,
+                  fields=fields)
 
 
 def _below_p2_kink(spec, st):
@@ -303,24 +305,27 @@ KERNELS = {
         lambda spec, x, d: -np.log1p(np.power(x, 0.5 * spec.p)),
         lambda spec, x, d: (-0.5 * spec.p * np.power(x, 0.5 * spec.p - 1.0)
                             / (np.power(x, 0.5 * spec.p) + 1.0)),
-        _below_p2_kink),
+        ("p",), _below_p2_kink),
     "pow": _radial(
         lambda spec, x, d: -np.power(x, 0.5 * spec.p),
         lambda spec, x, d: -0.5 * spec.p * np.power(x, 0.5 * spec.p - 1.0),
-        _below_p2_kink),
-    "pol": Kernel("dot", _pol_score, _pol_vjp),
+        ("p",), _below_p2_kink),
+    "pol": Kernel("dot", _pol_score, _pol_vjp, fields=("p", "alpha", "c")),
     "rbf": _radial(
         lambda spec, x, d: np.exp(-spec.resolved_gamma(d) * x),
-        lambda spec, x, d: -spec.resolved_gamma(d) * np.exp(-spec.resolved_gamma(d) * x)),
+        lambda spec, x, d: -spec.resolved_gamma(d) * np.exp(-spec.resolved_gamma(d) * x),
+        ("gamma",)),
     "ssg": Kernel("x", _ssg_score, _ssg_vjp, var_shape=lambda spec: ()),
     "mog": Kernel("x", _mog_score, _mog_vjp,
-                  var_shape=lambda spec: (spec.num_gauss,)),
+                  var_shape=lambda spec: (spec.num_gauss,),
+                  fields=("num_gauss", "mog_log_of_sum")),
     "hpb": Kernel("x", _hpb_score, _hpb_vjp,
                   kink=lambda spec, st: st["z"] <= 1.0, in_ball=True),
     "wav": _radial(
         lambda spec, x, d: np.cos(x / spec.a) * np.exp(-x / spec.b),
         lambda spec, x, d: -np.exp(-x / spec.b) * (np.sin(x / spec.a) / spec.a
-                                                   + np.cos(x / spec.a) / spec.b)),
+                                                   + np.cos(x / spec.a) / spec.b),
+        ("a", "b")),
 }
 
 KINDS = tuple(KERNELS)

@@ -211,20 +211,10 @@ def loss(config: MixtureConfig, params: OutputParams, H: np.ndarray,
     return ce + reg, cache
 
 
-@dataclass
-class OutputGrads:
-    dW: np.ndarray
-    dM: Optional[np.ndarray]
-    dC: Optional[np.ndarray]
-    d_word_log_vars: Optional[np.ndarray]
-    d_component_log_vars: Optional[list]
-    dH: np.ndarray
-
-
 def backward(config: MixtureConfig, params: OutputParams, cache: ForwardCache,
-             targets: np.ndarray) -> OutputGrads:
-    """Analytic gradients of loss() with respect to every output-layer
-    tensor, plus dL/dH for the encoder."""
+             targets: np.ndarray) -> tuple:
+    """Analytic gradients of loss(): (an OutputParams holding the gradient
+    of every output-layer tensor, dL/dH for the encoder)."""
     targets = np.asarray(targets)
     H = cache.H
     B, d = H.shape
@@ -277,5 +267,5 @@ def backward(config: MixtureConfig, params: OutputParams, cache: ForwardCache,
         dM = H.T @ dA
         dH += dA @ params.M.T
 
-    return OutputGrads(dW=dW, dM=dM, dC=dC, d_word_log_vars=d_wlv,
-                       d_component_log_vars=d_clv, dH=dH)
+    return OutputParams(W=dW, M=dM, C=dC, word_log_vars=d_wlv,
+                        component_log_vars=d_clv), dH

@@ -16,8 +16,8 @@ import itertools
 import json
 import math
 import os
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -96,21 +96,20 @@ class TrainState:
     rng: np.random.Generator
 
 
+def _named(enc: encoder_mod.EncoderParams, out: OutputParams) -> list:
+    """Ordered (name, array) pairs over the trainable tensors held in an
+    encoder/output-layer pair, parameters and gradients alike."""
+    pairs = [("enc.E", enc.E), ("enc.F", enc.F), ("enc.bias", enc.bias),
+             ("out.W", out.W), ("out.M", out.M), ("out.C", out.C),
+             ("out.word_log_vars", out.word_log_vars)]
+    pairs += [(f"out.comp_log_vars.{k}", v)
+              for k, v in enumerate(out.component_log_vars or ())]
+    return [(name, arr) for name, arr in pairs if arr is not None]
+
+
 def named_tensors(state: TrainState) -> list:
     """Ordered (name, array) pairs over every trainable tensor."""
-    out = [("enc.E", state.enc.E), ("enc.F", state.enc.F),
-           ("enc.bias", state.enc.bias), ("out.W", state.out.W)]
-    if state.out.M is not None:
-        out.append(("out.M", state.out.M))
-    if state.out.C is not None:
-        out.append(("out.C", state.out.C))
-    if state.out.word_log_vars is not None:
-        out.append(("out.word_log_vars", state.out.word_log_vars))
-    if state.out.component_log_vars is not None:
-        for k, v in enumerate(state.out.component_log_vars):
-            if v is not None:
-                out.append((f"out.comp_log_vars.{k}", v))
-    return out
+    return _named(state.enc, state.out)
 
 
 def init_state(config: TrainConfig, V: int) -> TrainState:
@@ -130,22 +129,6 @@ def init_state(config: TrainConfig, V: int) -> TrainState:
     return state
 
 
-def _gather_grads(state: TrainState, enc_grads, out_grads) -> dict:
-    grads = {"enc.E": enc_grads.dE, "enc.F": enc_grads.dF,
-             "enc.bias": enc_grads.dbias, "out.W": out_grads.dW}
-    if out_grads.dM is not None:
-        grads["out.M"] = out_grads.dM
-    if out_grads.dC is not None:
-        grads["out.C"] = out_grads.dC
-    if out_grads.d_word_log_vars is not None:
-        grads["out.word_log_vars"] = out_grads.d_word_log_vars
-    if out_grads.d_component_log_vars is not None:
-        for k, v in enumerate(out_grads.d_component_log_vars):
-            if v is not None:
-                grads[f"out.comp_log_vars.{k}"] = np.asarray(v)
-    return grads
-
-
 def clip_gradients(grads: dict, clip_norm: float) -> float:
     """Rescale grads in place so the global norm is <= clip_norm.
     Returns the pre-clip global norm."""
@@ -162,15 +145,12 @@ def _apply_update(state: TrainState, grads: dict):
     lr = cfg.learning_rate
     if cfg.optimizer == "sgd":
         for name, arr in named_tensors(state):
-            if name in grads:
-                arr -= lr * grads[name]
+            arr -= lr * grads[name]
     else:
         state.opt_t += 1
         b1, b2, eps = 0.9, 0.999, 1e-8
         t = state.opt_t
         for name, arr in named_tensors(state):
-            if name not in grads:
-                continue
             g = grads[name]
             m = state.opt_m[name]
             v = state.opt_v[name]
@@ -185,12 +165,12 @@ def _apply_update(state: TrainState, grads: dict):
         kernels.project_to_ball(state.out.W)
 
 
-def train_step(state: TrainState, windows: np.ndarray, targets: np.ndarray):
-    """One forward/backward/update step. Returns (loss, reg_term).
+def loss_and_grads(state: TrainState, windows: np.ndarray,
+                   targets: np.ndarray):
+    """Loss of one batch and its gradient with respect to every trainable
+    tensor: (loss, reg_term, {name: gradient} in named_tensors order).
 
-    Raises DivergenceDetected before applying the update if the loss or any
-    gradient is non-finite, so the parameters held in ``state`` always come
-    from the last finite step.
+    Raises DivergenceDetected if the loss or any gradient is non-finite.
     """
     H, enc_cache = encoder_mod.encode(state.enc, windows)
     try:
@@ -202,40 +182,68 @@ def train_step(state: TrainState, windows: np.ndarray, targets: np.ndarray):
     if not math.isfinite(loss_val):
         raise DivergenceDetected(
             f"non-finite loss at step {state.step}", step=state.step)
-    out_grads = output_layer.backward(state.mixture, state.out, cache, targets)
-    enc_grads = encoder_mod.encode_backward(state.enc, enc_cache, out_grads.dH)
-    grads = _gather_grads(state, enc_grads, out_grads)
+    out_grads, dH = output_layer.backward(state.mixture, state.out, cache, targets)
+    enc_grads = encoder_mod.encode_backward(state.enc, enc_cache, dH)
+    grads = dict(_named(enc_grads, out_grads))
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise DivergenceDetected(
                 f"non-finite gradient in {name} at step {state.step}",
                 step=state.step, component=name)
+    return loss_val, cache.reg_term, grads
+
+
+def train_step(state: TrainState, windows: np.ndarray, targets: np.ndarray):
+    """One forward/backward/update step. Returns (loss, reg_term).
+
+    Raises DivergenceDetected before applying the update if the loss or any
+    gradient is non-finite, so the parameters held in ``state`` always come
+    from the last finite step.
+    """
+    loss_val, reg_term, grads = loss_and_grads(state, windows, targets)
     clip_gradients(grads, state.config.clip_norm)
     _apply_update(state, grads)
     state.step += 1
     state.step_in_epoch += 1
-    return loss_val, cache.reg_term
+    return loss_val, reg_term
+
+
+def _epoch_steps(state: TrainState, split: data_mod.CorpusSplit):
+    """Run train_step on each training batch left in ``state.epoch`` from
+    ``state.step_in_epoch`` on, yielding each step's (loss, reg_term).
+
+    After the epoch's last batch ``state`` moves to the start of the next
+    epoch. A step's result is yielded only once the next batch exists or
+    that move is made, so a caller that stops after any step leaves
+    ``state`` where ``train`` would be at that step.
+    """
+    cfg = state.config
+    result = None
+    for windows, targets in data_mod.batch_windows(
+            split.train, cfg.n, cfg.batch_size, cfg.seed,
+            epoch=state.epoch, start_batch=state.step_in_epoch):
+        if result is not None:
+            yield result
+        result = train_step(state, windows, targets)
+    state.epoch += 1
+    state.step_in_epoch = 0
+    if result is not None:
+        yield result
 
 
 def train_steps(state: TrainState, split: data_mod.CorpusSplit, num_steps: int):
     """Advance exactly num_steps batches, crossing epoch boundaries as
     needed (no dev evaluation, no early stopping)."""
-    cfg = state.config
-    done = 0
-    while done < num_steps:
-        made_progress = False
-        for windows, targets in data_mod.batch_windows(
-                split.train, cfg.n, cfg.batch_size, cfg.seed,
-                epoch=state.epoch, start_batch=state.step_in_epoch):
-            train_step(state, windows, targets)
-            made_progress = True
-            done += 1
-            if done >= num_steps:
-                return state
-        if not made_progress and state.step_in_epoch == 0:
-            raise KsoftmaxError("empty training split")
-        state.epoch += 1
-        state.step_in_epoch = 0
+    def steps():
+        while True:
+            whole_epoch = state.step_in_epoch == 0
+            first = state.step
+            yield from _epoch_steps(state, split)
+            if whole_epoch and state.step == first:
+                raise KsoftmaxError("empty training split")
+
+    for _ in itertools.islice(steps(), num_steps):
+        pass
     return state
 
 
@@ -272,6 +280,11 @@ def train(config: TrainConfig, split: data_mod.CorpusSplit, V: int,
         os.makedirs(out_dir, exist_ok=True)
         path = os.path.join(out_dir, "metrics.csv")
         fresh = state.epoch == 0
+        if not fresh and os.path.exists(path):
+            # a crash after an epoch's row was written but before last.ckpt
+            # was saved leaves rows beyond the resumed state's epoch
+            with open(path, "r+b") as f:
+                f.truncate(sum(len(line) for line in f.readlines()[:state.epoch + 1]))
         metrics_file = open(path, "a" if not fresh else "w",
                             encoding="utf-8", newline="")
         writer = csv.writer(metrics_file)
@@ -282,13 +295,7 @@ def train(config: TrainConfig, split: data_mod.CorpusSplit, V: int,
     bad_epochs = 0
     try:
         while state.epoch < limit:
-            losses = []
-            for windows, targets in data_mod.batch_windows(
-                    split.train, cfg.n, cfg.batch_size, cfg.seed,
-                    epoch=state.epoch, start_batch=state.step_in_epoch):
-                losses.append(train_step(state, windows, targets))
-            state.epoch += 1
-            state.step_in_epoch = 0
+            losses = list(_epoch_steps(state, split))
             train_loss = float(np.mean([l for l, _ in losses])) if losses else math.nan
             nll, pi_mean, pi_var = eval_mod.mean_nll_and_pi(
                 state.enc, state.mixture, state.out, split.dev, cfg.n)
@@ -307,7 +314,7 @@ def train(config: TrainConfig, split: data_mod.CorpusSplit, V: int,
                 metrics_file.flush()
             if dev_ppl < state.best_dev_ppl:
                 state.best_dev_ppl = dev_ppl
-                best_state = _copy_state(state)
+                best_state = copy.deepcopy(state)
                 bad_epochs = 0
             else:
                 bad_epochs += 1
@@ -325,20 +332,8 @@ def train(config: TrainConfig, split: data_mod.CorpusSplit, V: int,
         if metrics_file is not None:
             metrics_file.close()
     if best_state is None:
-        best_state = _copy_state(state)
+        best_state = copy.deepcopy(state)
     return best_state, metrics
-
-
-def _copy_state(state: TrainState) -> TrainState:
-    return TrainState(
-        config=state.config, mixture=state.mixture,
-        enc=copy.deepcopy(state.enc),
-        out=copy.deepcopy(state.out),
-        opt_m={k: v.copy() for k, v in state.opt_m.items()},
-        opt_v={k: v.copy() for k, v in state.opt_v.items()},
-        opt_t=state.opt_t, epoch=state.epoch, step=state.step,
-        step_in_epoch=state.step_in_epoch, best_dev_ppl=state.best_dev_ppl,
-        rng=copy.deepcopy(state.rng))
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ class TestKernelListParsing:
 
     @pytest.mark.parametrize("bad", [
         "", "xyz", "pow(q=1)", "2*", "pow(p=oops)", "lin()extra",
-        "ssg(learn_variances=false)",
+        "ssg(learn_variances=false)", "rbf(a=2)", "ssg(num_gauss=4)",
     ])
     def test_rejects_malformed(self, bad):
         with pytest.raises(KsoftmaxError):
@@ -220,3 +220,22 @@ class TestOtherSubcommands:
         capsys.readouterr()
         echoed = (tmp_path / "env" / "effective_config.ini").read_text()
         assert "seed = 7" in echoed
+
+    def test_eval_falls_back_to_checkpoint_seed(self, tmp_path, corpus_file,
+                                                capsys, monkeypatch):
+        # a config without a seed must give eval the split the checkpoint
+        # was trained on, not seed 0's
+        monkeypatch.setenv("KSOFTMAX_SEED", "7")
+        cfg = tmp_path / "my.ini"
+        cfg.write_text("[training]\nn = 2\nd = 4\nmax_epochs = 1\n"
+                       f"batch_size = 16\n[data]\ncorpus = {corpus_file}\n"
+                       "vocab_size = 20\n")
+        out = tmp_path / "run"
+        assert cli.run(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        ckpt = str(out / "best.ckpt")
+        capsys.readouterr()
+        assert cli.run(["eval", "--checkpoint", ckpt]) == 0
+        with_echo = capsys.readouterr().out
+        monkeypatch.delenv("KSOFTMAX_SEED")
+        assert cli.run(["eval", "--checkpoint", ckpt, "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == with_echo

@@ -76,5 +76,5 @@ class TestEncodeBackward:
         grads = encoder.encode_backward(params, cache, dH)
         dX = (dH * (1 - H * H)) @ params.F.T
         expected_row = dX[0, :2] + dX[0, 2:]
-        assert np.allclose(grads.dE[1], expected_row, atol=1e-14)
-        assert np.allclose(grads.dE[0], 0.0)
+        assert np.allclose(grads.E[1], expected_row, atol=1e-14)
+        assert np.allclose(grads.E[0], 0.0)

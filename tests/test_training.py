@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ksoftmax import data, training
-from ksoftmax.errors import DivergenceDetected
+from ksoftmax.errors import DivergenceDetected, KsoftmaxError
 from ksoftmax.kernels import KernelSpec
 from ksoftmax.training import (TrainConfig, clip_gradients, grid_search,
                                init_state, load_checkpoint, named_tensors,
@@ -124,6 +124,22 @@ class TestCheckpoint:
         assert state.step == resumed.step
         assert state.opt_t == resumed.opt_t
 
+    def test_resume_after_crash_rewrites_no_metrics_row(self, tmp_path):
+        split = toy_split()
+        config = make_config(max_epochs=2, patience=10)
+        train(config, split, V, out_dir=tmp_path / "whole")
+
+        out = tmp_path / "resumed"
+        train(config, split, V, out_dir=out, max_epochs=1)
+        epoch1 = (out / "last.ckpt").read_bytes()
+        train(config, split, V, out_dir=out, state=load_checkpoint(out / "last.ckpt"))
+        # a crash after epoch 2's row was written, before last.ckpt was saved
+        (out / "last.ckpt").write_bytes(epoch1)
+        train(config, split, V, out_dir=out, state=load_checkpoint(out / "last.ckpt"))
+
+        assert ((out / "metrics.csv").read_bytes()
+                == (tmp_path / "whole" / "metrics.csv").read_bytes())
+
     def test_failed_write_leaves_previous_file_intact(self, tmp_path, monkeypatch):
         path = tmp_path / "last.ckpt"
         state = init_state(make_config(), V)
@@ -221,6 +237,32 @@ class TestTrainLoop:
         recovered = load_checkpoint(tmp_path / "last.ckpt")
         for _, t in named_tensors(recovered):
             assert np.all(np.isfinite(t))
+
+
+class TestBatchStream:
+    def test_train_and_train_steps_walk_the_same_batches(self):
+        split = toy_split()
+        config = make_config(max_epochs=2, patience=10,
+                             components=(KernelSpec("lin"), KernelSpec("pow")))
+        steps = 2 * data.num_batches(split.train, config.batch_size)
+        trained = init_state(config, V)
+        train(config, split, V, state=trained)  # advances ``trained`` in place
+        whole = init_state(config, V)
+        train_steps(whole, split, steps)
+        pieces = init_state(config, V)
+        train_steps(pieces, split, 7)
+        train_steps(pieces, split, steps - 7)
+        for state in (whole, pieces):
+            assert (state.epoch, state.step, state.step_in_epoch) == (
+                trained.epoch, trained.step, trained.step_in_epoch)
+            for (name, a), (_, b) in zip(named_tensors(trained),
+                                         named_tensors(state)):
+                assert np.array_equal(a, b), name
+
+    def test_empty_split_is_an_error(self):
+        split = dataclasses.replace(toy_split(), train=[])
+        with pytest.raises(KsoftmaxError, match="empty training split"):
+            train_steps(init_state(make_config(), V), split, 1)
 
 
 class TestGridSearch:
