@@ -105,19 +105,25 @@ def _read_config_file(path) -> dict:
             if key not in _CONFIG_KEYS:
                 raise KsoftmaxError(
                     f"{path}: unknown key {key!r} in section [{section}]")
-            expected_section, typ = _CONFIG_KEYS[key][:2]
+            expected_section = _CONFIG_KEYS[key][0]
             if section != expected_section:
                 raise KsoftmaxError(
                     f"{path}: key {key!r} belongs in [{expected_section}], "
                     f"found in [{section}]")
             try:
-                if typ is bool:
-                    values[key] = raw.strip().lower() in ("1", "true", "yes")
-                else:
-                    values[key] = typ(raw.strip())
+                values[key] = _parse_value(key, raw)
             except ValueError as e:
                 raise KsoftmaxError(f"{path}: bad value for {key!r}: {e}")
     return values
+
+
+def _parse_value(key: str, raw: str):
+    """The value of config key ``key`` written as text, by the key's type
+    in _CONFIG_KEYS. Raises ValueError when it does not parse."""
+    typ = _CONFIG_KEYS[key][1]
+    if typ is bool:
+        return raw.strip().lower() in ("1", "true", "yes")
+    return typ(raw.strip())
 
 
 def _effective_config(args) -> dict:
@@ -231,14 +237,15 @@ def cmd_grid(args) -> int:
     for item in args.grid.split(";"):
         name, _, vals = item.partition("=")
         name = name.strip()
-        if not hasattr(base, name):
+        if name not in {f.name for f in dataclasses.fields(base)}:
             raise KsoftmaxError(f"unknown grid field {name!r}")
-        typ = type(getattr(base, name))
         if name == "components":
             grid[name] = [parse_kernel_list(v) for v in vals.split("|")]
-        else:
-            caster = float if typ is float else int if typ is int else str
-            grid[name] = [caster(v) for v in vals.split(",")]
+            continue
+        try:
+            grid[name] = [_parse_value(name, v) for v in vals.split(",")]
+        except ValueError as e:
+            raise KsoftmaxError(f"bad grid value for {name!r}: {e}")
     os.makedirs(args.out, exist_ok=True)
     _echo_config(values, os.path.join(args.out, "effective_config.ini"))
     results = training.grid_search(base, grid, split, vocab.V,

@@ -35,8 +35,8 @@ def mean_nll_and_pi(enc: "encoder_mod.EncoderParams",
         w = windows[lo:lo + batch_size]
         t = targets[lo:lo + batch_size]
         H, _ = encoder_mod.encode(enc, w)
-        cache = output_layer._forward(config, out, H)
-        total_nll -= float(cache.log_posterior[np.arange(len(t)), t].sum())
+        cache = output_layer._forward(config, out, H, t)
+        total_nll -= float(cache.log_posterior.sum())
         pi_sum += cache.pi.sum(axis=0)
         pi_var_sum += float(cache.pi.var(axis=1).sum())
     return total_nll / count, pi_sum / count, pi_var_sum / count

@@ -8,6 +8,10 @@ with context-dependent mixture weights pi_k = softmax_k(M_k . h) and
 per-component transformed contexts h_k~ = tanh(C_k^T h). The projection
 matrix W is tied across components. All probability arithmetic is done in
 the log domain; mixed logits are never softmaxed jointly.
+
+The loss and the evaluation NLL need only log p(t | h) = LSE_k(log pi_k +
+log softmax_t(S_k)), K values per datum, so given targets the forward pass
+mixes just those; the B x V log posterior is built only without targets.
 """
 
 from __future__ import annotations
@@ -110,7 +114,7 @@ class ForwardCache:
     pi: np.ndarray            # B x K
     log_pi: np.ndarray        # B x K
     lsm: np.ndarray           # K x B x V, per-component log-softmax
-    log_posterior: np.ndarray # B x V
+    log_posterior: np.ndarray # B at the targets given to _forward, else B x V
     h_tilde: list             # K tanh outputs (or H itself when K = 1)
     kernel_caches: list
     reg_term: float = 0.0
@@ -120,6 +124,22 @@ def _log_softmax(a: np.ndarray) -> np.ndarray:
     m = a.max(axis=-1, keepdims=True)
     z = a - m
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+
+
+def _log_mix(log_pi: np.ndarray, lsm: np.ndarray) -> np.ndarray:
+    """LSE over the components (axis 0) of log_pi + lsm: K x B log weights
+    plus the K x B log-softmax values at the targets, or K x B x 1 plus
+    K x B x V. The terms are added in k order, as numpy's sum does over the
+    outer axis of K x B x V; it sums a contiguous axis pairwise, and the
+    gathered K x B array has k contiguous, so both shapes get the same bits.
+    """
+    mix = log_pi + lsm
+    m = mix.max(axis=0)
+    terms = np.exp(mix - m[None])
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return m + np.log(total)
 
 
 def mixture_weights(M: Optional[np.ndarray], H: np.ndarray) -> np.ndarray:
@@ -138,7 +158,10 @@ def transform_contexts(C: np.ndarray, H: np.ndarray) -> list:
     return [np.tanh(H @ C[k]) for k in range(C.shape[0])]
 
 
-def _forward(config: MixtureConfig, params: OutputParams, H: np.ndarray) -> ForwardCache:
+def _forward(config: MixtureConfig, params: OutputParams, H: np.ndarray,
+             targets: Optional[np.ndarray] = None) -> ForwardCache:
+    """Forward pass; with ``targets`` the log posterior is mixed at the
+    targets only (B), without them over the whole vocabulary (B x V)."""
     H = np.asarray(H, dtype=np.float64)
     if H.ndim != 2 or H.shape[1] != config.d:
         raise DimensionMismatch(f"H {H.shape} vs d={config.d}")
@@ -165,10 +188,10 @@ def _forward(config: MixtureConfig, params: OutputParams, H: np.ndarray) -> Forw
         lsm[k] = _log_softmax(L)
         caches.append(cache)
 
-    # log p(v | b) = LSE_k(log pi + lsm)
-    mix = log_pi.T[:, :, None] + lsm  # K x B x V
-    m = mix.max(axis=0)
-    log_post = m + np.log(np.exp(mix - m[None]).sum(axis=0))
+    if targets is None:
+        log_post = _log_mix(log_pi.T[:, :, None], lsm)
+    else:
+        log_post = _log_mix(log_pi.T, lsm[:, np.arange(B), targets])
     return ForwardCache(H=H, pi=pi, log_pi=log_pi, lsm=lsm,
                         log_posterior=log_post, h_tilde=h_tilde,
                         kernel_caches=caches)
@@ -203,9 +226,8 @@ def loss(config: MixtureConfig, params: OutputParams, H: np.ndarray,
     if np.any(targets < 0) or np.any(targets >= config.V):
         bad = targets[(targets < 0) | (targets >= config.V)][0]
         raise TargetOutOfRange(f"target id {bad} outside [0, {config.V})")
-    cache = _forward(config, params, H)
-    B = H.shape[0]
-    ce = -float(cache.log_posterior[np.arange(B), targets].mean())
+    cache = _forward(config, params, H, targets)
+    ce = -float(cache.log_posterior.mean())
     reg = config.rho * _pi_variance(cache.pi, config.reg_across_data)
     cache.reg_term = reg
     return ce + reg, cache
@@ -223,7 +245,7 @@ def backward(config: MixtureConfig, params: OutputParams, cache: ForwardCache,
 
     # responsibilities at the target: q[b,k] = pi_k p_k(t) / p(t)
     lsm_t = cache.lsm[:, rows, targets].T        # B x K
-    q = np.exp(cache.log_pi + lsm_t - cache.log_posterior[rows, targets][:, None])
+    q = np.exp(cache.log_pi + lsm_t - cache.log_posterior[:, None])
 
     dW = np.zeros_like(params.W)
     dH = np.zeros((B, d))

@@ -279,16 +279,16 @@ def train(config: TrainConfig, split: data_mod.CorpusSplit, V: int,
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         path = os.path.join(out_dir, "metrics.csv")
-        fresh = state.epoch == 0
-        if not fresh and os.path.exists(path):
+        resumed = state.epoch > 0 and os.path.exists(path)
+        if resumed:
             # a crash after an epoch's row was written but before last.ckpt
             # was saved leaves rows beyond the resumed state's epoch
             with open(path, "r+b") as f:
                 f.truncate(sum(len(line) for line in f.readlines()[:state.epoch + 1]))
-        metrics_file = open(path, "a" if not fresh else "w",
+        metrics_file = open(path, "a" if resumed else "w",
                             encoding="utf-8", newline="")
         writer = csv.writer(metrics_file)
-        if fresh:
+        if not resumed:
             writer.writerow(_metrics_header(state.mixture.K))
 
     best_state = None

@@ -1,8 +1,10 @@
 import os
+import subprocess
+import sys
 
 import pytest
 
-from ksoftmax import cli, data
+from ksoftmax import cli, data, training
 from ksoftmax.cli import parse_kernel_list
 from ksoftmax.errors import KsoftmaxError
 from ksoftmax.kernels import KernelSpec
@@ -162,6 +164,41 @@ class TestValidationErrors:
 
     def test_unknown_flag(self, capsys):
         assert cli.run(["train", "--nonsense"]) == 1
+
+    def test_missing_checkpoint_exits_1_as_a_process(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ksoftmax", "eval",
+             "--checkpoint", str(tmp_path / "missing.ckpt")],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=path))
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "missing.ckpt" in proc.stderr
+
+
+class TestGrid:
+    @pytest.mark.parametrize("grid, code, points", [
+        ("reg_across_data=false,true", 0,
+         [{"reg_across_data": False}, {"reg_across_data": True}]),
+        ("d_e=3", 0, [{"d_e": 3}]),
+        ("rho=abc", 1, []),
+        ("de=3", 1, []),
+    ], ids=["bool", "int-unset-in-base", "bad-float", "not-a-field"])
+    def test_values_take_the_config_key_type(self, tmp_path, corpus_file,
+                                             capsys, grid, code, points):
+        out = tmp_path / "grid"
+        assert cli.run(["grid", "--corpus", corpus_file, "--out", str(out),
+                        "--kernels", "lin pow", "--grid", grid] + FAST) == code
+        err = capsys.readouterr().err
+        if code:
+            assert "error:" in err and grid.split("=")[0] in err
+        for i, fields in enumerate(points):
+            config = training.load_checkpoint(out / f"point_{i:03d}" / "best.ckpt").config
+            for name, value in fields.items():
+                got = getattr(config, name)
+                assert got == value and type(got) is type(value), (name, got)
 
 
 class TestOtherSubcommands:

@@ -198,6 +198,46 @@ class TestLoss:
             output_layer.loss(config, params, H, np.array([config.V]))
 
 
+# every kind, plus the kink (p<2) and log-of-sum variants
+SPECS = ([KernelSpec(k) for k in ALL_KINDS]
+         + [KernelSpec("log", p=1.5), KernelSpec("pow", p=1.5),
+            KernelSpec("mog", mog_log_of_sum=True)])
+# each spec alone and in a K=3 mixture, plus all nine kinds at once (numpy
+# sums a memory-contiguous axis of 8 or more terms pairwise)
+TARGET_MIXTURES = ([(s,) for s in SPECS]
+                   + [(s, KernelSpec("lin"), KernelSpec("pow", p=1.5)) for s in SPECS]
+                   + [tuple(SPECS[:len(ALL_KINDS)])])
+
+
+def mixture_id(components):
+    return "+".join(f"{s.kind}(p={s.p:g})" if s.kind in ("log", "pow") and s.p != 2
+                    else f"{s.kind}(log-of-sum)" if s.mog_log_of_sum else s.kind
+                    for s in components)
+
+
+class TestTargetOnlyForward:
+    @pytest.mark.parametrize("B", [1, 64])
+    @pytest.mark.parametrize("components", TARGET_MIXTURES, ids=mixture_id)
+    def test_equals_full_posterior_at_targets(self, components, B):
+        config, params = make(components, d=5, V=11, seed=30)
+        rng = np.random.default_rng(31)
+        H = np.tanh(rng.normal(size=(B, config.d)) * 2)
+        targets = rng.integers(0, config.V, B)
+        at_targets = output_layer._forward(config, params, H, targets)
+        full = output_layer._forward(config, params, H)
+        assert at_targets.log_posterior.shape == (B,)
+        assert full.log_posterior.shape == (B, config.V)
+        assert np.array_equal(at_targets.log_posterior,
+                              full.log_posterior[np.arange(B), targets])
+
+    @pytest.mark.parametrize("components", TARGET_MIXTURES, ids=mixture_id)
+    def test_gradient_audit(self, components):
+        cfg = training.TrainConfig(components=components, n=2, d=3, d_e=3,
+                                   rho=0.1, seed=20)
+        failures = gradcheck.check_pipeline(cfg, V=5, B=2, seed=21)
+        assert not failures, f"{mixture_id(components)}: {failures}"
+
+
 class TestBackward:
     @pytest.mark.parametrize("K", [1, 2, 3])
     def test_finite_difference_all_kind_mixtures(self, K):

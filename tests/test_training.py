@@ -140,6 +140,16 @@ class TestCheckpoint:
         assert ((out / "metrics.csv").read_bytes()
                 == (tmp_path / "whole" / "metrics.csv").read_bytes())
 
+    def test_resume_into_new_directory_writes_header(self, tmp_path):
+        split = toy_split()
+        config = make_config(max_epochs=2, patience=10)
+        train(config, split, V, out_dir=tmp_path / "first", max_epochs=1)
+        train(config, split, V, out_dir=tmp_path / "resumed",
+              state=load_checkpoint(tmp_path / "first" / "last.ckpt"))
+        rows = (tmp_path / "resumed" / "metrics.csv").read_text().splitlines()
+        assert rows[0] == ",".join(training._metrics_header(1))
+        assert [r.split(",")[0] for r in rows[1:]] == ["2"]
+
     def test_failed_write_leaves_previous_file_intact(self, tmp_path, monkeypatch):
         path = tmp_path / "last.ckpt"
         state = init_state(make_config(), V)
