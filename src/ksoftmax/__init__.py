@@ -12,10 +12,8 @@ from .errors import (
     WrongKernelKind,
 )
 from .kernels import (
-    GaussianParams,
     KernelGrad,
     KernelSpec,
-    batch_logits,
     grad,
     score,
     score_via_trick,

@@ -29,10 +29,18 @@ EXIT_DIVERGENCE = 2
 
 _SPEC_RE = re.compile(r"^(?:(\d+)\*)?([a-z]+)(?:\(([^)]*)\))?$")
 
+
+def _parse_bool(raw: str) -> bool:
+    """A bool spelled as configparser reads one; ValueError otherwise."""
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {raw!r}") from None
+
+
 _KERNEL_FIELD_TYPES = {
     "p": float, "alpha": float, "c": float, "gamma": float,
-    "a": float, "b": float, "num_gauss": int,
-    "mog_log_of_sum": lambda s: s.lower() in ("1", "true", "yes"),
+    "a": float, "b": float, "num_gauss": int, "mog_log_of_sum": _parse_bool,
 }
 
 
@@ -121,9 +129,7 @@ def _parse_value(key: str, raw: str):
     """The value of config key ``key`` written as text, by the key's type
     in _CONFIG_KEYS. Raises ValueError when it does not parse."""
     typ = _CONFIG_KEYS[key][1]
-    if typ is bool:
-        return raw.strip().lower() in ("1", "true", "yes")
-    return typ(raw.strip())
+    return (_parse_bool if typ is bool else typ)(raw.strip())
 
 
 def _effective_config(args) -> dict:

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -89,8 +89,6 @@ class CorpusSplit:
     train: list  # list of list[int]
     dev: list
     test: list
-    fractions: tuple
-    seed: int
 
 
 def prepare_corpus(lines: Sequence[str], max_size: int, min_count: int = 1,
@@ -113,10 +111,8 @@ def prepare_corpus(lines: Sequence[str], max_size: int, min_count: int = 1,
     vocab = build_vocab((lines[i] for i in train_idx), max_size, min_count,
                         lowercase)
     enc = lambda ids: [vocab.encode_line(lines[i], lowercase) for i in ids]
-    split = CorpusSplit(train=enc(train_idx), dev=enc(dev_idx),
-                        test=enc(test_idx), fractions=tuple(fractions),
-                        seed=seed)
-    return vocab, split
+    return vocab, CorpusSplit(train=enc(train_idx), dev=enc(dev_idx),
+                              test=enc(test_idx))
 
 
 def make_examples(sentences: Sequence[Sequence[int]], n: int):

@@ -7,7 +7,6 @@ floor or the relative error is below the tolerance.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -15,7 +14,7 @@ import numpy as np
 from . import encoder as encoder_mod
 from . import kernels
 from . import output_layer
-from .kernels import GaussianParams, KernelSpec
+from .kernels import KernelSpec
 
 FD_STEP = 1e-5
 REL_TOL = 1e-4
@@ -68,65 +67,46 @@ def _random_spec(kind: str, rng: np.random.Generator) -> KernelSpec:
     return KernelSpec(kind)
 
 
-def _random_inputs(kind: str, d: int, rng: np.random.Generator):
-    if kernels.KERNELS[kind].in_ball:
+def _random_inputs(spec: KernelSpec, d: int, rng: np.random.Generator) -> list:
+    """[w, h], plus one log-variance array per side for ssg/mog."""
+    if kernels.KERNELS[spec.kind].in_ball:
         # keep both vectors safely inside the unit ball
-        w = rng.uniform(-1.0, 1.0, d)
-        w *= rng.uniform(0.1, 0.8) / np.linalg.norm(w)
-        h = rng.uniform(-1.0, 1.0, d)
-        h *= rng.uniform(0.1, 0.8) / np.linalg.norm(h)
-        return w, h
-    return rng.uniform(-2.0, 2.0, d), rng.uniform(-2.0, 2.0, d)
-
-
-def _gauss_checks(spec: KernelSpec, d: int, rng: np.random.Generator) -> list:
-    """(analytic, numeric) pairs for the mean and log-variance of every
-    Gaussian on each side of a random ssg/mog pair."""
-    G = math.prod(kernels.variance_shape(spec))
-    sides = [[GaussianParams(rng.uniform(-2, 2, d), float(rng.normal(0, 0.5)))
-              for _ in range(G)] for _ in range(2)]
-    g = kernels.grad(spec, w_gauss=sides[0], h_gauss=sides[1])
-    analytic = [(g.d_w, g.d_w_log_var), (g.d_h, g.d_h_log_var)]
-    checks = []
-    for s, side in enumerate(sides):
-        d_mean = np.reshape(analytic[s][0], (G, d))
-        d_lv = np.reshape(analytic[s][1], (G,))
-        for i, gi in enumerate(side):
-            def f(mean, lv):
-                moved = list(sides)
-                moved[s] = side[:i] + [GaussianParams(mean, float(lv))] + side[i + 1:]
-                return kernels.score(spec, w_gauss=moved[0], h_gauss=moved[1])
-            checks.append((d_mean[i], central_diff(lambda m: f(m, gi.log_var),
-                                                   gi.mean.copy())))
-            checks.append((d_lv[i], central_diff(lambda lv: f(gi.mean, lv),
-                                                 np.asarray(gi.log_var))))
-    return checks
+        args = []
+        for _ in range(2):
+            v = rng.uniform(-1.0, 1.0, d)
+            args.append(v * (rng.uniform(0.1, 0.8) / np.linalg.norm(v)))
+    else:
+        args = [rng.uniform(-2.0, 2.0, d), rng.uniform(-2.0, 2.0, d)]
+    shape = kernels.variance_shape(spec)
+    if shape is not None:
+        args += [rng.normal(0.0, 0.5, shape), rng.normal(0.0, 0.5, shape)]
+    return args
 
 
 def check_kernel(kind: str, dims: Sequence[int] = (2, 8, 32),
                  trials: int = 100, seed: int = 0) -> list:
-    """Analytic vs finite-difference gradients for one kernel kind.
+    """Analytic vs finite-difference gradients for one kernel kind in every
+    argument of kernels.score: w, h and the ssg/mog log-variances.
 
     Returns a list of failure descriptions (empty when all comparisons
-    pass)."""
+    pass). Raises ValueError when dims or trials leave nothing to check."""
+    if trials < 1 or min(dims, default=0) < 1:
+        raise ValueError(f"nothing to check: trials={trials}, dims={tuple(dims)}")
     rng = np.random.default_rng(seed)
     failures = []
     for d in dims:
         for trial in range(trials):
             spec = _random_spec(kind, rng)
-            if kernels.variance_shape(spec) is not None:
-                checks = _gauss_checks(spec, d, rng)
-            else:
-                w, h = _random_inputs(kind, d, rng)
-                g = kernels.grad(spec, w, h)
-                checks = [
-                    (g.d_w, central_diff(lambda v: kernels.score(spec, v, h), w.copy())),
-                    (g.d_h, central_diff(lambda v: kernels.score(spec, w, v), h.copy())),
-                ]
-            for analytic, numeric in checks:
-                if not agree(analytic, numeric):
+            args = _random_inputs(spec, d, rng)
+            g = kernels.grad(spec, *args)
+            analytic = (g.d_w, g.d_h, g.d_w_log_var, g.d_h_log_var)
+            for i in range(len(args)):
+                numeric = central_diff(
+                    lambda v: kernels.score(spec, *args[:i], v, *args[i + 1:]),
+                    np.array(args[i], dtype=np.float64))
+                if not agree(analytic[i], numeric):
                     failures.append(
-                        f"{kind} d={d} trial={trial}: analytic {analytic} "
+                        f"{kind} d={d} trial={trial}: analytic {analytic[i]} "
                         f"vs numeric {numeric}")
     return failures
 

@@ -8,8 +8,8 @@ Nine kernels are supported, identified by short names:
     pol   (alpha * w.h + c)^p, p a positive integer
     rbf   exp(-gamma * ||w - h||^2)
     ssg   log-integral of two spherical Gaussians (closed form)
-    mog   sum of ssg terms over all Gaussian pairs (log-of-sum variant
-          available behind ``mog_log_of_sum``)
+    mog   sum over (word, context) variance pairs, one shared mean per
+          side (log-of-sum variant available behind ``mog_log_of_sum``)
     hpb   negative hyperbolic (Poincare ball) distance
     wav   cos(||w - h||^2 / a) * exp(-||w - h||^2 / b)
 
@@ -18,8 +18,9 @@ vector-Jacobian product (VJP) on the kind's sufficient statistics, the dot
 product w.h (lin, pol) or the squared distance x = ||w - h||^2 (the rest;
 hpb also reads the norms, ssg/mog the summed variances). The batched path
 computes x by norm expansion, x = ||w||^2 + ||h||^2 - 2 w.h, and backward
-applies the chain rule through it; the scalar score/grad compute x from
-the explicit difference w - h, an independent distance computation.
+applies the chain rule through it. The scalar score/grad run the same
+entries on one (w, h) pair, but compute x from the explicit difference
+w - h, an independent distance computation.
 """
 
 from __future__ import annotations
@@ -102,29 +103,13 @@ class KernelSpec:
 
 
 @dataclass
-class GaussianParams:
-    """A spherical Gaussian: mean vector plus a scalar log-variance.
-
-    The variance is stored in the log domain so sigma^2 > 0 holds by
-    construction.
-    """
-
-    mean: np.ndarray
-    log_var: float = 0.0
-
-    @property
-    def var(self) -> float:
-        return math.exp(self.log_var)
-
-
-@dataclass
 class KernelGrad:
     """Analytic partial derivatives of a kernel score.
 
-    For ssg/mog, ``d_w``/``d_h`` are gradients with respect to the Gaussian
-    means (shape (G, d) for mog) and the log-variance gradients are filled
-    in. ``singular`` flags the zero subgradient returned at the w == h
-    singularity of log/pow with p < 2 and of hpb.
+    For ssg/mog the log-variance gradients are filled in, with the shape of
+    the log-variances passed in: () for ssg, (G,) for mog. ``singular``
+    flags the zero subgradient returned at the w == h singularity of
+    log/pow with p < 2 and of hpb.
     """
 
     d_w: np.ndarray
@@ -369,10 +354,11 @@ def radial_profile(spec: KernelSpec, x):
 # Scalar score / grad
 # ---------------------------------------------------------------------------
 
-def _pair_stats(kernel: Kernel, w, h) -> tuple:
+def _pair_stats(spec: KernelSpec, w, h, w_log_var, h_log_var) -> tuple:
     """(statistics of one (w, h) pair as 1 x 1 arrays, w, h); x comes from
-    the explicit difference w - h."""
+    the explicit difference w - h. Log-variances must have variance_shape."""
     w, h = _check_pair(w, h)
+    kernel = KERNELS[spec.kind]
     st = {"d": w.shape[0]}
     if kernel.stat == "dot":
         st["dot"] = np.full((1, 1), np.dot(w, h))
@@ -380,44 +366,25 @@ def _pair_stats(kernel: Kernel, w, h) -> tuple:
         diff = w - h
         st.update(x=np.full((1, 1), np.dot(diff, diff)),
                   wn=np.full((1, 1), np.dot(w, w)), hn=np.full((1, 1), np.dot(h, h)))
+    shape = variance_shape(spec)
+    for name, lv in (("w_log_var", w_log_var), ("h_log_var", h_log_var)):
+        got = None if lv is None else np.shape(lv)
+        if got != shape:
+            raise DimensionMismatch(f"{name}: {spec.kind} takes shape {shape}, got {got}")
+    if shape is not None:
+        st.update(wlv=np.asarray(w_log_var, dtype=np.float64)[None],
+                  clv=np.asarray(h_log_var, dtype=np.float64))
     return st, w, h
 
 
-def _gauss_pairs(spec: KernelSpec, w_gauss, h_gauss) -> tuple:
-    """Statistics of every (word Gaussian i, context Gaussian j) pair, from
-    the explicit mean differences: (differences G x G x d, x, summed
-    variances s, word variances, context variances). ssg is the G = 1 case
-    of mog; pass it one GaussianParams per side."""
-    G = math.prod(variance_shape(spec))
-    sides = []
-    for name, g in (("w_gauss", w_gauss), ("h_gauss", h_gauss)):
-        g = [g] if isinstance(g, GaussianParams) else g
-        if g is None or len(g) != G or not all(isinstance(gi, GaussianParams) for gi in g):
-            raise DimensionMismatch(f"{name}: {spec.kind} expects {G} GaussianParams")
-        sides.append(list(g))
-    means = [_as_vec(g.mean, "mean") for g in sides[0] + sides[1]]
-    if len({m.shape for m in means}) > 1:
-        raise DimensionMismatch(f"{spec.kind}: Gaussian means differ in shape")
-    diff = np.stack(means[:G])[:, None, :] - np.stack(means[G:])[None, :, :]
-    vw, vh = (np.array([g.var for g in side]) for side in sides)
-    return diff, np.einsum("ijd,ijd->ij", diff, diff), vw[:, None] + vh[None, :], vw, vh
-
-
-def score(spec: KernelSpec, w=None, h=None, w_gauss=None, h_gauss=None) -> float:
+def score(spec: KernelSpec, w, h, w_log_var=None, h_log_var=None) -> float:
     """S_kind(w, h) per the kernel definitions in the module docstring.
 
-    For ssg pass one GaussianParams per side, for mog a sequence of
-    ``spec.num_gauss`` of them; w/h are ignored for those kinds.
+    ssg takes one log-variance per side (shape ()), mog ``spec.num_gauss``
+    of them (shape (G,)); every Gaussian of a side is centred on w or h.
     """
-    kernel = KERNELS[spec.kind]
-    if kernel.var_shape is not None:
-        diff, x, s, _, _ = _gauss_pairs(spec, w_gauss, h_gauss)
-        ell = _gauss_ell(diff.shape[2], x, s)
-        val = _log_mean_exp(ell) if spec.mog_log_of_sum else ell.sum()
-    else:
-        st, _, _ = _pair_stats(kernel, w, h)
-        val = kernel.score(spec, st)[0, 0]
-    return float(_check_finite(val, spec.kind))
+    st, _, _ = _pair_stats(spec, w, h, w_log_var, h_log_var)
+    return float(_check_finite(KERNELS[spec.kind].score(spec, st)[0, 0], spec.kind))
 
 
 def score_via_trick(spec: KernelSpec, w_norm_sq: float, h_norm_sq: float,
@@ -442,13 +409,11 @@ def score_via_trick(spec: KernelSpec, w_norm_sq: float, h_norm_sq: float,
     return float(_check_finite(KERNELS[spec.kind].score(spec, st)[0, 0], spec.kind))
 
 
-def grad(spec: KernelSpec, w=None, h=None, w_gauss=None, h_gauss=None) -> KernelGrad:
+def grad(spec: KernelSpec, w, h, w_log_var=None, h_log_var=None) -> KernelGrad:
     """Analytic gradient of score() with respect to its vector arguments
-    (and log-variances for ssg/mog)."""
+    (and log-variances for ssg/mog), from the kind's VJP."""
     kernel = KERNELS[spec.kind]
-    if kernel.var_shape is not None:
-        return _gauss_grad(spec, w_gauss, h_gauss)
-    st, w, h = _pair_stats(kernel, w, h)
+    st, w, h = _pair_stats(spec, w, h, w_log_var, h_log_var)
     kernel.score(spec, st)  # checks the inputs and fills in what the VJP reads
     kink = kernel.kink(spec, st) if kernel.kink is not None else None
     if kink is not None and kink.any():
@@ -464,21 +429,9 @@ def grad(spec: KernelSpec, w=None, h=None, w_gauss=None, h_gauss=None) -> Kernel
     if "wn" in g:
         d_w = d_w + 2.0 * g["wn"][0, 0] * w
         d_h = d_h + 2.0 * g["hn"][0, 0] * h
+    if "wlv" in g:
+        return KernelGrad(d_w=d_w, d_h=d_h, d_w_log_var=g["wlv"][0], d_h_log_var=g["clv"])
     return KernelGrad(d_w=d_w, d_h=d_h)
-
-
-def _gauss_grad(spec: KernelSpec, w_gauss, h_gauss) -> KernelGrad:
-    diff, x, s, vw, vh = _gauss_pairs(spec, w_gauss, h_gauss)
-    ell = _gauss_ell(diff.shape[2], x, s)
-    wgt = _pair_posterior(ell) if spec.mog_log_of_sum else np.ones_like(ell)
-    dx, ds = _gauss_ell_vjp(diff.shape[2], x, s, wgt)
-    step = 2.0 * dx[:, :, None] * diff
-    g = KernelGrad(d_w=step.sum(axis=1), d_h=-step.sum(axis=0),
-                   d_w_log_var=ds.sum(axis=1) * vw, d_h_log_var=ds.sum(axis=0) * vh)
-    if variance_shape(spec) == ():
-        # ssg: one Gaussian per side, returned unstacked
-        g = KernelGrad(g.d_w[0], g.d_h[0], g.d_w_log_var[0], g.d_h_log_var[0])
-    return g
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +452,8 @@ class LogitCache:
 def forward_logits(spec: KernelSpec, W: np.ndarray, H: np.ndarray,
                    word_log_vars: Optional[np.ndarray] = None,
                    comp_log_vars: Optional[np.ndarray] = None) -> tuple:
-    """Logit matrix L with L[b, v] = score(spec, W[:, v], H[b]).
+    """Logit matrix L with L[b, v] = score(spec, W[:, v], H[b]), plus
+    ``word_log_vars[v], comp_log_vars`` for ssg/mog.
 
     W is d x V (columns are word vectors), H is B x d. ssg expects
     ``word_log_vars`` of shape (V,) and a scalar ``comp_log_vars``; mog
@@ -530,13 +484,6 @@ def forward_logits(spec: KernelSpec, W: np.ndarray, H: np.ndarray,
         b, v = np.argwhere(~np.isfinite(L))[0]
         raise NonFiniteScore(f"non-finite {spec.kind} logit at (b={b}, v={v})")
     return L, LogitCache(W=W, H=H, logits=L, stats=st)
-
-
-def batch_logits(spec: KernelSpec, W: np.ndarray, H: np.ndarray,
-                 word_log_vars=None, comp_log_vars=None) -> np.ndarray:
-    """forward_logits without the cache."""
-    L, _ = forward_logits(spec, W, H, word_log_vars, comp_log_vars)
-    return L
 
 
 def backward_logits(spec: KernelSpec, cache: LogitCache, dL: np.ndarray):

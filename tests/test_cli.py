@@ -36,6 +36,7 @@ class TestKernelListParsing:
     @pytest.mark.parametrize("bad", [
         "", "xyz", "pow(q=1)", "2*", "pow(p=oops)", "lin()extra",
         "ssg(learn_variances=false)", "rbf(a=2)", "ssg(num_gauss=4)",
+        "mog(mog_log_of_sum=ture)",
     ])
     def test_rejects_malformed(self, bad):
         with pytest.raises(KsoftmaxError):
@@ -157,6 +158,15 @@ class TestValidationErrors:
         err = capsys.readouterr().err
         assert "rho" in err and "mixture" in err
 
+    def test_unknown_bool_spelling_in_config_file(self, tmp_path, corpus_file,
+                                                  capsys):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text("[mixture]\nreg_across_data = flase\n")
+        assert cli.run(["train", "--config", str(cfg), "--corpus", corpus_file,
+                        "--out", str(tmp_path / "o")] + FAST) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "reg_across_data" in err
+
     def test_bad_kernel_flag(self, tmp_path, corpus_file, capsys):
         code = cli.run(["train", "--corpus", corpus_file, "--out",
                         str(tmp_path / "o"), "--kernels", "nosuch"] + FAST)
@@ -185,7 +195,8 @@ class TestGrid:
         ("d_e=3", 0, [{"d_e": 3}]),
         ("rho=abc", 1, []),
         ("de=3", 1, []),
-    ], ids=["bool", "int-unset-in-base", "bad-float", "not-a-field"])
+        ("reg_across_data=flase", 1, []),
+    ], ids=["bool", "int-unset-in-base", "bad-float", "not-a-field", "bad-bool"])
     def test_values_take_the_config_key_type(self, tmp_path, corpus_file,
                                              capsys, grid, code, points):
         out = tmp_path / "grid"
@@ -203,12 +214,19 @@ class TestGrid:
 
 class TestOtherSubcommands:
     def test_gradcheck_pass(self, capsys):
-        code = cli.run(["gradcheck", "--kernel", "lin,rbf", "--dims", "2,4",
+        code = cli.run(["gradcheck", "--kernel", "lin,rbf,ssg,mog", "--dims", "2,4",
                         "--trials", "5", "--seed", "0"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "gradcheck lin: pass" in out
-        assert "gradcheck rbf: pass" in out
+        for kind in ("lin", "rbf", "ssg", "mog"):
+            assert f"gradcheck {kind}: pass" in out
+
+    @pytest.mark.parametrize("flags", [["--dims", "0"], ["--trials", "0"]],
+                             ids=["dims-0", "trials-0"])
+    def test_gradcheck_that_checks_nothing_exits_1(self, capsys, flags):
+        assert cli.run(["gradcheck", "--kernel", "hpb"] + flags) == 1
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "pass" not in captured.out
 
     def test_gradcheck_unknown_kernel(self, capsys):
         assert cli.run(["gradcheck", "--kernel", "nope"]) == 1

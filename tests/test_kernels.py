@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ksoftmax import kernels
+from ksoftmax import gradcheck, kernels
 from ksoftmax.errors import (
     DimensionMismatch,
     HpbOutsideBall,
     WrongKernelKind,
 )
-from ksoftmax.kernels import GaussianParams, KernelSpec
+from ksoftmax.kernels import KernelSpec
 
 
 def vec(*xs):
@@ -79,38 +80,47 @@ class TestScore:
         dens = np.exp(-(X ** 2 + Y ** 2) / (2 * var)) / (2 * math.pi * var)
         integral = float((dens * dens).sum() * dx * dx)
         expected = math.log(integral)
-        got = kernels.score(
-            KernelSpec("ssg"),
-            w_gauss=GaussianParams(vec(0.4, -0.2), math.log(var)),
-            h_gauss=GaussianParams(vec(0.4, -0.2), math.log(var)))
+        got = kernels.score(KernelSpec("ssg"), vec(0.4, -0.2), vec(0.4, -0.2),
+                            math.log(var), math.log(var))
         assert got == pytest.approx(expected, abs=1e-6)
         assert got == pytest.approx(-math.log(2 * math.pi), abs=1e-12)
 
     def test_mog_sums_pairwise_closed_forms(self):
         rng = np.random.default_rng(1)
         spec = KernelSpec("mog", num_gauss=2)
-        gw = [GaussianParams(rng.normal(size=3), rng.normal()) for _ in range(2)]
-        gh = [GaussianParams(rng.normal(size=3), rng.normal()) for _ in range(2)]
-        expected = sum(
-            kernels.score(KernelSpec("ssg"), w_gauss=gi, h_gauss=gj)
-            for gi in gw for gj in gh)
-        got = kernels.score(spec, w_gauss=gw, h_gauss=gh)
+        w, h = rng.normal(size=3), rng.normal(size=3)
+        wlv, hlv = rng.normal(size=2), rng.normal(size=2)
+        expected = sum(kernels.score(KernelSpec("ssg"), w, h, lw, lh)
+                       for lw in wlv for lh in hlv)
+        got = kernels.score(spec, w, h, wlv, hlv)
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_mog_log_of_sum_variant(self):
         rng = np.random.default_rng(2)
         spec = KernelSpec("mog", num_gauss=2, mog_log_of_sum=True)
-        gw = [GaussianParams(rng.normal(size=3), 0.0) for _ in range(2)]
-        gh = [GaussianParams(rng.normal(size=3), 0.0) for _ in range(2)]
-        terms = [kernels.score(KernelSpec("ssg"), w_gauss=gi, h_gauss=gj)
-                 for gi in gw for gj in gh]
+        w, h = rng.normal(size=3), rng.normal(size=3)
+        wlv, hlv = rng.normal(size=2), rng.normal(size=2)
+        terms = [kernels.score(KernelSpec("ssg"), w, h, lw, lh)
+                 for lw in wlv for lh in hlv]
         expected = math.log(sum(math.exp(t) for t in terms) / 4.0)
-        assert kernels.score(spec, w_gauss=gw, h_gauss=gh) == pytest.approx(
+        assert kernels.score(spec, w, h, wlv, hlv) == pytest.approx(
             expected, rel=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             kernels.score(KernelSpec("lin"), vec(1, 2), vec(1, 2, 3))
+
+    @pytest.mark.parametrize("spec,log_vars", [
+        (KernelSpec("ssg"), ()),
+        (KernelSpec("ssg"), (0.1, vec(0.1))),
+        (KernelSpec("mog", num_gauss=2), (vec(0.1, 0.2), vec(0.1, 0.2, 0.3))),
+        (KernelSpec("mog", num_gauss=2), (0.1, 0.2)),
+        (KernelSpec("lin"), (0.1, 0.2)),
+    ], ids=["ssg-missing", "ssg-vector", "mog-wrong-G", "mog-scalar", "lin-given"])
+    def test_log_variance_shape_mismatch(self, spec, log_vars):
+        for fn in (kernels.score, kernels.grad):
+            with pytest.raises(DimensionMismatch):
+                fn(spec, vec(1, 2), vec(0, 1), *log_vars)
 
     def test_hpb_outside_ball(self):
         with pytest.raises(HpbOutsideBall):
@@ -238,10 +248,8 @@ class TestProperties:
         for _ in range(100):
             mw, mh = rng.uniform(-5, 5, 4), rng.uniform(-5, 5, 4)
             lv = rng.normal()
-            at_h = kernels.score(spec, w_gauss=GaussianParams(mw, lv),
-                                 h_gauss=GaussianParams(mh, lv))
-            at_w = kernels.score(spec, w_gauss=GaussianParams(mw, lv),
-                                 h_gauss=GaussianParams(mw.copy(), lv))
+            at_h = kernels.score(spec, mw, mh, lv, lv)
+            at_w = kernels.score(spec, mw, mw.copy(), lv, lv)
             assert at_h <= at_w + 1e-12
 
     def test_tail_gradient_ordering_at_x10(self):
@@ -260,7 +268,7 @@ class TestBatchLogits:
     def test_basis_vectors(self):
         W = np.array([[1.0, 0.0], [0.0, 1.0]])
         H = np.array([[1.0, 0.0]])
-        L = kernels.batch_logits(KernelSpec("lin"), W, H)
+        L = kernels.forward_logits(KernelSpec("lin"), W, H)[0]
         assert np.array_equal(L, [[1.0, 0.0]])
 
     @pytest.mark.parametrize("spec,needs_gauss", [
@@ -281,30 +289,16 @@ class TestBatchLogits:
         W = rng.normal(size=(d, V))
         H = rng.normal(size=(B, d))
         if needs_gauss:
-            if spec.kind == "ssg":
-                wlv = rng.normal(size=V) * 0.3
-                clv = 0.2
-                L = kernels.batch_logits(spec, W, H, wlv, clv)
-                for b in range(B):
-                    for v in range(V):
-                        expected = kernels.score(
-                            spec,
-                            w_gauss=GaussianParams(W[:, v], wlv[v]),
-                            h_gauss=GaussianParams(H[b], clv))
-                        assert abs(L[b, v] - expected) < 1e-10
-            else:
-                G = spec.num_gauss
-                wlv = rng.normal(size=(V, G)) * 0.3
-                clv = rng.normal(size=G) * 0.3
-                L = kernels.batch_logits(spec, W, H, wlv, clv)
-                for b in range(B):
-                    for v in range(V):
-                        gw = [GaussianParams(W[:, v], wlv[v, i]) for i in range(G)]
-                        gh = [GaussianParams(H[b], clv[j]) for j in range(G)]
-                        expected = kernels.score(spec, w_gauss=gw, h_gauss=gh)
-                        assert abs(L[b, v] - expected) < 1e-10
+            shape = kernels.variance_shape(spec)
+            wlv = rng.normal(size=(V,) + shape) * 0.3
+            clv = rng.normal(size=shape) * 0.3
+            L = kernels.forward_logits(spec, W, H, wlv, clv)[0]
+            for b in range(B):
+                for v in range(V):
+                    expected = kernels.score(spec, W[:, v], H[b], wlv[v], clv)
+                    assert abs(L[b, v] - expected) < 1e-10
         else:
-            L = kernels.batch_logits(spec, W, H)
+            L = kernels.forward_logits(spec, W, H)[0]
             for b in range(B):
                 for v in range(V):
                     assert abs(L[b, v] - kernels.score(spec, W[:, v], H[b])) < 1e-10
@@ -316,7 +310,7 @@ class TestBatchLogits:
         W /= 4 * np.abs(W).sum(axis=0)
         H = rng.normal(size=(B, d))
         H /= 4 * np.abs(H).sum(axis=1, keepdims=True)
-        L = kernels.batch_logits(KernelSpec("hpb"), W, H)
+        L = kernels.forward_logits(KernelSpec("hpb"), W, H)[0]
         for b in range(B):
             for v in range(V):
                 assert abs(L[b, v] - kernels.score(KernelSpec("hpb"), W[:, v], H[b])) < 1e-10
@@ -336,7 +330,24 @@ class TestBatchLogits:
         W = np.array([[2.0, 0.0], [0.0, 0.2]])
         H = np.array([[0.1, 0.1]])
         with pytest.raises(HpbOutsideBall):
-            kernels.batch_logits(KernelSpec("hpb"), W, H)
+            kernels.forward_logits(KernelSpec("hpb"), W, H)
+
+
+class TestGradientAudit:
+    @pytest.mark.parametrize("kind", ["ssg", "mog"])
+    @pytest.mark.parametrize("key", ["x", "wlv", "clv"])
+    def test_catches_a_scaled_vjp_output(self, monkeypatch, kind, key):
+        # a 1% error in any output of the VJP that trains must fail the audit
+        entry = kernels.KERNELS[kind]
+
+        def scaled_vjp(spec, st, dL, kink):
+            g = entry.vjp(spec, st, dL, kink)
+            g[key] = 1.01 * g[key]
+            return g
+
+        monkeypatch.setitem(kernels.KERNELS, kind,
+                            dataclasses.replace(entry, vjp=scaled_vjp))
+        assert gradcheck.check_kernel(kind, dims=(2, 8), trials=10)
 
 
 class TestProjectToBall:
@@ -395,20 +406,10 @@ def property_inputs(spec, rng, B, V, d, edge):
 def scalar_pair(spec, W, H, gauss, b, v):
     """(score, d/dW[:, v], d/dH[b], d/d word log-vars of v, d/d component
     log-vars) of one pair through the scalar API."""
-    if not gauss:
-        g = kernels.grad(spec, W[:, v], H[b])
-        return kernels.score(spec, W[:, v], H[b]), g.d_w, g.d_h, 0.0, 0.0
-    wlv, clv = gauss
-    gw = [GaussianParams(W[:, v], lv) for lv in np.atleast_1d(wlv[v])]
-    gh = [GaussianParams(H[b], lv) for lv in np.atleast_1d(clv)]
-    g = kernels.grad(spec, w_gauss=gw, h_gauss=gh)
-    # every Gaussian of a side shares that side's mean
-    d = W.shape[0]
-    return (kernels.score(spec, w_gauss=gw, h_gauss=gh),
-            np.reshape(g.d_w, (-1, d)).sum(axis=0),
-            np.reshape(g.d_h, (-1, d)).sum(axis=0),
-            np.reshape(g.d_w_log_var, np.shape(wlv[v])),
-            np.reshape(g.d_h_log_var, np.shape(clv)))
+    log_vars = (gauss[0][v], gauss[1]) if gauss else ()
+    g = kernels.grad(spec, W[:, v], H[b], *log_vars)
+    return (kernels.score(spec, W[:, v], H[b], *log_vars),
+            g.d_w, g.d_h, g.d_w_log_var, g.d_h_log_var)
 
 
 def close(got, terms, rtol=1e-8):
