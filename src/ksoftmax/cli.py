@@ -228,7 +228,14 @@ def cmd_eval(args) -> int:
     if values["seed"] is None:
         # the checkpoint records the seed its training split was drawn with
         values["seed"] = state.config.seed
-    _, split = _load_corpus(values)
+    vocab, split = _load_corpus(values)
+    if vocab.V != state.mixture.V:
+        raise KsoftmaxError(f"corpus vocabulary of {vocab.V} tokens for a model "
+                            f"of V={state.mixture.V}")
+    saved = os.path.join(ckpt_dir, "vocab.txt")
+    if (os.path.exists(saved)
+            and data_mod.Vocabulary.load(saved).id_to_token != vocab.id_to_token):
+        raise KsoftmaxError(f"corpus vocabulary differs from {saved}")
     sentences = getattr(split, args.split)
     ppl = eval_mod.perplexity(state, sentences)
     print(f"{args.split} ppl {ppl:.6g}")
@@ -312,10 +319,8 @@ def cmd_synth(args) -> int:
     if args.kind == "zipf":
         lines = data_mod.generate_zipf(args.vocab, args.tokens, s=args.zipf_s,
                                        seed=seed, copy_prob=args.copy_prob)
-    elif args.kind == "english":
-        lines = data_mod.generate_english(args.tokens, seed=seed)
     else:
-        raise KsoftmaxError(f"unknown corpus kind {args.kind!r}")
+        lines = data_mod.generate_english(args.tokens, seed=seed)
     data_mod.save_lines(lines, args.out)
     print(f"wrote {sum(len(l.split()) for l in lines)} tokens to {args.out}")
     return EXIT_OK

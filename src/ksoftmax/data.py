@@ -72,6 +72,8 @@ def build_vocab(lines: Iterable[str], max_size: int, min_count: int = 1,
                 lowercase: bool = True) -> Vocabulary:
     """Most frequent tokens kept up to max_size - 2; ties break
     lexicographically."""
+    if max_size < 3:
+        raise ValueError(f"vocabulary size {max_size} leaves no room beside <bos>, <unk>")
     counts = Counter()
     for line in lines:
         counts.update(tokenize(line, lowercase))
@@ -96,8 +98,9 @@ def prepare_corpus(lines: Sequence[str], max_size: int, min_count: int = 1,
                    lowercase: bool = True):
     """(Vocabulary, CorpusSplit): split lines by seeded permutation, build
     the vocabulary on the train portion only, encode all three splits."""
-    if not math.isclose(sum(fractions), 1.0):
-        raise ValueError("split fractions must sum to 1")
+    if (len(fractions) != 3 or min(fractions) < 0
+            or not math.isclose(sum(fractions), 1.0)):
+        raise ValueError(f"split fractions {fractions} must be 3 numbers >= 0, sum 1")
     lines = [l for l in lines if tokenize(l, lowercase)]
     if not lines:
         raise EmptyCorpus("no non-empty lines")
@@ -164,15 +167,15 @@ def save_lines(lines: Sequence[str], path):
 # ---------------------------------------------------------------------------
 
 def generate_zipf(vocab_size: int, n_tokens: int, s: float = 1.1,
-                  seed: int = 0, copy_prob: float = 0.5,
-                  min_len: int = 5, max_len: int = 20) -> list:
+                  seed: int = 0, copy_prob: float = 0.5) -> list:
     """Zipf-distributed corpus with a deterministic successor rule.
 
     Each token is, with probability ``copy_prob``, a fixed function of its
     predecessor (a seeded permutation of the type inventory), otherwise an
     independent draw from a Zipf(s) distribution over ``vocab_size`` types.
     The successor rule is what gives an n-gram model something to learn;
-    the unigram marginal stays heavy-tailed.
+    the unigram marginal stays heavy-tailed. Sentences are 5 to 20 tokens
+    long.
     """
     rng = np.random.default_rng(seed)
     ranks = np.arange(1, vocab_size + 1, dtype=np.float64)
@@ -182,7 +185,7 @@ def generate_zipf(vocab_size: int, n_tokens: int, s: float = 1.1,
     lines = []
     tokens_left = n_tokens
     while tokens_left > 0:
-        length = min(int(rng.integers(min_len, max_len + 1)), tokens_left)
+        length = min(int(rng.integers(5, 21)), tokens_left)
         sent = []
         prev = None
         for _ in range(length):

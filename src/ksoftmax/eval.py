@@ -14,28 +14,30 @@ from . import data as data_mod
 from . import encoder as encoder_mod
 from . import kernels
 from . import output_layer
-from .errors import TokenOutOfRange
+from .errors import KsoftmaxError, TokenOutOfRange
 from .kernels import KernelSpec
 
 
-def mean_nll_and_pi(enc: "encoder_mod.EncoderParams",
-                    config: "output_layer.MixtureConfig",
-                    out: "output_layer.OutputParams",
-                    sentences, n: int, batch_size: int = 512):
-    """(mean NLL, per-component mean pi, mean per-datum pi variance) over
-    every target position of ``sentences``."""
-    windows, targets = data_mod.make_examples(sentences, n)
+EVAL_BATCH = 512
+
+
+def mean_nll_and_pi(state, sentences):
+    """(mean NLL, per-component mean pi, mean per-datum pi variance) of the
+    training.TrainState ``state`` over every target position of
+    ``sentences``."""
+    config = state.mixture
+    windows, targets = data_mod.make_examples(sentences, state.config.n)
     total_nll = 0.0
     pi_sum = np.zeros(config.K)
     pi_var_sum = 0.0
     count = len(targets)
     if count == 0:
         raise ValueError("empty split")
-    for lo in range(0, count, batch_size):
-        w = windows[lo:lo + batch_size]
-        t = targets[lo:lo + batch_size]
-        H, _ = encoder_mod.encode(enc, w)
-        cache = output_layer._forward(config, out, H, t)
+    for lo in range(0, count, EVAL_BATCH):
+        w = windows[lo:lo + EVAL_BATCH]
+        t = targets[lo:lo + EVAL_BATCH]
+        H, _ = encoder_mod.encode(state.enc, w)
+        cache = output_layer._forward(config, state.out, H, t)
         total_nll -= float(cache.log_posterior.sum())
         pi_sum += cache.pi.sum(axis=0)
         pi_var_sum += float(cache.pi.var(axis=1).sum())
@@ -43,13 +45,9 @@ def mean_nll_and_pi(enc: "encoder_mod.EncoderParams",
 
 
 def perplexity(state, sentences) -> float:
-    """exp of the mean negative log posterior over all target positions.
-
-    ``state`` is any object with .enc, .mixture, .out and .config.n
-    (a training.TrainState fits).
-    """
-    nll, _, _ = mean_nll_and_pi(state.enc, state.mixture, state.out,
-                                sentences, state.config.n)
+    """exp of the mean negative log posterior of the training.TrainState
+    ``state`` over all target positions."""
+    nll, _, _ = mean_nll_and_pi(state, sentences)
     try:
         return math.exp(nll)
     except OverflowError:
@@ -156,8 +154,23 @@ def disambiguation_probe(state, vocab: "data_mod.Vocabulary",
                          top_m: int = 5) -> ProbeReport:
     """Inner-product neighbors of each query word plus, for each supplied
     context, the per-component logits and posterior over the neighbor set."""
+    if vocab.V != state.mixture.V:
+        raise KsoftmaxError(
+            f"vocabulary of {vocab.V} tokens for a model of V={state.mixture.V}")
+    n = state.config.n
+    # one B=1 call per context: a batch of contexts could get other bits
+    scored = []
+    for ctx in contexts:
+        toks = list(ctx)
+        window = ([data_mod.BOS_ID] * n + [vocab.encode_token(t) for t in toks])[-n:]
+        H, _ = encoder_mod.encode(state.enc, np.asarray([window]))
+        probs, cache = output_layer.posterior(state.mixture, state.out, H)
+        post = probs[0]
+        top = np.argsort(-post, kind="stable")[:top_m]
+        scored.append((toks, post, cache,
+                       [(vocab.decode(int(v)), float(post[v])) for v in top]))
+
     W = state.out.W
-    config = state.mixture
     queries = []
     for qt in query_tokens:
         if qt not in vocab.token_to_id:
@@ -166,25 +179,14 @@ def disambiguation_probe(state, vocab: "data_mod.Vocabulary",
         sims = W[:, qid] @ W
         order = np.argsort(-sims, kind="stable")[:top_m]
         neighbors = [(vocab.decode(int(v)), float(sims[v])) for v in order]
-
-        ctx_reports = []
-        for ctx in contexts:
-            toks = list(ctx)
-            ids = [vocab.encode_token(t) for t in toks]
-            n = state.config.n
-            window = ([data_mod.BOS_ID] * n + ids)[-n:]
-            H, _ = encoder_mod.encode(state.enc, np.asarray([window]))
-            cache = output_layer._forward(config, state.out, H)
-            logits = np.stack([c.logits[0, order] for c in cache.kernel_caches])
-            post = np.exp(cache.log_posterior[0])
-            top = np.argsort(-post, kind="stable")[:top_m]
-            ctx_reports.append(ContextReport(
-                tokens=toks,
-                pi=cache.pi[0],
-                neighbor_logits=logits,
-                neighbor_posterior=post[order],
-                top_predictions=[(vocab.decode(int(v)), float(post[v])) for v in top],
-            ))
+        ctx_reports = [ContextReport(
+            tokens=toks,
+            pi=cache.pi[0],
+            neighbor_logits=np.stack([c.logits[0, order]
+                                      for c in cache.kernel_caches]),
+            neighbor_posterior=post[order],
+            top_predictions=top,
+        ) for toks, post, cache, top in scored]
         queries.append(QueryReport(query=qt, neighbors=neighbors,
                                    contexts=ctx_reports))
     return ProbeReport(queries=queries)

@@ -509,10 +509,10 @@ def backward_logits(spec: KernelSpec, cache: LogitCache, dL: np.ndarray):
     return dW, dH, g.get("wlv"), g.get("clv")
 
 
-def project_to_ball(W: np.ndarray, margin: float = BALL_MARGIN) -> np.ndarray:
-    """Rescale columns of W (in place) so every column norm is <= 1 - margin."""
+def project_to_ball(W: np.ndarray) -> np.ndarray:
+    """Rescale columns of W in place to norms <= 1 - BALL_MARGIN."""
     norms = np.sqrt(np.einsum("dv,dv->v", W, W))
-    limit = 1.0 - margin
+    limit = 1.0 - BALL_MARGIN
     over = norms > limit
     if np.any(over):
         W[:, over] *= limit / norms[over]

@@ -10,8 +10,8 @@ matrix W is tied across components. All probability arithmetic is done in
 the log domain; mixed logits are never softmaxed jointly.
 
 The loss and the evaluation NLL need only log p(t | h) = LSE_k(log pi_k +
-log softmax_t(S_k)), K values per datum, so given targets the forward pass
-mixes just those; the B x V log posterior is built only without targets.
+log softmax_t(S_k)), K values per datum, so the forward pass mixes just
+those; posterior() is the one place the full B x V mixture is built.
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ class ForwardCache:
     pi: np.ndarray            # B x K
     log_pi: np.ndarray        # B x K
     lsm: np.ndarray           # K x B x V, per-component log-softmax
-    log_posterior: np.ndarray # B at the targets given to _forward, else B x V
+    log_posterior: Optional[np.ndarray]  # B, at the targets; None without
     h_tilde: list             # K tanh outputs (or H itself when K = 1)
     kernel_caches: list
     reg_term: float = 0.0
@@ -126,16 +126,14 @@ def _log_softmax(a: np.ndarray) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
-def _log_mix(log_pi: np.ndarray, lsm: np.ndarray) -> np.ndarray:
-    """LSE over the components (axis 0) of log_pi + lsm: K x B log weights
-    plus the K x B log-softmax values at the targets, or K x B x 1 plus
-    K x B x V. The terms are added in k order, as numpy's sum does over the
-    outer axis of K x B x V; it sums a contiguous axis pairwise, and the
-    gathered K x B array has k contiguous, so both shapes get the same bits.
-    """
-    mix = log_pi + lsm
+def _log_mix(log_pi: np.ndarray, lsm_t: np.ndarray) -> np.ndarray:
+    """LSE over the components (axis 0) of the K x B log weights plus the
+    K x B log-softmax values at the targets."""
+    mix = log_pi + lsm_t
     m = mix.max(axis=0)
     terms = np.exp(mix - m[None])
+    # numpy sums a contiguous axis of 8 or more terms pairwise, which would
+    # change the bits for K >= 8; add in k order instead
     total = terms[0]
     for term in terms[1:]:
         total = total + term
@@ -161,12 +159,19 @@ def transform_contexts(C: np.ndarray, H: np.ndarray) -> list:
 def _forward(config: MixtureConfig, params: OutputParams, H: np.ndarray,
              targets: Optional[np.ndarray] = None) -> ForwardCache:
     """Forward pass; with ``targets`` the log posterior is mixed at the
-    targets only (B), without them over the whole vocabulary (B x V)."""
+    targets (B values), without them it is None."""
     H = np.asarray(H, dtype=np.float64)
     if H.ndim != 2 or H.shape[1] != config.d:
         raise DimensionMismatch(f"H {H.shape} vs d={config.d}")
     K = config.K
     B = H.shape[0]
+    if targets is not None:
+        targets = np.asarray(targets)
+        if targets.shape != (B,):
+            raise DimensionMismatch(f"targets {targets.shape} vs B={B}")
+        if np.any(targets < 0) or np.any(targets >= config.V):
+            bad = targets[(targets < 0) | (targets >= config.V)][0]
+            raise TargetOutOfRange(f"target id {bad} outside [0, {config.V})")
     if K > 1:
         log_pi = _log_softmax(H @ params.M)
         h_tilde = transform_contexts(params.C, H)
@@ -188,9 +193,8 @@ def _forward(config: MixtureConfig, params: OutputParams, H: np.ndarray,
         lsm[k] = _log_softmax(L)
         caches.append(cache)
 
-    if targets is None:
-        log_post = _log_mix(log_pi.T[:, :, None], lsm)
-    else:
+    log_post = None
+    if targets is not None:
         log_post = _log_mix(log_pi.T, lsm[:, np.arange(B), targets])
     return ForwardCache(H=H, pi=pi, log_pi=log_pi, lsm=lsm,
                         log_posterior=log_post, h_tilde=h_tilde,
@@ -199,7 +203,7 @@ def _forward(config: MixtureConfig, params: OutputParams, H: np.ndarray,
 
 def posterior(config: MixtureConfig, params: OutputParams, H: np.ndarray):
     """(probs B x V, ForwardCache); probs is the convex combination of
-    per-component softmaxes."""
+    per-component softmaxes, the one full-vocabulary mixture."""
     cache = _forward(config, params, H)
     probs = np.einsum("bk,kbv->bv", cache.pi, np.exp(cache.lsm))
     return probs, cache
@@ -220,12 +224,6 @@ def loss(config: MixtureConfig, params: OutputParams, H: np.ndarray,
     Returns (scalar loss, ForwardCache); the cache records the regularizer
     term separately.
     """
-    targets = np.asarray(targets)
-    if targets.ndim != 1:
-        raise DimensionMismatch("targets must be a 1-D id array")
-    if np.any(targets < 0) or np.any(targets >= config.V):
-        bad = targets[(targets < 0) | (targets >= config.V)][0]
-        raise TargetOutOfRange(f"target id {bad} outside [0, {config.V})")
     cache = _forward(config, params, H, targets)
     ce = -float(cache.log_posterior.mean())
     reg = config.rho * _pi_variance(cache.pi, config.reg_across_data)

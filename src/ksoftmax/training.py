@@ -93,7 +93,6 @@ class TrainState:
     step: int
     step_in_epoch: int
     best_dev_ppl: float
-    rng: np.random.Generator
 
 
 def _named(enc: encoder_mod.EncoderParams, out: OutputParams) -> list:
@@ -121,7 +120,7 @@ def init_state(config: TrainConfig, V: int) -> TrainState:
     out = output_layer.init_output_params(mixture, rng)
     state = TrainState(config=config, mixture=mixture, enc=enc, out=out,
                        opt_m={}, opt_v={}, opt_t=0, epoch=0, step=0,
-                       step_in_epoch=0, best_dev_ppl=math.inf, rng=rng)
+                       step_in_epoch=0, best_dev_ppl=math.inf)
     if config.optimizer == "adam":
         for name, arr in named_tensors(state):
             state.opt_m[name] = np.zeros_like(arr)
@@ -297,8 +296,7 @@ def train(config: TrainConfig, split: data_mod.CorpusSplit, V: int,
         while state.epoch < limit:
             losses = list(_epoch_steps(state, split))
             train_loss = float(np.mean([l for l, _ in losses])) if losses else math.nan
-            nll, pi_mean, pi_var = eval_mod.mean_nll_and_pi(
-                state.enc, state.mixture, state.out, split.dev, cfg.n)
+            nll, pi_mean, pi_var = eval_mod.mean_nll_and_pi(state, split.dev)
             try:
                 dev_ppl = math.exp(nll)
             except OverflowError:
@@ -365,7 +363,6 @@ def save_checkpoint(state: TrainState, path):
     header.write(f"step_in_epoch {state.step_in_epoch}\n")
     header.write(f"adam_t {state.opt_t}\n")
     header.write(f"best_dev_ppl {state.best_dev_ppl!r}\n")
-    header.write("rng " + json.dumps(state.rng.bit_generator.state) + "\n")
     for name, arr in all_tensors:
         shape = " ".join(str(s) for s in np.asarray(arr).shape)
         header.write(f"tensor {name} {shape}".rstrip() + "\n")
@@ -437,7 +434,6 @@ def _parse_checkpoint(blob: bytes) -> TrainState:
     state.step_in_epoch = int(fields["step_in_epoch"])
     state.opt_t = int(fields["adam_t"])
     state.best_dev_ppl = float(fields["best_dev_ppl"])
-    state.rng.bit_generator.state = json.loads(fields["rng"])
     return state
 
 
@@ -449,8 +445,7 @@ def _run_grid_point(args):
     config, split, V, point_dir = args
     try:
         best, metrics = train(config, split, V, out_dir=point_dir)
-        _, _, pi_var = eval_mod.mean_nll_and_pi(
-            best.enc, best.mixture, best.out, split.dev, config.n)
+        _, _, pi_var = eval_mod.mean_nll_and_pi(best, split.dev)
         return {"dev_ppl": best.best_dev_ppl, "pi_var_mean": pi_var,
                 "diverged": False}
     except DivergenceDetected as e:

@@ -232,8 +232,7 @@ def test_lin_weight_observation(small_zipf):
         components=(KernelSpec("lin"), KernelSpec("pow"), KernelSpec("rbf")),
         rho=0.1)
     best, _ = training.train(config, split, vocab.V)
-    _, pi_mean, _ = eval_mod.mean_nll_and_pi(
-        best.enc, best.mixture, best.out, split.dev, config.n)
+    _, pi_mean, _ = eval_mod.mean_nll_and_pi(best, split.dev)
     lin_weight = sum(p for p, s in zip(pi_mean, config.components)
                      if s.kind == "lin")
     print(f"ACCEPTANCE lin-weight-observation: RECORDED "

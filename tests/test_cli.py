@@ -117,14 +117,15 @@ CHECKPOINT_CORRUPTIONS = {
 }
 
 
-class TestCorruptCheckpoint:
-    @pytest.fixture(scope="class")
-    def trained(self, tmp_path_factory, corpus_file):
-        out = tmp_path_factory.mktemp("trained")
-        assert cli.run(["train", "--corpus", corpus_file, "--out", str(out)]
-                       + FAST) == 0
-        return out
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory, corpus_file):
+    out = tmp_path_factory.mktemp("trained")
+    assert cli.run(["train", "--corpus", corpus_file, "--out", str(out)]
+                   + FAST) == 0
+    return out
 
+
+class TestCorruptCheckpoint:
     @pytest.mark.parametrize("corruption", sorted(CHECKPOINT_CORRUPTIONS))
     def test_eval_rejects_with_exit_1(self, trained, corruption, capsys):
         head, body = (trained / "best.ckpt").read_bytes().split(b"\nend\n", 1)
@@ -136,6 +137,33 @@ class TestCorruptCheckpoint:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error:" in captured.err and corruption in captured.err
+
+
+class TestVocabularyMismatch:
+    @pytest.mark.parametrize("corpus", [
+        lambda lines: data.generate_zipf(5, 800, seed=0),
+        lambda lines: [line.replace("w0", "x0") for line in lines],
+    ], ids=["smaller-V", "same-V-other-tokens"])
+    def test_eval_rejects_a_corpus_of_another_vocabulary(
+            self, trained, corpus_file, tmp_path, corpus, capsys):
+        other = tmp_path / "other.txt"
+        data.save_lines(corpus(data.load_lines(corpus_file)), other)
+        capsys.readouterr()
+        assert cli.run(["eval", "--checkpoint", str(trained / "best.ckpt"),
+                        "--corpus", str(other)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error:" in captured.err
+
+    def test_probe_rejects_a_larger_vocabulary(self, trained, tmp_path, capsys):
+        vocab = data.Vocabulary.load(trained / "vocab.txt")
+        extra = data.Vocabulary(vocab.id_to_token + ["zz1", "zz2"])
+        extra.save(tmp_path / "vocab.txt")
+        capsys.readouterr()
+        assert cli.run(["probe", "--checkpoint", str(trained / "best.ckpt"),
+                        "--vocab", str(tmp_path / "vocab.txt"),
+                        "--tokens", "zz2", "--contexts", "zz1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error:" in captured.err
 
 
 class TestValidationErrors:
@@ -171,6 +199,16 @@ class TestValidationErrors:
         code = cli.run(["train", "--corpus", corpus_file, "--out",
                         str(tmp_path / "o"), "--kernels", "nosuch"] + FAST)
         assert code == 1
+
+    @pytest.mark.parametrize("flags", [["--fractions", "0.5,0.5"],
+                                       ["--vocab-size", "2"]])
+    def test_bad_split_parameters_exit_1_before_training(
+            self, tmp_path, corpus_file, capsys, flags):
+        out = tmp_path / "o"
+        assert cli.run(["train", "--corpus", corpus_file, "--out", str(out)]
+                       + FAST + flags) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_flag(self, capsys):
         assert cli.run(["train", "--nonsense"]) == 1

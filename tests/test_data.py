@@ -91,6 +91,16 @@ class TestPrepareCorpus:
         with pytest.raises(EmptyCorpus):
             data.prepare_corpus(["", "   "], max_size=10)
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(max_size=1), dict(max_size=2),
+        dict(fractions=(1.5, -0.25, -0.25)), dict(fractions=(0.5, 0.5)),
+        dict(fractions=(0.5, 0.5, 0.5)), dict(fractions=(0.25,) * 4),
+    ], ids=["size-1", "size-2", "negative", "two", "sum-1.5", "four"])
+    def test_rejects_bad_split_parameters(self, kwargs):
+        lines = [f"tok{i} tok{i+1}" for i in range(50)]
+        with pytest.raises(ValueError):
+            data.prepare_corpus(lines, **{"max_size": 100, **kwargs})
+
 
 class TestWindows:
     def test_first_window_is_all_bos(self):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ksoftmax import data, eval as eval_mod, kernels, training
+from ksoftmax.errors import TargetOutOfRange
 from ksoftmax.kernels import KernelSpec
 from ksoftmax.training import TrainConfig, init_state
 
@@ -37,8 +38,7 @@ class TestPerplexity:
     def test_matches_mean_nll(self):
         state = make_state(V=10, seed=5)
         sentences = [[2, 3, 4], [5, 6, 7, 8]]
-        nll, pi_mean, _ = eval_mod.mean_nll_and_pi(
-            state.enc, state.mixture, state.out, sentences, n=2)
+        nll, pi_mean, _ = eval_mod.mean_nll_and_pi(state, sentences)
         assert eval_mod.perplexity(state, sentences) == pytest.approx(
             math.exp(nll), rel=1e-12)
         assert pi_mean.shape == (1,)
@@ -48,6 +48,10 @@ class TestPerplexity:
         state = make_state()
         with pytest.raises(ValueError):
             eval_mod.perplexity(state, [])
+
+    def test_target_outside_vocabulary_rejected(self):
+        with pytest.raises(TargetOutOfRange):
+            eval_mod.perplexity(make_state(V=10), [[2, 3, 15]])
 
 
 class TestUnigramBaseline:

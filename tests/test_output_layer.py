@@ -224,11 +224,12 @@ class TestTargetOnlyForward:
         H = np.tanh(rng.normal(size=(B, config.d)) * 2)
         targets = rng.integers(0, config.V, B)
         at_targets = output_layer._forward(config, params, H, targets)
-        full = output_layer._forward(config, params, H)
+        probs, cache = output_layer.posterior(config, params, H)
         assert at_targets.log_posterior.shape == (B,)
-        assert full.log_posterior.shape == (B, config.V)
-        assert np.array_equal(at_targets.log_posterior,
-                              full.log_posterior[np.arange(B), targets])
+        assert cache.log_posterior is None
+        np.testing.assert_allclose(at_targets.log_posterior,
+                                   np.log(probs[np.arange(B), targets]),
+                                   rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("components", TARGET_MIXTURES, ids=mixture_id)
     def test_gradient_audit(self, components):

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -187,6 +188,25 @@ class TestCheckpoint:
         for (name, a), (_, b) in zip(named_tensors(state), named_tensors(loaded)):
             assert np.array_equal(a, b), name
 
+    def test_loads_checkpoint_carrying_rng_state(self, tmp_path):
+        # checkpoints written before TrainState.rng was removed carry its
+        # generator state in an "rng" header line
+        split = toy_split()
+        state = init_state(make_config(), V)
+        train_steps(state, split, 3)
+        save_checkpoint(state, tmp_path / "new.ckpt")
+        rng_state = json.dumps(np.random.default_rng(0).bit_generator.state)
+        blob = (tmp_path / "new.ckpt").read_bytes()
+        old = blob.replace(b"\ntensor ", f"\nrng {rng_state}\ntensor ".encode(), 1)
+        (tmp_path / "old.ckpt").write_bytes(old)
+        new, loaded = (load_checkpoint(tmp_path / f"{name}.ckpt")
+                       for name in ("new", "old"))
+        for resumed in (new, loaded):
+            train_steps(resumed, split, 4)
+        assert loaded.step == new.step == 7
+        for (name, a), (_, b) in zip(named_tensors(new), named_tensors(loaded)):
+            assert np.array_equal(a, b), name
+
     def test_round_trip_preserves_config(self, tmp_path):
         config = make_config(rho=0.25, optimizer="sgd",
                              components=(KernelSpec("rbf", gamma=0.5),
@@ -297,6 +317,16 @@ class TestGridSearch:
         assert [r["rank"] for r in results] == [1, 2, 3, 4]
         rows = (tmp_path / "grid_results.csv").read_text().splitlines()
         assert len(rows) == 5  # header + 4 points
+
+    def test_two_jobs_match_one(self, tmp_path):
+        split = toy_split()
+        config, grid = make_config(max_epochs=1), {"learning_rate": [1e-3, 1e-2]}
+        serial = grid_search(config, grid, split, V, out_dir=tmp_path / "one")
+        parallel = grid_search(config, grid, split, V, out_dir=tmp_path / "two",
+                               jobs=2)
+        assert parallel == serial
+        assert ((tmp_path / "two" / "grid_results.csv").read_bytes()
+                == (tmp_path / "one" / "grid_results.csv").read_bytes())
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
