@@ -261,6 +261,7 @@ def cmd_grid(args) -> int:
             raise KsoftmaxError(f"bad grid value for {name!r}: {e}")
     os.makedirs(args.out, exist_ok=True)
     _echo_config(values, os.path.join(args.out, "effective_config.ini"))
+    vocab.save(os.path.join(args.out, "vocab.txt"))
     results = training.grid_search(base, grid, split, vocab.V,
                                    out_dir=args.out, jobs=args.jobs)
     for row in results:

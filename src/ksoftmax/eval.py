@@ -22,26 +22,28 @@ EVAL_BATCH = 512
 
 
 def mean_nll_and_pi(state, sentences):
-    """(mean NLL, per-component mean pi, mean per-datum pi variance) of the
+    """(mean NLL, per-component mean pi, pi variance) of the
     training.TrainState ``state`` over every target position of
-    ``sentences``."""
+    ``sentences``; the variance is output_layer._pi_variance in the
+    mixture's mode over all those positions, the term rho scales in loss."""
     config = state.mixture
     windows, targets = data_mod.make_examples(sentences, state.config.n)
     total_nll = 0.0
     pi_sum = np.zeros(config.K)
-    pi_var_sum = 0.0
+    pis = []
     count = len(targets)
     if count == 0:
         raise ValueError("empty split")
     for lo in range(0, count, EVAL_BATCH):
-        w = windows[lo:lo + EVAL_BATCH]
-        t = targets[lo:lo + EVAL_BATCH]
-        H, _ = encoder_mod.encode(state.enc, w)
-        cache = output_layer._forward(config, state.out, H, t)
+        rows = slice(lo, lo + EVAL_BATCH)
+        H, _ = encoder_mod.encode(state.enc, windows[rows])
+        cache = output_layer._forward(config, state.out, H, targets[rows])
         total_nll -= float(cache.log_posterior.sum())
         pi_sum += cache.pi.sum(axis=0)
-        pi_var_sum += float(cache.pi.var(axis=1).sum())
-    return total_nll / count, pi_sum / count, pi_var_sum / count
+        pis.append(cache.pi)
+        del cache  # its K x B x V arrays must be gone before the next batch
+    pi_var = output_layer._pi_variance(np.concatenate(pis), config.reg_across_data)
+    return total_nll / count, pi_sum / count, pi_var
 
 
 def perplexity(state, sentences) -> float:
@@ -83,6 +85,10 @@ def emit_kernel_curves(specs: Sequence[KernelSpec], x_max: float, steps: int,
     """
     if steps < 2:
         raise ValueError("steps must be >= 2")
+    for spec in specs:
+        if x_max < 0 and kernels.KERNELS[spec.kind].stat == "x":
+            raise ValueError(f"{spec.kind}: x is a squared distance, so x_max "
+                             f"must be >= 0, got {x_max}")
     os.makedirs(out_dir, exist_ok=True)
     xs = np.linspace(0.0, x_max, steps)
     paths = []
@@ -157,17 +163,22 @@ def disambiguation_probe(state, vocab: "data_mod.Vocabulary",
     if vocab.V != state.mixture.V:
         raise KsoftmaxError(
             f"vocabulary of {vocab.V} tokens for a model of V={state.mixture.V}")
-    n = state.config.n
+    if top_m < 1:
+        raise ValueError(f"top_m must be >= 1, got {top_m}")
+    config, n = state.mixture, state.config.n
     # one B=1 call per context: a batch of contexts could get other bits
     scored = []
     for ctx in contexts:
         toks = list(ctx)
         window = ([data_mod.BOS_ID] * n + [vocab.encode_token(t) for t in toks])[-n:]
         H, _ = encoder_mod.encode(state.enc, np.asarray([window]))
-        probs, cache = output_layer.posterior(state.mixture, state.out, H)
+        probs, cache = output_layer.posterior(config, state.out, H)
         post = probs[0]
+        # the same call _forward made, so the same bits
+        logits = np.stack([output_layer.component_logits(
+            config, state.out, cache.h_tilde[k], k)[0][0] for k in range(config.K)])
         top = np.argsort(-post, kind="stable")[:top_m]
-        scored.append((toks, post, cache,
+        scored.append((toks, post, cache.pi[0], logits,
                        [(vocab.decode(int(v)), float(post[v])) for v in top]))
 
     W = state.out.W
@@ -181,12 +192,11 @@ def disambiguation_probe(state, vocab: "data_mod.Vocabulary",
         neighbors = [(vocab.decode(int(v)), float(sims[v])) for v in order]
         ctx_reports = [ContextReport(
             tokens=toks,
-            pi=cache.pi[0],
-            neighbor_logits=np.stack([c.logits[0, order]
-                                      for c in cache.kernel_caches]),
+            pi=pi,
+            neighbor_logits=logits[:, order],
             neighbor_posterior=post[order],
             top_predictions=top,
-        ) for toks, post, cache, top in scored]
+        ) for toks, post, pi, logits, top in scored]
         queries.append(QueryReport(query=qt, neighbors=neighbors,
                                    contexts=ctx_reports))
     return ProbeReport(queries=queries)

@@ -438,17 +438,6 @@ def grad(spec: KernelSpec, w, h, w_log_var=None, h_log_var=None) -> KernelGrad:
 # Batched logits and the matching backward pass
 # ---------------------------------------------------------------------------
 
-@dataclass
-class LogitCache:
-    """Intermediates of forward_logits needed by backward_logits: the
-    statistics dict the kernel's score filled in."""
-
-    W: np.ndarray
-    H: np.ndarray
-    logits: np.ndarray
-    stats: dict
-
-
 def forward_logits(spec: KernelSpec, W: np.ndarray, H: np.ndarray,
                    word_log_vars: Optional[np.ndarray] = None,
                    comp_log_vars: Optional[np.ndarray] = None) -> tuple:
@@ -457,7 +446,8 @@ def forward_logits(spec: KernelSpec, W: np.ndarray, H: np.ndarray,
 
     W is d x V (columns are word vectors), H is B x d. ssg expects
     ``word_log_vars`` of shape (V,) and a scalar ``comp_log_vars``; mog
-    expects (V, G) and (G,). Returns (L, LogitCache).
+    expects (V, G) and (G,). Returns (L, cache); the cache, all that
+    backward_logits reads, is W, H and the statistics the kind's VJP reads.
     """
     W = np.asarray(W, dtype=np.float64)
     H = np.asarray(H, dtype=np.float64)
@@ -466,36 +456,34 @@ def forward_logits(spec: KernelSpec, W: np.ndarray, H: np.ndarray,
     if W.shape[1] < 2:
         raise DimensionMismatch("need V >= 2")
     kernel = KERNELS[spec.kind]
-    st = {"d": W.shape[0]}
-    dots = H @ W  # B x V
-    if kernel.stat == "dot":
-        st["dot"] = dots
-    else:
+    st = {"d": W.shape[0], "W": W, "H": H, "dot": H @ W}  # dot is B x V
+    if kernel.stat == "x":
         wn = np.einsum("dv,dv->v", W, W)[None, :]
         hn = np.einsum("bd,bd->b", H, H)[:, None]
-        st.update(x=_sq_dist(wn, hn, dots), wn=wn, hn=hn)
+        st.update(x=_sq_dist(wn, hn, st["dot"]), wn=wn, hn=hn)
     if kernel.var_shape is not None:
         if word_log_vars is None or comp_log_vars is None:
             raise DimensionMismatch(f"{spec.kind} needs word and component log-variances")
         st.update(wlv=np.asarray(word_log_vars, dtype=np.float64),
                   clv=np.asarray(comp_log_vars, dtype=np.float64))
     L = kernel.score(spec, st)
+    del st["dot"]  # no VJP reads it; for lin it is L itself
     if not np.all(np.isfinite(L)):
         b, v = np.argwhere(~np.isfinite(L))[0]
         raise NonFiniteScore(f"non-finite {spec.kind} logit at (b={b}, v={v})")
-    return L, LogitCache(W=W, H=H, logits=L, stats=st)
+    return L, st
 
 
-def backward_logits(spec: KernelSpec, cache: LogitCache, dL: np.ndarray):
-    """Backpropagate dLoss/dL through forward_logits.
+def backward_logits(spec: KernelSpec, cache: dict, dL: np.ndarray):
+    """Backpropagate dLoss/dL through forward_logits, given its cache.
 
     Returns (dW, dH, d_word_log_vars, d_comp_log_vars); the last two are
     None for kernels without Gaussian parameters.
     """
-    W, H, st = cache.W, cache.H, cache.stats
+    W, H = cache["W"], cache["H"]
     kernel = KERNELS[spec.kind]
-    kink = kernel.kink(spec, st) if kernel.kink is not None else None
-    g = kernel.vjp(spec, st, dL, kink)
+    kink = kernel.kink(spec, cache) if kernel.kink is not None else None
+    g = kernel.vjp(spec, cache, dL, kink)
     if kernel.stat == "dot":
         dW, dH = H.T @ g["dot"], g["dot"] @ W.T
     else:

@@ -116,7 +116,7 @@ class ForwardCache:
     lsm: np.ndarray           # K x B x V, per-component log-softmax
     log_posterior: Optional[np.ndarray]  # B, at the targets; None without
     h_tilde: list             # K tanh outputs (or H itself when K = 1)
-    kernel_caches: list
+    kernel_caches: list       # per component, what backward_logits reads
     reg_term: float = 0.0
 
 
@@ -156,6 +156,18 @@ def transform_contexts(C: np.ndarray, H: np.ndarray) -> list:
     return [np.tanh(H @ C[k]) for k in range(C.shape[0])]
 
 
+def component_logits(config: MixtureConfig, params: OutputParams, h_k, k: int):
+    """(B x V logits, kernel cache) of component k at its B x d transformed
+    contexts h_k; a non-finite logit raises NonFiniteScore naming k."""
+    spec = config.components[k]
+    try:
+        return kernels.forward_logits(
+            spec, params.W, h_k * kernels.context_scale(spec, config.d),
+            *_variances(params.word_log_vars, params.component_log_vars, k))
+    except NonFiniteScore as e:
+        raise NonFiniteScore(f"component {k} ({spec.kind}): {e}", component=k) from e
+
+
 def _forward(config: MixtureConfig, params: OutputParams, H: np.ndarray,
              targets: Optional[np.ndarray] = None) -> ForwardCache:
     """Forward pass; with ``targets`` the log posterior is mixed at the
@@ -182,14 +194,8 @@ def _forward(config: MixtureConfig, params: OutputParams, H: np.ndarray,
 
     lsm = np.empty((K, B, config.V))
     caches = []
-    for k, spec in enumerate(config.components):
-        try:
-            L, cache = kernels.forward_logits(
-                spec, params.W, h_tilde[k] * kernels.context_scale(spec, config.d),
-                *_variances(params.word_log_vars, params.component_log_vars, k))
-        except NonFiniteScore as e:
-            raise NonFiniteScore(f"component {k} ({spec.kind}): {e}",
-                                 component=k) from e
+    for k in range(K):
+        L, cache = component_logits(config, params, h_tilde[k], k)
         lsm[k] = _log_softmax(L)
         caches.append(cache)
 

@@ -57,13 +57,15 @@ class TrainConfig:
             raise ValueError("at least one mixture component is required")
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        for name in ("n", "d", "batch_size", "max_epochs"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
-        if self.learning_rate < 0 or self.clip_norm <= 0 or self.rho < 0:
-            raise ValueError("bad numeric field")
+        for name in ("n", "d", "d_e", "batch_size", "max_epochs", "patience"):
+            if getattr(self, name) is not None and getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        for name in ("learning_rate", "clip_norm", "rho"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        if self.clip_norm == 0:
+            raise ValueError("clip_norm must be > 0")
         object.__setattr__(self, "components", tuple(self.components))
 
     @property

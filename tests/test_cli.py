@@ -210,6 +210,33 @@ class TestValidationErrors:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--d-e", "0"), ("--d-e", "-2"), ("--clip-norm", "nan"),
+        ("--learning-rate", "nan"), ("--rho", "nan"), ("--clip-norm", "inf"),
+    ])
+    def test_bad_training_field_exits_1_naming_it(
+            self, tmp_path, corpus_file, capsys, flag, value):
+        out = tmp_path / "o"
+        assert cli.run(["train", "--corpus", corpus_file, "--out", str(out)]
+                       + FAST + [flag, value]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and flag[2:].replace("-", "_") in err
+        assert not out.exists()
+
+    def test_probe_top_m_below_one_exits_1(self, trained, capsys):
+        token = data.Vocabulary.load(trained / "vocab.txt").id_to_token[2]
+        assert cli.run(["probe", "--checkpoint", str(trained / "best.ckpt"),
+                        "--vocab", str(trained / "vocab.txt"),
+                        "--tokens", token, "--top-m", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "top_m" in captured.err
+
+    def test_curves_negative_xmax_exits_1_for_a_squared_distance(
+            self, tmp_path, capsys):
+        assert cli.run(["curves", "--kernels", "rbf", "--xmax", "-3",
+                        "--out", str(tmp_path / "c")]) == 1
+        assert "error: rbf" in capsys.readouterr().err
+
     def test_unknown_flag(self, capsys):
         assert cli.run(["train", "--nonsense"]) == 1
 
@@ -248,6 +275,21 @@ class TestGrid:
             for name, value in fields.items():
                 got = getattr(config, name)
                 assert got == value and type(got) is type(value), (name, got)
+
+
+    def test_a_point_can_be_probed_and_evaluated(self, tmp_path, corpus_file,
+                                                 capsys):
+        out = tmp_path / "grid"
+        assert cli.run(["grid", "--corpus", corpus_file, "--out", str(out),
+                        "--kernels", "lin pow", "--grid", "rho=0.1"] + FAST) == 0
+        token = data.Vocabulary.load(out / "vocab.txt").id_to_token[2]
+        ckpt = str(out / "point_000" / "best.ckpt")
+        assert cli.run(["probe", "--checkpoint", ckpt, "--vocab",
+                        str(out / "vocab.txt"), "--tokens", token,
+                        "--contexts", token]) == 0
+        assert cli.run(["eval", "--checkpoint", ckpt, "--config",
+                        str(out / "effective_config.ini")]) == 0
+        assert f"query: {token}" in capsys.readouterr().out
 
 
 class TestOtherSubcommands:

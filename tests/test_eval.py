@@ -1,9 +1,10 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from ksoftmax import data, eval as eval_mod, kernels, training
+from ksoftmax import data, encoder, eval as eval_mod, kernels, output_layer, training
 from ksoftmax.errors import TargetOutOfRange
 from ksoftmax.kernels import KernelSpec
 from ksoftmax.training import TrainConfig, init_state
@@ -52,6 +53,39 @@ class TestPerplexity:
     def test_target_outside_vocabulary_rejected(self):
         with pytest.raises(TargetOutOfRange):
             eval_mod.perplexity(make_state(V=10), [[2, 3, 15]])
+
+
+    def test_no_cache_outlives_its_batch(self, monkeypatch):
+        # at each _forward call, count the caches of earlier batches still alive
+        state = make_state(V=10, components=(KernelSpec("lin"), KernelSpec("pow")))
+        refs, live = [], []
+        forward = output_layer._forward
+
+        def spy(*args):
+            live.append(sum(ref() is not None for ref in refs))
+            cache = forward(*args)
+            refs.append(weakref.ref(cache))
+            return cache
+
+        monkeypatch.setattr(output_layer, "_forward", spy)
+        monkeypatch.setattr(eval_mod, "EVAL_BATCH", 4)
+        eval_mod.mean_nll_and_pi(state, [[2, 3, 4, 5, 6, 7, 8, 9, 2, 3]] * 2)
+        assert live == [0] * 5
+
+    @pytest.mark.parametrize("across", [False, True])
+    def test_pi_variance_is_the_regularized_one(self, across):
+        # the third value is _pi_variance over every position, in the mode
+        # the loss regularizes, however the positions are batched
+        state = make_state(V=10, components=(KernelSpec("lin"), KernelSpec("pow")),
+                           seed=4, reg_across_data=across)
+        state.out.M *= 20.0
+        sentences = [[2, 3, 4, 5, 6], [7, 8, 9]] * 120
+        windows, _ = data.make_examples(sentences, state.config.n)
+        H, _ = encoder.encode(state.enc, windows)
+        pi = output_layer.mixture_weights(state.out.M, H)
+        _, _, pi_var = eval_mod.mean_nll_and_pi(state, sentences)
+        assert len(windows) > eval_mod.EVAL_BATCH
+        assert pi_var == pytest.approx(output_layer._pi_variance(pi, across), rel=1e-12)
 
 
 class TestUnigramBaseline:
@@ -111,6 +145,19 @@ class TestCurves:
             s, _ = kernels.radial_profile(KernelSpec(kind), xs)
             assert np.argmax(s) == 0, kind
 
+    @pytest.mark.parametrize("kind", ["rbf", "pow", "ssg", "hpb"])
+    def test_negative_range_rejected_for_squared_distances(self, kind, tmp_path):
+        with pytest.raises(ValueError, match=kind):
+            eval_mod.emit_kernel_curves([KernelSpec("lin"), KernelSpec(kind)],
+                                        -3.0, 5, tmp_path)
+        assert not tmp_path.joinpath("curve_lin.csv").exists()
+
+    def test_negative_range_kept_for_dot_products(self, tmp_path):
+        specs = [KernelSpec("lin"), KernelSpec("pol", p=3)]
+        paths = eval_mod.emit_kernel_curves(specs, -3.0, 5, tmp_path)
+        rows = open(paths[0]).read().splitlines()
+        assert [float(r.split(",")[0]) for r in rows[1:]] == [0.0, -0.75, -1.5, -2.25, -3.0]
+
     def test_determinism(self, tmp_path):
         spec = [KernelSpec("rbf")]
         eval_mod.emit_kernel_curves(spec, 10.0, 20, tmp_path / "a")
@@ -160,6 +207,12 @@ class TestProbe:
         assert "query: t1" in text and "pi:" in text
         tsv = report.to_tsv()
         assert tsv.count("neighbor\t") == 4
+
+    @pytest.mark.parametrize("top_m", [0, -1])
+    def test_top_m_below_one_rejected(self, top_m):
+        with pytest.raises(ValueError, match="top_m"):
+            eval_mod.disambiguation_probe(make_state(V=10), self.make_vocab(10),
+                                          ["t1"], top_m=top_m)
 
     def test_unknown_query_rejected(self):
         state = make_state(V=10)

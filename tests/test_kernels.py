@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -325,6 +326,19 @@ class TestBatchLogits:
         dW, dH, _, _ = kernels.backward_logits(KernelSpec("rbf", gamma=1.0), cache,
                                                np.array([[0.0, 1.0]]))
         assert not dW.any() and not dH.any()
+
+    @pytest.mark.parametrize("kind", kernels.KINDS)
+    def test_cache_holds_no_reference_to_the_logits(self, kind):
+        rng = np.random.default_rng(13)
+        spec = KernelSpec(kind)
+        W = rng.normal(size=(4, 6)) * 0.1
+        H = rng.normal(size=(3, 4)) * 0.1
+        shape = kernels.variance_shape(spec)
+        gauss = (np.zeros((6,) + shape), np.zeros(shape)) if shape is not None else ()
+        L, cache = kernels.forward_logits(spec, W, H, *gauss)
+        ref = weakref.ref(L)
+        del L
+        assert ref() is None, sorted(cache)
 
     def test_hpb_raises_outside_ball(self):
         W = np.array([[2.0, 0.0], [0.0, 0.2]])
