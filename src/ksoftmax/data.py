@@ -9,6 +9,7 @@ public-domain text at desk scale.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -121,16 +122,13 @@ def prepare_corpus(lines: Sequence[str], max_size: int, min_count: int = 1,
 def make_examples(sentences: Sequence[Sequence[int]], n: int):
     """All (window, target) pairs: every token of every sentence is a target
     exactly once, contexts left-padded with BOS."""
-    windows = []
-    targets = []
-    for sent in sentences:
-        padded = [BOS_ID] * n + list(sent)
-        for i, tok in enumerate(sent):
-            windows.append(padded[i:i + n])
-            targets.append(tok)
-    if not targets:
-        return np.zeros((0, n), dtype=np.int64), np.zeros(0, dtype=np.int64)
-    return np.asarray(windows, dtype=np.int64), np.asarray(targets, dtype=np.int64)
+    lengths = [len(s) for s in sentences]
+    targets = np.fromiter(itertools.chain.from_iterable(sentences), np.int64, sum(lengths))
+    # each sentence follows n BOS ids; a target's window is the n ids before it
+    at = np.arange(len(targets)) + n * np.repeat(np.arange(1, len(lengths) + 1), lengths)
+    padded = np.full(len(targets) + n * len(lengths), BOS_ID, dtype=np.int64)
+    padded[at] = targets
+    return padded[at[:, None] + np.arange(-n, 0)], targets
 
 
 def batch_windows(sentences: Sequence[Sequence[int]], n: int, batch_size: int,

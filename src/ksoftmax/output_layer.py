@@ -26,6 +26,15 @@ from . import kernels
 from .errors import DimensionMismatch, NonFiniteScore, TargetOutOfRange
 
 
+def check_components(components):
+    """The component rules of MixtureConfig and TrainConfig alike: at least
+    one, and one num_gauss for every mog (they share a word variance array)."""
+    if not components:
+        raise ValueError("at least one mixture component is required")
+    if len({s for s in map(kernels.variance_shape, components) if s}) > 1:
+        raise ValueError("all mog components must share num_gauss")
+
+
 @dataclass(frozen=True)
 class MixtureConfig:
     components: tuple
@@ -35,13 +44,10 @@ class MixtureConfig:
     reg_across_data: bool = False
 
     def __post_init__(self):
-        if len(self.components) < 1:
-            raise ValueError("need at least one mixture component")
-        if self.rho < 0:
-            raise ValueError("rho must be nonnegative")
         object.__setattr__(self, "components", tuple(self.components))
-        if len({s for s in self.variance_shapes if s}) > 1:
-            raise ValueError("all mog components must share num_gauss")
+        check_components(self.components)
+        if not (math.isfinite(self.rho) and self.rho >= 0):
+            raise ValueError(f"rho must be finite and >= 0, got {self.rho}")
 
     @property
     def K(self) -> int:

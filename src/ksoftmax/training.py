@@ -53,8 +53,8 @@ class TrainConfig:
     reg_across_data: bool = False
 
     def __post_init__(self):
-        if not self.components:
-            raise ValueError("at least one mixture component is required")
+        object.__setattr__(self, "components", tuple(self.components))
+        output_layer.check_components(self.components)
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         for name in ("n", "d", "d_e", "batch_size", "max_epochs", "patience"):
@@ -66,7 +66,6 @@ class TrainConfig:
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if self.clip_norm == 0:
             raise ValueError("clip_norm must be > 0")
-        object.__setattr__(self, "components", tuple(self.components))
 
     @property
     def de(self) -> int:
@@ -211,39 +210,30 @@ def train_step(state: TrainState, windows: np.ndarray, targets: np.ndarray):
 
 def _epoch_steps(state: TrainState, split: data_mod.CorpusSplit):
     """Run train_step on each training batch left in ``state.epoch`` from
-    ``state.step_in_epoch`` on, yielding each step's (loss, reg_term).
-
-    After the epoch's last batch ``state`` moves to the start of the next
-    epoch. A step's result is yielded only once the next batch exists or
-    that move is made, so a caller that stops after any step leaves
-    ``state`` where ``train`` would be at that step.
-    """
+    ``state.step_in_epoch`` on, yielding each step's (loss, reg_term). The
+    step that takes the epoch's last batch also moves ``state`` to the start
+    of the next epoch, before its result is yielded."""
     cfg = state.config
-    result = None
+    batches = data_mod.num_batches(split.train, cfg.batch_size)
+    if state.step_in_epoch >= batches:
+        raise KsoftmaxError("empty training split" if batches == 0 else
+                            f"step_in_epoch {state.step_in_epoch} is past the "
+                            f"last of the epoch's {batches} batches")
     for windows, targets in data_mod.batch_windows(
             split.train, cfg.n, cfg.batch_size, cfg.seed,
             epoch=state.epoch, start_batch=state.step_in_epoch):
-        if result is not None:
-            yield result
         result = train_step(state, windows, targets)
-    state.epoch += 1
-    state.step_in_epoch = 0
-    if result is not None:
+        if state.step_in_epoch == batches:
+            state.epoch += 1
+            state.step_in_epoch = 0
         yield result
 
 
 def train_steps(state: TrainState, split: data_mod.CorpusSplit, num_steps: int):
     """Advance exactly num_steps batches, crossing epoch boundaries as
     needed (no dev evaluation, no early stopping)."""
-    def steps():
-        while True:
-            whole_epoch = state.step_in_epoch == 0
-            first = state.step
-            yield from _epoch_steps(state, split)
-            if whole_epoch and state.step == first:
-                raise KsoftmaxError("empty training split")
-
-    for _ in itertools.islice(steps(), num_steps):
+    epochs = (_epoch_steps(state, split) for _ in itertools.count())
+    for _ in itertools.islice(itertools.chain.from_iterable(epochs), num_steps):
         pass
     return state
 
@@ -296,8 +286,7 @@ def train(config: TrainConfig, split: data_mod.CorpusSplit, V: int,
     bad_epochs = 0
     try:
         while state.epoch < limit:
-            losses = list(_epoch_steps(state, split))
-            train_loss = float(np.mean([l for l, _ in losses])) if losses else math.nan
+            train_loss = float(np.mean([l for l, _ in _epoch_steps(state, split)]))
             nll, pi_mean, pi_var = eval_mod.mean_nll_and_pi(state, split.dev)
             try:
                 dev_ppl = math.exp(nll)
@@ -306,7 +295,7 @@ def train(config: TrainConfig, split: data_mod.CorpusSplit, V: int,
             reg_term = cfg.rho * pi_var
             row = {"epoch": state.epoch, "train_loss": train_loss,
                    "dev_ppl": dev_ppl, "pi_mean": pi_mean.tolist(),
-                   "reg_term": reg_term}
+                   "pi_var": pi_var, "reg_term": reg_term}
             metrics.append(row)
             if writer is not None:
                 writer.writerow(_metrics_row(state.epoch, train_loss, dev_ppl,
@@ -332,7 +321,10 @@ def train(config: TrainConfig, split: data_mod.CorpusSplit, V: int,
         if metrics_file is not None:
             metrics_file.close()
     if best_state is None:
+        # no epoch improved on the best so far; an earlier best.ckpt stays
         best_state = copy.deepcopy(state)
+        if out_dir is not None and not os.path.exists(os.path.join(out_dir, "best.ckpt")):
+            save_checkpoint(best_state, os.path.join(out_dir, "best.ckpt"))
     return best_state, metrics
 
 
@@ -447,8 +439,8 @@ def _run_grid_point(args):
     config, split, V, point_dir = args
     try:
         best, metrics = train(config, split, V, out_dir=point_dir)
-        _, _, pi_var = eval_mod.mean_nll_and_pi(best, split.dev)
-        return {"dev_ppl": best.best_dev_ppl, "pi_var_mean": pi_var,
+        row = next(r for r in metrics if r["epoch"] == best.epoch)
+        return {"dev_ppl": best.best_dev_ppl, "pi_var_mean": row["pi_var"],
                 "diverged": False}
     except DivergenceDetected as e:
         return {"dev_ppl": math.inf, "pi_var_mean": math.nan,

@@ -223,6 +223,15 @@ class TestValidationErrors:
         assert "error:" in err and flag[2:].replace("-", "_") in err
         assert not out.exists()
 
+    def test_mog_components_with_different_num_gauss_exit_1_before_training(
+            self, tmp_path, corpus_file, capsys):
+        out = tmp_path / "o"
+        assert cli.run(["train", "--corpus", corpus_file, "--out", str(out),
+                        "--kernels", "mog(num_gauss=2) mog(num_gauss=3)"]
+                       + FAST) == 1
+        assert "num_gauss" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_probe_top_m_below_one_exits_1(self, trained, capsys):
         token = data.Vocabulary.load(trained / "vocab.txt").id_to_token[2]
         assert cli.run(["probe", "--checkpoint", str(trained / "best.ckpt"),

@@ -157,6 +157,29 @@ class TestWindows:
         assert len(batches) == data.num_batches(sentences, batch_size)
 
 
+class TestExampleArrays:
+    """make_examples against arrays written out by hand."""
+
+    @staticmethod
+    def check(sentences, n, windows, targets):
+        got_w, got_t = data.make_examples(sentences, n)
+        assert got_w.dtype == got_t.dtype == np.int64
+        assert got_w.shape == (len(targets), n) and got_t.shape == (len(targets),)
+        assert got_w.tolist() == windows and got_t.tolist() == targets
+
+    def test_empty_sentences_mixed_in(self):
+        self.check([[], [4, 5], [], [], [6], []], 2,
+                   [[BOS_ID, BOS_ID], [BOS_ID, 4], [BOS_ID, BOS_ID]], [4, 5, 6])
+
+    def test_window_longer_than_a_sentence(self):
+        self.check([[7, 8], [9]], 4,
+                   [[BOS_ID] * 4, [BOS_ID] * 3 + [7], [BOS_ID] * 4], [7, 8, 9])
+
+    @pytest.mark.parametrize("sentences", [[], [[]], [[], []]])
+    def test_no_targets(self, sentences):
+        self.check(sentences, 3, [], [])
+
+
 class TestGenerators:
     def test_zipf_deterministic(self):
         a = data.generate_zipf(50, 2000, seed=4)

@@ -19,6 +19,18 @@ def make(components, d=4, V=7, rho=0.0, seed=0, **kw):
     return config, params
 
 
+class TestMixtureConfig:
+    @pytest.mark.parametrize("rho", [math.nan, math.inf, -1.0])
+    def test_rejects_a_rho_that_is_not_finite_and_nonnegative(self, rho):
+        with pytest.raises(ValueError, match="rho"):
+            MixtureConfig(components=(KernelSpec("lin"),), d=4, V=7, rho=rho)
+
+    def test_rejects_mog_components_with_different_num_gauss(self):
+        with pytest.raises(ValueError, match="num_gauss"):
+            MixtureConfig(components=(KernelSpec("mog", num_gauss=2),
+                                      KernelSpec("mog", num_gauss=3)), d=4, V=7)
+
+
 class TestMixtureWeights:
     def test_single_component_is_degenerate(self):
         pi = output_layer.mixture_weights(None, np.random.normal(size=(3, 4)))

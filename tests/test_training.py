@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ksoftmax import data, training
+from ksoftmax import eval as eval_mod
 from ksoftmax.errors import DivergenceDetected, KsoftmaxError
 from ksoftmax.kernels import KernelSpec
 from ksoftmax.training import (TrainConfig, clip_gradients, grid_search,
@@ -295,6 +296,67 @@ class TestBatchStream:
             train_steps(init_state(make_config(), V), split, 1)
 
 
+class TestEpochRollover:
+    def test_state_is_current_at_every_yield(self):
+        split = toy_split()
+        state = init_state(make_config(), V)
+        nb = data.num_batches(split.train, state.config.batch_size)
+        seen = []
+        for _ in range(2):
+            for _ in training._epoch_steps(state, split):
+                seen.append((state.epoch, state.step, state.step_in_epoch))
+        # step i of epoch e is seen before step i + 1 runs; the epoch's last
+        # step is seen with the state already at the next epoch's start
+        assert seen == [(e + (i == nb), e * nb + i, i % nb)
+                        for e in range(2) for i in range(1, nb + 1)]
+
+    @pytest.mark.parametrize("sentences", [[], [[], []]])
+    def test_train_on_an_empty_split_is_an_error(self, sentences, tmp_path):
+        split = dataclasses.replace(toy_split(), train=sentences)
+        with pytest.raises(KsoftmaxError, match="empty training split"):
+            train(make_config(), split, V, out_dir=tmp_path)
+
+    def test_a_state_past_the_last_batch_is_an_error(self):
+        split = toy_split()
+        state = init_state(make_config(), V)
+        state.step_in_epoch = data.num_batches(split.train, state.config.batch_size)
+        with pytest.raises(KsoftmaxError, match="past the last"):
+            train_steps(state, split, 1)
+
+
+class TestBestCheckpoint:
+    @staticmethod
+    def overflowing_dev(monkeypatch):
+        real = eval_mod.mean_nll_and_pi
+
+        def overflow(state, sentences):
+            _, pi_mean, pi_var = real(state, sentences)
+            return 1e6, pi_mean, pi_var
+        monkeypatch.setattr(eval_mod, "mean_nll_and_pi", overflow)
+
+    def test_run_with_no_finite_dev_ppl_leaves_one(self, tmp_path, monkeypatch):
+        self.overflowing_dev(monkeypatch)
+        best, metrics = train(make_config(max_epochs=3), toy_split(), V,
+                              out_dir=tmp_path)
+        assert [r["dev_ppl"] for r in metrics] == [math.inf] * 3
+        loaded = load_checkpoint(tmp_path / "best.ckpt")
+        assert (loaded.epoch, loaded.step, loaded.best_dev_ppl) == (
+            best.epoch, best.step, best.best_dev_ppl)
+        for (name, a), (_, b) in zip(named_tensors(loaded), named_tensors(best)):
+            assert np.array_equal(a, b), name
+
+    def test_resume_that_never_improves_keeps_the_earlier_one(
+            self, tmp_path, monkeypatch):
+        split = toy_split()
+        train(make_config(max_epochs=1), split, V, out_dir=tmp_path)
+        before = (tmp_path / "best.ckpt").read_bytes()
+        self.overflowing_dev(monkeypatch)
+        train(make_config(), split, V, out_dir=tmp_path, max_epochs=2,
+              state=load_checkpoint(tmp_path / "last.ckpt"))
+        assert load_checkpoint(tmp_path / "last.ckpt").epoch == 2
+        assert (tmp_path / "best.ckpt").read_bytes() == before
+
+
 class TestGridSearch:
     def test_singleton_grid(self, tmp_path):
         split = toy_split()
@@ -328,6 +390,25 @@ class TestGridSearch:
         assert ((tmp_path / "two" / "grid_results.csv").read_bytes()
                 == (tmp_path / "one" / "grid_results.csv").read_bytes())
 
+    def test_point_scores_dev_once_per_epoch(self, tmp_path, monkeypatch):
+        split = toy_split()
+        real = eval_mod.mean_nll_and_pi
+        calls = []
+
+        def spy(state, sentences):
+            calls.append(sentences is split.dev)
+            return real(state, sentences)
+        monkeypatch.setattr(eval_mod, "mean_nll_and_pi", spy)
+        config = make_config(max_epochs=3, patience=10,
+                             components=(KernelSpec("lin"), KernelSpec("pow")))
+        results = grid_search(config, {"learning_rate": [1e-2]}, split, V,
+                              out_dir=tmp_path)
+        assert calls == [True] * 3
+        best = load_checkpoint(tmp_path / "point_000" / "best.ckpt")
+        _, _, pi_var = real(best, split.dev)
+        assert pi_var > 0
+        assert float(results[0]["pi_var_mean"]).hex() == float(pi_var).hex()
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             grid_search(make_config(), {}, toy_split(), V)
@@ -341,6 +422,13 @@ class TestConfigValidation:
             make_config(optimizer="rmsprop")
         with pytest.raises(ValueError):
             make_config(components=())
+
+    def test_rejects_mog_components_with_different_num_gauss(self):
+        with pytest.raises(ValueError, match="num_gauss"):
+            make_config(components=(KernelSpec("mog", num_gauss=2),
+                                    KernelSpec("mog", num_gauss=3)))
+        make_config(components=(KernelSpec("mog", num_gauss=2), KernelSpec("ssg"),
+                                KernelSpec("mog", num_gauss=2)))
 
     def test_round_trips_through_dict(self):
         config = make_config(components=(KernelSpec("mog", num_gauss=3),
