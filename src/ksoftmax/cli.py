@@ -164,14 +164,7 @@ def _echo_config(values: dict, path):
         parser.write(f)
 
 
-def _train_config_from(values: dict) -> training.TrainConfig:
-    fields = {f.name for f in dataclasses.fields(training.TrainConfig)}
-    try:
-        return training.TrainConfig(
-            components=parse_kernel_list(values["kernels"]),
-            **{key: val for key, val in values.items() if key in fields})
-    except ValueError as e:
-        raise KsoftmaxError(str(e))
+_TRAIN_FIELDS = {f.name for f in dataclasses.fields(training.TrainConfig)}
 
 
 def _load_corpus(values: dict):
@@ -185,34 +178,36 @@ def _load_corpus(values: dict):
         lowercase=values["lowercase"])
 
 
-def _open_log(out_dir):
-    path = os.path.join(out_dir, "run.log")
-    f = open(path, "a", encoding="utf-8")
-    # the only timestamped line in any artifact
-    f.write(f"# started {datetime.datetime.now().isoformat()}\n")
-    return f
-
-
-def cmd_train(args) -> int:
+def _start_run(args):
+    """(TrainConfig, vocabulary, split) of train's or grid's options, once
+    the effective config and the vocabulary are written to ``args.out``."""
     values = _effective_config(args)
-    config = _train_config_from(values)
+    config = training.TrainConfig(
+        components=parse_kernel_list(values["kernels"]),
+        **{key: val for key, val in values.items() if key in _TRAIN_FIELDS})
     vocab, split = _load_corpus(values)
+    # eval finds the corpus from this file, from any working directory
+    values["corpus"] = os.path.abspath(values["corpus"])
     os.makedirs(args.out, exist_ok=True)
     _echo_config(values, os.path.join(args.out, "effective_config.ini"))
     vocab.save(os.path.join(args.out, "vocab.txt"))
-    log = _open_log(args.out)
-    try:
-        best, metrics = training.train(config, split, vocab.V, out_dir=args.out)
-    except DivergenceDetected as e:
-        log.write(f"diverged: {e}\n")
-        log.close()
-        print(f"diverged: {e}", file=sys.stderr)
-        return EXIT_DIVERGENCE
-    for row in metrics:
-        log.write(f"epoch {row['epoch']} train_loss {row['train_loss']:.6g} "
-                  f"dev_ppl {row['dev_ppl']:.6g}\n")
-    log.write(f"best_dev_ppl {best.best_dev_ppl:.6g}\n")
-    log.close()
+    return config, vocab, split
+
+
+def cmd_train(args) -> int:
+    config, vocab, split = _start_run(args)
+    with open(os.path.join(args.out, "run.log"), "a", encoding="utf-8") as log:
+        # the only timestamped line in any artifact
+        log.write(f"# started {datetime.datetime.now().isoformat()}\n")
+        try:
+            best, metrics = training.train(config, split, vocab.V, out_dir=args.out)
+        except DivergenceDetected as e:
+            log.write(f"diverged: {e}\n")
+            raise
+        for row in metrics:
+            log.write(f"epoch {row['epoch']} train_loss {row['train_loss']:.6g} "
+                      f"dev_ppl {row['dev_ppl']:.6g}\n")
+        log.write(f"best_dev_ppl {best.best_dev_ppl:.6g}\n")
     print(f"best dev ppl {best.best_dev_ppl:.6g}")
     return EXIT_OK
 
@@ -243,14 +238,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    values = _effective_config(args)
-    base = _train_config_from(values)
-    vocab, split = _load_corpus(values)
     grid = {}
     for item in args.grid.split(";"):
         name, _, vals = item.partition("=")
         name = name.strip()
-        if name not in {f.name for f in dataclasses.fields(base)}:
+        if name not in _TRAIN_FIELDS:
             raise KsoftmaxError(f"unknown grid field {name!r}")
         if name == "components":
             grid[name] = [parse_kernel_list(v) for v in vals.split("|")]
@@ -259,9 +251,7 @@ def cmd_grid(args) -> int:
             grid[name] = [_parse_value(name, v) for v in vals.split(",")]
         except ValueError as e:
             raise KsoftmaxError(f"bad grid value for {name!r}: {e}")
-    os.makedirs(args.out, exist_ok=True)
-    _echo_config(values, os.path.join(args.out, "effective_config.ini"))
-    vocab.save(os.path.join(args.out, "vocab.txt"))
+    base, vocab, split = _start_run(args)
     results = training.grid_search(base, grid, split, vocab.V,
                                    out_dir=args.out, jobs=args.jobs)
     for row in results:
@@ -278,8 +268,6 @@ def cmd_gradcheck(args) -> int:
     dims = tuple(int(x) for x in args.dims.split(","))
     ok = True
     for kind in kinds:
-        if kind not in KINDS:
-            raise KsoftmaxError(f"unknown kernel kind {kind!r}")
         failures = gradcheck.check_kernel(kind, dims=dims, trials=args.trials,
                                           seed=args.seed or 0)
         status = "pass" if not failures else f"FAIL ({len(failures)} mismatches)"

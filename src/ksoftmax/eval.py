@@ -33,7 +33,7 @@ def mean_nll_and_pi(state, sentences):
     pis = []
     count = len(targets)
     if count == 0:
-        raise ValueError("empty split")
+        raise KsoftmaxError("empty split: no target positions to score")
     for lo in range(0, count, EVAL_BATCH):
         rows = slice(lo, lo + EVAL_BATCH)
         H, _ = encoder_mod.encode(state.enc, windows[rows])
@@ -49,7 +49,11 @@ def mean_nll_and_pi(state, sentences):
 def perplexity(state, sentences) -> float:
     """exp of the mean negative log posterior of the training.TrainState
     ``state`` over all target positions."""
-    nll, _, _ = mean_nll_and_pi(state, sentences)
+    return ppl_of_nll(mean_nll_and_pi(state, sentences)[0])
+
+
+def ppl_of_nll(nll: float) -> float:
+    """exp(nll), or inf where that overflows a float."""
     try:
         return math.exp(nll)
     except OverflowError:

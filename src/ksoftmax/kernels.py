@@ -25,6 +25,7 @@ w - h, an independent distance computation.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -55,7 +56,8 @@ class KernelSpec:
 
     ``alpha`` and ``gamma`` default to None, meaning 1/d resolved against
     the vector dimension at evaluation time (1 when no dimension applies,
-    e.g. radial curve emission).
+    e.g. radial curve emission). A field the kind does not read (see
+    ``Kernel.fields``) must keep its default.
     """
 
     kind: str
@@ -71,6 +73,11 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in KERNELS:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
+        for f in dataclasses.fields(self):
+            if (f.name not in ("kind", *KERNELS[self.kind].fields)
+                    and getattr(self, f.name) != f.default):
+                raise ValueError(f"{self.kind} does not read kernel field "
+                                 f"{f.name!r}, set to {getattr(self, f.name)!r}")
         if self.kind in ("log", "pow", "pol"):
             if not self.p > 0:
                 raise ValueError(f"{self.kind}: p must be positive, got {self.p}")

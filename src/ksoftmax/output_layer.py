@@ -120,6 +120,7 @@ class ForwardCache:
     pi: np.ndarray            # B x K
     log_pi: np.ndarray        # B x K
     lsm: np.ndarray           # K x B x V, per-component log-softmax
+    targets: Optional[np.ndarray]        # B target ids; None without
     log_posterior: Optional[np.ndarray]  # B, at the targets; None without
     h_tilde: list             # K tanh outputs (or H itself when K = 1)
     kernel_caches: list       # per component, what backward_logits reads
@@ -208,7 +209,7 @@ def _forward(config: MixtureConfig, params: OutputParams, H: np.ndarray,
     log_post = None
     if targets is not None:
         log_post = _log_mix(log_pi.T, lsm[:, np.arange(B), targets])
-    return ForwardCache(H=H, pi=pi, log_pi=log_pi, lsm=lsm,
+    return ForwardCache(H=H, pi=pi, log_pi=log_pi, lsm=lsm, targets=targets,
                         log_posterior=log_post, h_tilde=h_tilde,
                         kernel_caches=caches)
 
@@ -243,23 +244,22 @@ def loss(config: MixtureConfig, params: OutputParams, H: np.ndarray,
     return ce + reg, cache
 
 
-def backward(config: MixtureConfig, params: OutputParams, cache: ForwardCache,
-             targets: np.ndarray) -> tuple:
-    """Analytic gradients of loss(): (an OutputParams holding the gradient
-    of every output-layer tensor, dL/dH for the encoder)."""
-    targets = np.asarray(targets)
+def backward(config: MixtureConfig, params: OutputParams,
+             cache: ForwardCache) -> tuple:
+    """Analytic gradients of loss() at the cached targets: (an OutputParams
+    of the gradient of every output-layer tensor, dL/dH for the encoder)."""
     H = cache.H
     B, d = H.shape
     K = config.K
     rows = np.arange(B)
 
     # responsibilities at the target: q[b,k] = pi_k p_k(t) / p(t)
-    lsm_t = cache.lsm[:, rows, targets].T        # B x K
+    lsm_t = cache.lsm[:, rows, cache.targets].T  # B x K
     q = np.exp(cache.log_pi + lsm_t - cache.log_posterior[:, None])
 
     dW = np.zeros_like(params.W)
     dH = np.zeros((B, d))
-    dM = np.zeros_like(params.M) if params.M is not None else None
+    dM = None
     dC = np.zeros_like(params.C) if params.C is not None else None
     d_wlv = np.zeros_like(params.word_log_vars) if params.word_log_vars is not None else None
     d_clv = ([np.zeros_like(v) if v is not None else None
@@ -269,7 +269,7 @@ def backward(config: MixtureConfig, params: OutputParams, cache: ForwardCache,
     for k, spec in enumerate(config.components):
         pk = np.exp(cache.lsm[k])  # B x V
         dL = (q[:, k:k + 1] / B) * pk
-        dL[rows, targets] -= q[:, k] / B
+        dL[rows, cache.targets] -= q[:, k] / B
         dWk, dHk, dwlv_k, dclv_k = kernels.backward_logits(
             spec, cache.kernel_caches[k], dL)
         dW += dWk

@@ -89,7 +89,6 @@ class TrainState:
     out: OutputParams
     opt_m: dict
     opt_v: dict
-    opt_t: int
     epoch: int
     step: int
     step_in_epoch: int
@@ -120,7 +119,7 @@ def init_state(config: TrainConfig, V: int) -> TrainState:
     enc = encoder_mod.init_encoder_params(V, config.n, config.d, config.de, rng)
     out = output_layer.init_output_params(mixture, rng)
     state = TrainState(config=config, mixture=mixture, enc=enc, out=out,
-                       opt_m={}, opt_v={}, opt_t=0, epoch=0, step=0,
+                       opt_m={}, opt_v={}, epoch=0, step=0,
                        step_in_epoch=0, best_dev_ppl=math.inf)
     if config.optimizer == "adam":
         for name, arr in named_tensors(state):
@@ -147,9 +146,8 @@ def _apply_update(state: TrainState, grads: dict):
         for name, arr in named_tensors(state):
             arr -= lr * grads[name]
     else:
-        state.opt_t += 1
         b1, b2, eps = 0.9, 0.999, 1e-8
-        t = state.opt_t
+        t = state.step + 1
         for name, arr in named_tensors(state):
             g = grads[name]
             m = state.opt_m[name]
@@ -182,7 +180,7 @@ def loss_and_grads(state: TrainState, windows: np.ndarray,
     if not math.isfinite(loss_val):
         raise DivergenceDetected(
             f"non-finite loss at step {state.step}", step=state.step)
-    out_grads, dH = output_layer.backward(state.mixture, state.out, cache, targets)
+    out_grads, dH = output_layer.backward(state.mixture, state.out, cache)
     enc_grads = encoder_mod.encode_backward(state.enc, enc_cache, dH)
     grads = dict(_named(enc_grads, out_grads))
     for name, g in grads.items():
@@ -258,8 +256,10 @@ def train(config: TrainConfig, split: data_mod.CorpusSplit, V: int,
     row dicts and best_state is the checkpoint with the lowest dev PPL.
     Writes metrics.csv, best.ckpt and last.ckpt under out_dir when given.
     On divergence the last finite checkpoint is saved before the error
-    propagates.
+    propagates. An empty dev split raises KsoftmaxError before any step.
     """
+    if not sum(map(len, split.dev)):
+        raise KsoftmaxError("empty dev split: there is nothing to score after an epoch")
     if state is None:
         state = init_state(config, V)
     cfg = state.config
@@ -288,10 +288,7 @@ def train(config: TrainConfig, split: data_mod.CorpusSplit, V: int,
         while state.epoch < limit:
             train_loss = float(np.mean([l for l, _ in _epoch_steps(state, split)]))
             nll, pi_mean, pi_var = eval_mod.mean_nll_and_pi(state, split.dev)
-            try:
-                dev_ppl = math.exp(nll)
-            except OverflowError:
-                dev_ppl = math.inf
+            dev_ppl = eval_mod.ppl_of_nll(nll)
             reg_term = cfg.rho * pi_var
             row = {"epoch": state.epoch, "train_loss": train_loss,
                    "dev_ppl": dev_ppl, "pi_mean": pi_mean.tolist(),
@@ -344,6 +341,11 @@ def _checkpoint_tensors(state: TrainState) -> list:
     return tensors + slot_tensors
 
 
+def _adam_t(state: TrainState) -> int:
+    """Adam's update count: one per step under Adam, none under SGD."""
+    return state.step if state.config.optimizer == "adam" else 0
+
+
 def save_checkpoint(state: TrainState, path):
     """Write ``state`` to ``path`` atomically: a crash mid-write leaves any
     previous file at ``path`` intact."""
@@ -355,7 +357,7 @@ def save_checkpoint(state: TrainState, path):
     header.write(f"epoch {state.epoch}\n")
     header.write(f"step {state.step}\n")
     header.write(f"step_in_epoch {state.step_in_epoch}\n")
-    header.write(f"adam_t {state.opt_t}\n")
+    header.write(f"adam_t {_adam_t(state)}\n")
     header.write(f"best_dev_ppl {state.best_dev_ppl!r}\n")
     for name, arr in all_tensors:
         shape = " ".join(str(s) for s in np.asarray(arr).shape)
@@ -423,11 +425,16 @@ def _parse_checkpoint(blob: bytes) -> TrainState:
         arr[...] = np.frombuffer(body, dtype="<f8", count=count,
                                  offset=offset).reshape(arr.shape)
         offset += count * 8
-    state.epoch = int(fields["epoch"])
-    state.step = int(fields["step"])
-    state.step_in_epoch = int(fields["step_in_epoch"])
-    state.opt_t = int(fields["adam_t"])
+    for name in ("epoch", "step", "step_in_epoch"):
+        setattr(state, name, int(fields[name]))
+        if getattr(state, name) < 0:
+            raise CorruptCheckpoint(f"{name} {fields[name]} is negative")
     state.best_dev_ppl = float(fields["best_dev_ppl"])
+    if not state.best_dev_ppl > 0:
+        raise CorruptCheckpoint(f"best_dev_ppl {fields['best_dev_ppl']} is not > 0")
+    if int(fields["adam_t"]) != _adam_t(state):
+        raise CorruptCheckpoint(f"adam_t {fields['adam_t']} where {config.optimizer} "
+                                f"at step {state.step} gives {_adam_t(state)}")
     return state
 
 

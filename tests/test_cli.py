@@ -1,4 +1,5 @@
 import os
+import shutil
 import subprocess
 import sys
 
@@ -19,6 +20,17 @@ def corpus_file(tmp_path_factory):
 
 FAST = ["--n", "2", "--d", "4", "--batch-size", "16", "--max-epochs", "2",
         "--vocab-size", "20", "--seed", "0"]
+
+
+def run_process(argv, python_flags=()):
+    """``python -m ksoftmax argv`` in a new process, with this package's
+    source first on its path."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *python_flags, "-m", "ksoftmax", *argv],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path))
 
 
 class TestKernelListParsing:
@@ -103,6 +115,12 @@ class TestTrainEvalPipeline:
         assert "diverged" in capsys.readouterr().err
 
 
+def _set_header(field, value):
+    return lambda lines, body: (
+        [field + b" " + value if l.startswith(field + b" ") else l for l in lines],
+        body)
+
+
 # each corruption maps (header lines before "end", body) to a malformed pair
 CHECKPOINT_CORRUPTIONS = {
     "missing-tensor-line": lambda lines, body: (
@@ -114,6 +132,21 @@ CHECKPOINT_CORRUPTIONS = {
     "wrong-tensor-shape": lambda lines, body: (
         [b"tensor out.W 1" if l.startswith(b"tensor out.W ") else l for l in lines], body),
     "truncated-body": lambda lines, body: (lines, body[:-8]),
+    "negative-epoch": _set_header(b"epoch", b"-1"),
+    "negative-step": _set_header(b"step", b"-1"),
+    "negative-step-in-epoch": _set_header(b"step_in_epoch", b"-3"),
+    "nan-best-dev-ppl": _set_header(b"best_dev_ppl", b"nan"),
+    "zero-best-dev-ppl": _set_header(b"best_dev_ppl", b"0.0"),
+    "adam-t-disagrees-with-step": _set_header(b"adam_t", b"0"),
+    "unread-kernel-field": lambda lines, body: (
+        [l.replace(b'"a": 1.0', b'"a": 2.0') for l in lines], body),
+}
+# what a corruption's error must say about the field it broke
+CORRUPT_FIELDS = {
+    "negative-epoch": "epoch -1", "negative-step": "step -1",
+    "negative-step-in-epoch": "step_in_epoch -3",
+    "nan-best-dev-ppl": "best_dev_ppl nan", "zero-best-dev-ppl": "best_dev_ppl 0.0",
+    "adam-t-disagrees-with-step": "adam_t 0", "unread-kernel-field": "kernel field",
 }
 
 
@@ -137,6 +170,9 @@ class TestCorruptCheckpoint:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error:" in captured.err and corruption in captured.err
+        if corruption in CORRUPT_FIELDS:
+            message = captured.err.split(".ckpt: ", 1)[1]
+            assert CORRUPT_FIELDS[corruption] in message
 
 
 class TestVocabularyMismatch:
@@ -250,16 +286,35 @@ class TestValidationErrors:
         assert cli.run(["train", "--nonsense"]) == 1
 
     def test_missing_checkpoint_exits_1_as_a_process(self, tmp_path):
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "ksoftmax", "eval",
-             "--checkpoint", str(tmp_path / "missing.ckpt")],
-            capture_output=True, text=True, timeout=120,
-            env=dict(os.environ, PYTHONPATH=path))
+        proc = run_process(["eval", "--checkpoint", str(tmp_path / "missing.ckpt")])
         assert proc.returncode == 1, proc.stderr
         assert "Traceback" not in proc.stderr
         assert "missing.ckpt" in proc.stderr
+
+    def test_empty_dev_split_exits_1_before_training(self, tmp_path):
+        # five lines split 4/0/1 under the default fractions
+        corpus = tmp_path / "five.txt"
+        data.save_lines([f"w{i} w{i + 1} w{i + 2}" for i in range(5)], corpus)
+        out = tmp_path / "o"
+        proc = run_process(["train", "--corpus", str(corpus), "--out", str(out)]
+                           + FAST, python_flags=("-X", "dev"))
+        assert proc.returncode == 1, proc.stderr
+        assert "error: empty dev split" in proc.stderr
+        assert "ResourceWarning" not in proc.stderr
+        assert not (out / "metrics.csv").exists()
+
+    def test_eval_finds_the_corpus_from_another_directory(
+            self, tmp_path, corpus_file, capsys, monkeypatch):
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        shutil.copy(corpus_file, tmp_path / "a" / "corpus.txt")
+        monkeypatch.chdir(tmp_path / "a")
+        assert cli.run(["train", "--corpus", "corpus.txt", "--out", "run"] + FAST) == 0
+        assert cli.run(["eval", "--checkpoint", "run/best.ckpt"]) == 0
+        from_a = capsys.readouterr().out.splitlines()[-1]
+        monkeypatch.chdir(tmp_path / "b")
+        assert cli.run(["eval", "--checkpoint", "../a/run/best.ckpt"]) == 0
+        assert capsys.readouterr().out.splitlines() == [from_a]
 
 
 class TestGrid:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ksoftmax import data, encoder, eval as eval_mod, kernels, output_layer, training
-from ksoftmax.errors import TargetOutOfRange
+from ksoftmax.errors import KsoftmaxError, TargetOutOfRange
 from ksoftmax.kernels import KernelSpec
 from ksoftmax.training import TrainConfig, init_state
 
@@ -47,7 +47,7 @@ class TestPerplexity:
 
     def test_empty_split_rejected(self):
         state = make_state()
-        with pytest.raises(ValueError):
+        with pytest.raises(KsoftmaxError, match="empty split"):
             eval_mod.perplexity(state, [])
 
     def test_target_outside_vocabulary_rejected(self):

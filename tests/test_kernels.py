@@ -38,6 +38,21 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             KernelSpec(**kwargs)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"kind": "rbf", "a": 2.0},
+        {"kind": "lin", "p": 3.0},
+        {"kind": "ssg", "num_gauss": 4},
+        {"kind": "hpb", "gamma": 0.5},
+        {"kind": "pow", "mog_log_of_sum": True},
+    ])
+    def test_rejects_a_set_field_the_kind_does_not_read(self, kwargs):
+        field = next(k for k in kwargs if k != "kind")
+        with pytest.raises(ValueError, match=f"does not read kernel field '{field}'"):
+            KernelSpec(**kwargs)
+
+    def test_accepts_an_unread_field_at_its_default(self):
+        assert KernelSpec("rbf", a=1.0, num_gauss=2) == KernelSpec("rbf")
+
     def test_alpha_gamma_default_to_inverse_dimension(self):
         s = KernelSpec("rbf")
         assert s.resolved_gamma(4) == 0.25

@@ -275,7 +275,7 @@ class TestBackward:
         H = rng.normal(size=(4, 3))
         targets = rng.integers(0, 5, 4)
         _, cache = output_layer.loss(config, params, H, targets)
-        grads, dH = output_layer.backward(config, params, cache, targets)
+        grads, dH = output_layer.backward(config, params, cache)
         # independent direct implementation of the classical gradient
         logits = H @ params.W
         probs = np.exp(logits - logits.max(axis=1, keepdims=True))
@@ -294,9 +294,9 @@ class TestBackward:
         H = rng.normal(size=(3, config.d))
         targets = rng.integers(0, config.V, 3)
         _, cache = output_layer.loss(config, params, H, targets)
-        g_reg, _ = output_layer.backward(config, params, cache, targets)
+        g_reg, _ = output_layer.backward(config, params, cache)
         config0 = MixtureConfig(components=config.components, d=config.d,
                                 V=config.V, rho=0.0)
         _, cache0 = output_layer.loss(config0, params, H, targets)
-        g_ce, _ = output_layer.backward(config0, params, cache0, targets)
+        g_ce, _ = output_layer.backward(config0, params, cache0)
         assert np.allclose(g_reg.M, g_ce.M, atol=1e-14)

@@ -124,7 +124,6 @@ class TestCheckpoint:
         for name in uninterrupted:
             assert np.array_equal(uninterrupted[name], recovered[name]), name
         assert state.step == resumed.step
-        assert state.opt_t == resumed.opt_t
 
     def test_resume_after_crash_rewrites_no_metrics_row(self, tmp_path):
         split = toy_split()
@@ -268,6 +267,15 @@ class TestTrainLoop:
         recovered = load_checkpoint(tmp_path / "last.ckpt")
         for _, t in named_tensors(recovered):
             assert np.all(np.isfinite(t))
+
+
+    def test_empty_dev_split_rejected_before_the_first_step(self, tmp_path):
+        split = dataclasses.replace(toy_split(), dev=[])
+        state = init_state(make_config(), V)
+        with pytest.raises(KsoftmaxError, match="dev split"):
+            train(make_config(), split, V, out_dir=tmp_path, state=state)
+        assert state.step == 0
+        assert not (tmp_path / "metrics.csv").exists()
 
 
 class TestBatchStream:
@@ -422,6 +430,10 @@ class TestConfigValidation:
             make_config(optimizer="rmsprop")
         with pytest.raises(ValueError):
             make_config(components=())
+
+    def test_rejects_a_kernel_field_the_kind_does_not_read(self):
+        with pytest.raises(ValueError, match="'p'"):
+            make_config(components=(KernelSpec("ssg"), KernelSpec("lin", p=3.0)))
 
     def test_rejects_mog_components_with_different_num_gauss(self):
         with pytest.raises(ValueError, match="num_gauss"):

@@ -1,0 +1,154 @@
+"""Identity fingerprint of a fixed set of small ksoftmax runs.
+
+Runs library training (with resumes), a mid-epoch `train_steps`
+checkpoint and a handful of CLI calls in a temporary directory, then
+prints one `name digest` line per artifact. Each CLI call also prints its
+exit code, a digest of its stdout and its first stderr line. The
+timestamped `# started` line of `run.log` is dropped and the temporary
+root is replaced by `<tmp>`, so two runs of the same code print the same
+lines. Comparing two trees:
+
+    diff <(PYTHONPATH=<other>/src python tools/fingerprint.py) \\
+         <(PYTHONPATH=src python tools/fingerprint.py)
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+import numpy as np
+
+from ksoftmax import cli, data, training
+from ksoftmax.cli import parse_kernel_list
+
+PLACEHOLDER = b"<tmp>"
+
+LIB_KERNELS = ("lin", "lin pow ssg hpb", "mog rbf wav log pol")
+FAST = ["--n", "2", "--d", "4", "--batch-size", "16", "--max-epochs", "2",
+        "--vocab-size", "20", "--seed", "0"]
+
+
+def _digest(blob: bytes) -> str:
+    return hashlib.sha256(blob).hexdigest()[:16]
+
+
+class Fingerprint:
+    def __init__(self, root: str):
+        self.root = root
+        self.lines = []
+
+    def _clean(self, blob: bytes) -> bytes:
+        return blob.replace(os.fsencode(self.root), PLACEHOLDER)
+
+    def files(self, name: str, directory: str):
+        """One line per file under ``directory``, in sorted path order."""
+        for dirpath, dirnames, filenames in os.walk(directory):
+            dirnames.sort()
+            for fname in sorted(filenames):
+                path = os.path.join(dirpath, fname)
+                with open(path, "rb") as f:
+                    blob = f.read()
+                if fname == "run.log":
+                    blob = b"".join(line for line in blob.splitlines(True)
+                                    if not line.startswith(b"# started"))
+                rel = os.path.relpath(path, directory).replace(os.sep, "/")
+                self.lines.append(f"{name}/{rel} {_digest(self._clean(blob))}")
+
+    def cli(self, name: str, argv: list):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run(argv)
+        first = (err.getvalue().splitlines() or [""])[0]
+        first = self._clean(first.encode()).decode()
+        self.lines.append(f"cli.{name} exit {code} stdout "
+                          f"{_digest(self._clean(out.getvalue().encode()))}"
+                          f" stderr {first}".rstrip())
+
+
+def library_runs(fp: Fingerprint, split, V: int):
+    for kinds in LIB_KERNELS:
+        for optimizer in ("adam", "sgd"):
+            config = training.TrainConfig(
+                components=parse_kernel_list(kinds), n=2, d=4, batch_size=16,
+                max_epochs=2, optimizer=optimizer, rho=0.1, seed=3)
+            name = f"lib.{kinds.replace(' ', '_')}.{optimizer}"
+            out = os.path.join(fp.root, name)
+            training.train(config, split, V, out_dir=out)
+            state = training.load_checkpoint(os.path.join(out, "last.ckpt"))
+            training.train(config, split, V, out_dir=out, state=state,
+                           max_epochs=3)
+            fp.files(name, out)
+
+    config = training.TrainConfig(components=parse_kernel_list("lin pow"),
+                                  n=2, d=4, batch_size=16, seed=1)
+    state = training.init_state(config, V)
+    batches = data.num_batches(split.train, config.batch_size)
+    training.train_steps(state, split, batches + batches // 2)
+    out = os.path.join(fp.root, "lib.train_steps")
+    os.makedirs(out)
+    training.save_checkpoint(state, os.path.join(out, "mid.ckpt"))
+    resumed = training.load_checkpoint(os.path.join(out, "mid.ckpt"))
+    training.train_steps(resumed, split, batches)
+    training.save_checkpoint(resumed, os.path.join(out, "resumed.ckpt"))
+    fp.files("lib.train_steps", out)
+
+
+def cli_runs(fp: Fingerprint):
+    os.environ["COLUMNS"] = "80"  # argparse wraps --help to the terminal
+    fp.cli("train-help", ["train", "--help"])
+    fp.cli("train", ["train", "--corpus", "corpus.txt", "--out", "run",
+                     "--kernels", "lin pow"] + FAST)
+    fp.files("cli.train", os.path.join(fp.root, "run"))
+    fp.cli("eval-test", ["eval", "--checkpoint", "run/best.ckpt"])
+    fp.cli("eval-dev", ["eval", "--checkpoint", "run/last.ckpt",
+                        "--split", "dev"])
+    fp.cli("grid", ["grid", "--corpus", "corpus.txt", "--out", "grid",
+                    "--kernels", "lin pow", "--grid", "rho=0.01,0.1;d=4,6"]
+           + FAST)
+    fp.files("cli.grid", os.path.join(fp.root, "grid"))
+    fp.cli("diverge", ["train", "--corpus", "corpus.txt", "--out", "diverge",
+                       "--kernels", "pol(p=3)", "--optimizer", "sgd",
+                       "--learning-rate", "1e8", "--clip-norm", "1e300"] + FAST)
+    fp.files("cli.diverge", os.path.join(fp.root, "diverge"))
+    fp.cli("gradcheck", ["gradcheck", "--kernel", "lin,rbf,mog", "--dims", "2,3",
+                         "--trials", "3", "--seed", "0"])
+    fp.cli("gradcheck-bad-kind", ["gradcheck", "--kernel", "lin,xyz",
+                                  "--dims", "2", "--trials", "2"])
+    fp.cli("bad-config-d-e", ["train", "--corpus", "corpus.txt", "--out", "bad",
+                              "--d-e", "0"] + FAST)
+    fp.cli("bad-config-kernel", ["train", "--corpus", "corpus.txt", "--out", "bad",
+                                 "--kernels", "rbf(a=2)"] + FAST)
+    fp.cli("bad-config-rho", ["train", "--corpus", "corpus.txt",
+                              "--out", "bad", "--rho", "-1"] + FAST)
+    fp.cli("bad-grid-value", ["grid", "--corpus", "corpus.txt", "--out", "bad",
+                              "--grid", "rho=abc"] + FAST)
+    fp.cli("bad-grid-field", ["grid", "--corpus", "corpus.txt", "--out", "bad",
+                              "--grid", "de=3"] + FAST)
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        root = os.path.realpath(tmp)
+        fp = Fingerprint(root)
+        lines = data.generate_zipf(15, 800, seed=0)
+        data.save_lines(lines, os.path.join(root, "corpus.txt"))
+        vocab, split = data.prepare_corpus(lines, max_size=20, seed=0)
+        cwd = os.getcwd()
+        os.chdir(root)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                library_runs(fp, split, vocab.V)
+                cli_runs(fp)
+        finally:
+            os.chdir(cwd)
+    sys.stdout.write("".join(line + "\n" for line in fp.lines))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
