@@ -180,12 +180,14 @@ def _load_corpus(values: dict):
 
 def _start_run(args):
     """(TrainConfig, vocabulary, split) of train's or grid's options, once
-    the effective config and the vocabulary are written to ``args.out``."""
+    the effective config and the vocabulary are written to ``args.out``;
+    a split that cannot be trained on is rejected before anything is."""
     values = _effective_config(args)
     config = training.TrainConfig(
         components=parse_kernel_list(values["kernels"]),
         **{key: val for key, val in values.items() if key in _TRAIN_FIELDS})
     vocab, split = _load_corpus(values)
+    training.check_dev_split(split)
     # eval finds the corpus from this file, from any working directory
     values["corpus"] = os.path.abspath(values["corpus"])
     os.makedirs(args.out, exist_ok=True)

@@ -34,14 +34,15 @@ def mean_nll_and_pi(state, sentences):
     count = len(targets)
     if count == 0:
         raise KsoftmaxError("empty split: no target positions to score")
+    ws = kernels.Workspace()  # every batch reuses the first one's buffers
     for lo in range(0, count, EVAL_BATCH):
         rows = slice(lo, lo + EVAL_BATCH)
         H, _ = encoder_mod.encode(state.enc, windows[rows])
-        cache = output_layer._forward(config, state.out, H, targets[rows])
+        cache = output_layer._forward(config, state.out, H, targets[rows], ws)
         total_nll -= float(cache.log_posterior.sum())
         pi_sum += cache.pi.sum(axis=0)
         pis.append(cache.pi)
-        del cache  # its K x B x V arrays must be gone before the next batch
+        del cache  # the next batch overwrites the arrays it views
     pi_var = output_layer._pi_variance(np.concatenate(pis), config.reg_across_data)
     return total_nll / count, pi_sum / count, pi_var
 
@@ -58,22 +59,6 @@ def ppl_of_nll(nll: float) -> float:
         return math.exp(nll)
     except OverflowError:
         return math.inf
-
-
-def unigram_ppl(train_sentences, eval_sentences, V: int) -> float:
-    """Closed-form add-one-smoothed unigram baseline perplexity."""
-    counts = np.zeros(V)
-    for sent in train_sentences:
-        for tok in sent:
-            counts[tok] += 1
-    probs = (counts + 1.0) / (counts.sum() + V)
-    nll = 0.0
-    total = 0
-    for sent in eval_sentences:
-        for tok in sent:
-            nll -= math.log(probs[tok])
-            total += 1
-    return math.exp(nll / total)
 
 
 CURVE_HEADER = "x,score,dscore_dx"

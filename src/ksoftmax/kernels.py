@@ -21,6 +21,9 @@ computes x by norm expansion, x = ||w||^2 + ||h||^2 - 2 w.h, and backward
 applies the chain rule through it. The scalar score/grad run the same
 entries on one (w, h) pair, but compute x from the explicit difference
 w - h, an independent distance computation.
+
+The batched path takes an optional ``Workspace`` that owns its B x V
+buffers across calls; without one every array is freshly allocated.
 """
 
 from __future__ import annotations
@@ -147,9 +150,52 @@ def _check_finite(value, context: str):
     return value
 
 
-def _sq_dist(w_norm_sq, h_norm_sq, dot):
-    """Norm-expansion squared distance, clamped at 0 against FP cancellation."""
-    return np.maximum(w_norm_sq + h_norm_sq - 2.0 * dot, 0.0)
+class Workspace:
+    """Scratch buffers that a caller owns and reuses across batched calls.
+
+    ``take(key, shape)`` returns a float64 view of the flat buffer kept
+    under ``key``, with whatever contents its last user left. The buffer
+    grows only when a request is larger than what it holds, so a shorter
+    batch reuses it. A result computed in a workspace stays valid until the
+    next call given the same workspace. A copy is empty: copying an object
+    that holds a workspace copies no buffers.
+    """
+
+    def __init__(self):
+        self._buffers = {}
+
+    def take(self, key, shape) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._buffers.get(key)
+        if buf is None or buf.size < size:
+            buf = self._buffers[key] = np.empty(size)
+        return buf[:size].reshape(shape)
+
+    def __deepcopy__(self, memo):
+        return Workspace()
+
+
+def buffer(ws: Optional[Workspace], key, shape) -> np.ndarray:
+    """``ws.take(key, shape)``, or a fresh array when there is no workspace."""
+    return np.empty(shape) if ws is None else ws.take(key, shape)
+
+
+def _scratch(st, name, keep=False) -> np.ndarray:
+    """A buffer shaped like the statistic x, from the workspace of ``st``:
+    kept for this component's backward when ``keep``, otherwise shared by
+    every component. Of the shared ones, forward_logits leaves L in "L"
+    and the log-softmax of L takes "exp"; a VJP runs once both are dead,
+    beside backward's "dL", and takes its scratch from "L", "exp" and "t"."""
+    return buffer(st.get("ws"), (name, st.get("k")) if keep else name, st["x"].shape)
+
+
+def _sq_dist(w_norm_sq, h_norm_sq, dot, out):
+    """Norm-expansion squared distance into ``out``, clamped at 0 against
+    FP cancellation; ``dot`` is overwritten."""
+    np.add(w_norm_sq, h_norm_sq, out=out)
+    dot *= 2.0
+    out -= dot
+    return np.maximum(out, 0.0, out=out)
 
 
 @dataclass(frozen=True)
@@ -160,9 +206,11 @@ class Kernel:
     intermediates to it for the VJP. ``st`` holds "d" (the dimension, None
     when unknown), "dot" or "x" as B x V arrays, for hpb "wn" (1 x V) and
     "hn" (B x 1), and for ssg/mog the word and component log-variances
-    "wlv"/"clv". ``vjp(spec, st, dL, kink)`` maps the cotangent of the
+    "wlv"/"clv"; in the batched path also the workspace "ws" (None for
+    fresh arrays) and the component index "k" that tags the buffers kept
+    for backward. ``vjp(spec, st, dL, kink)`` maps the cotangent of the
     logits to cotangents of those entries, with the zero subgradient where
-    the ``kink`` mask is set.
+    the ``kink`` mask is set; it leaves ``st`` and ``dL`` unchanged.
     """
 
     stat: str                             # "dot" or "x"
@@ -185,16 +233,17 @@ def _pol_vjp(spec, st, dL, kink):
 
 
 def _radial(phi, dphi, fields, kink=None) -> Kernel:
-    """A kernel that is a profile phi(spec, x, d) of the squared distance."""
+    """A kernel that is a profile phi(spec, x, d, out) of the squared
+    distance; phi and its derivative dphi write their result into ``out``."""
     def vjp(spec, st, dL, kink_mask):
         # at x = 0 with p < 2 dphi is non-finite; kink_mask replaces it
         with np.errstate(divide="ignore", invalid="ignore"):
-            dx = dphi(spec, st["x"], st["d"])
+            dx = dphi(spec, st["x"], st["d"], _scratch(st, "L"))
         if kink_mask is not None:
-            dx = np.where(kink_mask, 0.0, dx)
-        return {"x": dL * dx}
-    return Kernel("x", lambda spec, st: phi(spec, st["x"], st["d"]), vjp, kink,
-                  fields=fields)
+            dx[kink_mask] = 0.0
+        return {"x": np.multiply(dL, dx, out=dx)}
+    return Kernel("x", lambda spec, st: phi(spec, st["x"], st["d"], _scratch(st, "L")),
+                  vjp, kink, fields=fields)
 
 
 def _below_p2_kink(spec, st):
@@ -208,32 +257,54 @@ def _hpb_score(spec, st):
                 f"{side} {int(np.argmax(norms >= 1.0))} has norm >= 1")
     st["A"] = A = 1.0 - st["wn"]
     st["Bn"] = Bn = 1.0 - st["hn"]
-    st["z"] = z = np.maximum(1.0 + 2.0 * st["x"] / (Bn * A), 1.0)
-    return -np.arccosh(z)
+    # z = max(1 + 2 x / (Bn A), 1)
+    st["z"] = z = np.multiply(2.0, st["x"], out=_scratch(st, "z", keep=True))
+    L = np.multiply(Bn, A, out=_scratch(st, "L"))
+    z /= L
+    np.add(1.0, z, out=z)
+    np.maximum(z, 1.0, out=z)
+    return np.negative(np.arccosh(z, out=L), out=L)
 
 
 def _hpb_vjp(spec, st, dL, kink):
     A, Bn, x, z = st["A"], st["Bn"], st["x"], st["z"]
+    # dz = -dL / sqrt(z^2 - 1)
+    t = np.multiply(z, z, out=_scratch(st, "L"))
+    t -= 1.0
+    np.sqrt(t, out=t)
+    dz = np.negative(dL, out=_scratch(st, "exp"))
     with np.errstate(divide="ignore", invalid="ignore"):
-        dz = -dL / np.sqrt(z * z - 1.0)
+        dz /= t
     if kink is not None:
-        dz = np.where(kink, 0.0, dz)
-    inv_ab = 1.0 / (Bn * A)
-    # z depends on the norms through A = 1 - wn and Bn = 1 - hn
-    return {"x": dz * 2.0 * inv_ab,
-            "wn": (dz * (2.0 * x) * inv_ab / A).sum(axis=0, keepdims=True),
-            "hn": (dz * (2.0 * x) * inv_ab / Bn).sum(axis=1, keepdims=True)}
+        dz[kink] = 0.0
+    inv_ab = np.multiply(Bn, A, out=t)
+    np.divide(1.0, inv_ab, out=inv_ab)
+    # z depends on the norms through A = 1 - wn and Bn = 1 - hn, both via
+    # u = dz (2 x) inv_ab
+    u = np.multiply(2.0, x, out=_scratch(st, "t"))
+    np.multiply(dz, u, out=u)
+    u *= inv_ab
+    dx = np.multiply(dz, 2.0, out=dz)
+    dx *= inv_ab
+    return {"x": dx,
+            "wn": np.divide(u, A, out=t).sum(axis=0, keepdims=True),
+            "hn": np.divide(u, Bn, out=t).sum(axis=1, keepdims=True)}
 
 
-def _gauss_ell(d, x, s):
+def _gauss_ell(d, x, s, out=None):
     """log of the integral of two spherical Gaussians in d dimensions with
     squared mean distance x and summed variance s."""
-    return -0.5 * d * (LOG_2PI + np.log(s)) - x / (2.0 * s)
+    return np.subtract(-0.5 * d * (LOG_2PI + np.log(s)),
+                       np.divide(x, 2.0 * s, out=out), out=out)
 
 
-def _gauss_ell_vjp(d, x, s, g):
-    """(x, s) cotangents of _gauss_ell given its cotangent g."""
-    return g * (-1.0 / (2.0 * s)), g * ((-0.5 * d / s) + x / (2.0 * s * s))
+def _gauss_ell_vjp(d, x, s, g, dx=None, ds=None):
+    """(x, s) cotangents of _gauss_ell given its cotangent g, written into
+    ``dx`` and ``ds`` when they are given."""
+    dx = np.multiply(g, -1.0 / (2.0 * s), out=dx)
+    ds = np.divide(x, 2.0 * s * s, out=ds)
+    np.add(-0.5 * d / s, ds, out=ds)
+    return dx, np.multiply(g, ds, out=ds)
 
 
 def _log_mean_exp(ell):
@@ -253,11 +324,12 @@ def _pair_posterior(ell):
 
 def _ssg_score(spec, st):
     st["s"] = s = np.exp(st["wlv"]) + math.exp(float(st["clv"]))
-    return _gauss_ell(st["d"], st["x"], s)
+    return _gauss_ell(st["d"], st["x"], s, _scratch(st, "L"))
 
 
 def _ssg_vjp(spec, st, dL, kink):
-    dx, ds = _gauss_ell_vjp(st["d"], st["x"], st["s"], dL)
+    dx, ds = _gauss_ell_vjp(st["d"], st["x"], st["s"], dL,
+                            _scratch(st, "L"), _scratch(st, "exp"))
     ds_v = ds.sum(axis=0)
     return {"x": dx, "wlv": ds_v * np.exp(st["wlv"]),
             "clv": np.float64(ds_v.sum() * math.exp(float(st["clv"])))}
@@ -294,18 +366,24 @@ KERNELS = {
     "lin": Kernel("dot", lambda spec, st: st["dot"],
                   lambda spec, st, dL, kink: {"dot": dL}),
     "log": _radial(
-        lambda spec, x, d: -np.log1p(np.power(x, 0.5 * spec.p)),
-        lambda spec, x, d: (-0.5 * spec.p * np.power(x, 0.5 * spec.p - 1.0)
-                            / (np.power(x, 0.5 * spec.p) + 1.0)),
+        lambda spec, x, d, out: np.negative(
+            np.log1p(np.power(x, 0.5 * spec.p, out=out), out=out), out=out),
+        lambda spec, x, d, out: np.divide(
+            np.multiply(-0.5 * spec.p, np.power(x, 0.5 * spec.p - 1.0, out=out), out=out),
+            np.power(x, 0.5 * spec.p) + 1.0, out=out),
         ("p",), _below_p2_kink),
     "pow": _radial(
-        lambda spec, x, d: -np.power(x, 0.5 * spec.p),
-        lambda spec, x, d: -0.5 * spec.p * np.power(x, 0.5 * spec.p - 1.0),
+        lambda spec, x, d, out: np.negative(np.power(x, 0.5 * spec.p, out=out), out=out),
+        lambda spec, x, d, out: np.multiply(
+            -0.5 * spec.p, np.power(x, 0.5 * spec.p - 1.0, out=out), out=out),
         ("p",), _below_p2_kink),
     "pol": Kernel("dot", _pol_score, _pol_vjp, fields=("p", "alpha", "c")),
     "rbf": _radial(
-        lambda spec, x, d: np.exp(-spec.resolved_gamma(d) * x),
-        lambda spec, x, d: -spec.resolved_gamma(d) * np.exp(-spec.resolved_gamma(d) * x),
+        lambda spec, x, d, out: np.exp(
+            np.multiply(-spec.resolved_gamma(d), x, out=out), out=out),
+        lambda spec, x, d, out: np.multiply(
+            -spec.resolved_gamma(d),
+            np.exp(np.multiply(-spec.resolved_gamma(d), x, out=out), out=out), out=out),
         ("gamma",)),
     "ssg": Kernel("x", _ssg_score, _ssg_vjp, var_shape=lambda spec: ()),
     "mog": Kernel("x", _mog_score, _mog_vjp,
@@ -314,9 +392,11 @@ KERNELS = {
     "hpb": Kernel("x", _hpb_score, _hpb_vjp,
                   kink=lambda spec, st: st["z"] <= 1.0, in_ball=True),
     "wav": _radial(
-        lambda spec, x, d: np.cos(x / spec.a) * np.exp(-x / spec.b),
-        lambda spec, x, d: -np.exp(-x / spec.b) * (np.sin(x / spec.a) / spec.a
-                                                   + np.cos(x / spec.a) / spec.b),
+        lambda spec, x, d, out: np.multiply(np.cos(x / spec.a), np.exp(-x / spec.b),
+                                            out=out),
+        lambda spec, x, d, out: np.multiply(
+            -np.exp(-x / spec.b),
+            np.sin(x / spec.a) / spec.a + np.cos(x / spec.a) / spec.b, out=out),
         ("a", "b")),
 }
 
@@ -412,7 +492,8 @@ def score_via_trick(spec: KernelSpec, w_norm_sq: float, h_norm_sq: float,
     if spec.kind == "rbf" and spec.gamma is None:
         raise WrongKernelKind("rbf via trick needs an explicit gamma")
     wn, hn = np.full((1, 1), float(w_norm_sq)), np.full((1, 1), float(h_norm_sq))
-    st = {"d": None, "wn": wn, "hn": hn, "x": _sq_dist(wn, hn, float(dot))}
+    st = {"d": None, "wn": wn, "hn": hn,
+          "x": _sq_dist(wn, hn, np.full((1, 1), float(dot)), np.empty((1, 1)))}
     return float(_check_finite(KERNELS[spec.kind].score(spec, st)[0, 0], spec.kind))
 
 
@@ -447,7 +528,8 @@ def grad(spec: KernelSpec, w, h, w_log_var=None, h_log_var=None) -> KernelGrad:
 
 def forward_logits(spec: KernelSpec, W: np.ndarray, H: np.ndarray,
                    word_log_vars: Optional[np.ndarray] = None,
-                   comp_log_vars: Optional[np.ndarray] = None) -> tuple:
+                   comp_log_vars: Optional[np.ndarray] = None,
+                   ws: Optional[Workspace] = None, k: int = 0) -> tuple:
     """Logit matrix L with L[b, v] = score(spec, W[:, v], H[b]), plus
     ``word_log_vars[v], comp_log_vars`` for ssg/mog.
 
@@ -455,6 +537,12 @@ def forward_logits(spec: KernelSpec, W: np.ndarray, H: np.ndarray,
     ``word_log_vars`` of shape (V,) and a scalar ``comp_log_vars``; mog
     expects (V, G) and (G,). Returns (L, cache); the cache, all that
     backward_logits reads, is W, H and the statistics the kind's VJP reads.
+
+    With a workspace ``ws``, the B x V arrays the cache keeps are taken
+    under keys tagged with the component index ``k``, and L and every
+    other B x V array under keys that all components share: L is valid
+    until the next call given ``ws``, the cache until the next call given
+    ``ws`` and the same ``k``.
     """
     W = np.asarray(W, dtype=np.float64)
     H = np.asarray(H, dtype=np.float64)
@@ -463,18 +551,22 @@ def forward_logits(spec: KernelSpec, W: np.ndarray, H: np.ndarray,
     if W.shape[1] < 2:
         raise DimensionMismatch("need V >= 2")
     kernel = KERNELS[spec.kind]
-    st = {"d": W.shape[0], "W": W, "H": H, "dot": H @ W}  # dot is B x V
+    shape = (H.shape[0], W.shape[1])
+    st = {"d": W.shape[0], "W": W, "H": H, "ws": ws, "k": k}
+    dot = np.matmul(H, W, out=buffer(ws, "L", shape))  # for lin L is dot
     if kernel.stat == "x":
         wn = np.einsum("dv,dv->v", W, W)[None, :]
         hn = np.einsum("bd,bd->b", H, H)[:, None]
-        st.update(x=_sq_dist(wn, hn, st["dot"]), wn=wn, hn=hn)
+        st.update(x=_sq_dist(wn, hn, dot, buffer(ws, ("x", k), shape)), wn=wn, hn=hn)
+    else:
+        st["dot"] = dot
     if kernel.var_shape is not None:
         if word_log_vars is None or comp_log_vars is None:
             raise DimensionMismatch(f"{spec.kind} needs word and component log-variances")
         st.update(wlv=np.asarray(word_log_vars, dtype=np.float64),
                   clv=np.asarray(comp_log_vars, dtype=np.float64))
     L = kernel.score(spec, st)
-    del st["dot"]  # no VJP reads it; for lin it is L itself
+    st.pop("dot", None)  # no VJP reads it
     if not np.all(np.isfinite(L)):
         b, v = np.argwhere(~np.isfinite(L))[0]
         raise NonFiniteScore(f"non-finite {spec.kind} logit at (b={b}, v={v})")
@@ -485,21 +577,27 @@ def backward_logits(spec: KernelSpec, cache: dict, dL: np.ndarray):
     """Backpropagate dLoss/dL through forward_logits, given its cache.
 
     Returns (dW, dH, d_word_log_vars, d_comp_log_vars); the last two are
-    None for kernels without Gaussian parameters.
+    None for kernels without Gaussian parameters. The scratch, dW included,
+    comes from the cache's workspace: dW is valid until the next call given
+    that workspace.
     """
-    W, H = cache["W"], cache["H"]
+    W, H, ws = cache["W"], cache["H"], cache.get("ws")
     kernel = KERNELS[spec.kind]
     kink = kernel.kink(spec, cache) if kernel.kink is not None else None
     g = kernel.vjp(spec, cache, dL, kink)
+    dW = buffer(ws, "dW", W.shape)
     if kernel.stat == "dot":
-        dW, dH = H.T @ g["dot"], g["dot"] @ W.T
+        dW, dH = np.matmul(H.T, g["dot"], out=dW), g["dot"] @ W.T
     else:
         # chain rule through x = wn + hn - 2 w.h
         dx = g["x"]
-        dW = 2.0 * (W * dx.sum(axis=0)[None, :] - H.T @ dx)
+        np.multiply(W, dx.sum(axis=0)[None, :], out=dW)
+        dW -= np.matmul(H.T, dx, out=buffer(ws, "dW.t", W.shape))
+        dW *= 2.0
         dH = 2.0 * (H * dx.sum(axis=1)[:, None] - dx @ W.T)
     if "wn" in g:
-        dW = dW + 2.0 * W * g["wn"]
+        t = np.multiply(2.0, W, out=buffer(ws, "dW.t", W.shape))
+        dW += np.multiply(t, g["wn"], out=t)
         dH = dH + 2.0 * H * g["hn"]
     return dW, dH, g.get("wlv"), g.get("clv")
 

@@ -124,13 +124,18 @@ class ForwardCache:
     log_posterior: Optional[np.ndarray]  # B, at the targets; None without
     h_tilde: list             # K tanh outputs (or H itself when K = 1)
     kernel_caches: list       # per component, what backward_logits reads
+    ws: Optional[kernels.Workspace] = None  # the workspace lsm lives in
     reg_term: float = 0.0
 
 
-def _log_softmax(a: np.ndarray) -> np.ndarray:
+def _log_softmax(a: np.ndarray, out=None, ws=None) -> np.ndarray:
+    """Log-softmax over the last axis, into ``out`` when given; the exp
+    temporary comes from ``ws``."""
     m = a.max(axis=-1, keepdims=True)
-    z = a - m
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    z = np.subtract(a, m, out=out)
+    e = np.exp(z, out=kernels.buffer(ws, "exp", z.shape))
+    z -= np.log(e.sum(axis=-1, keepdims=True))
+    return z
 
 
 def _log_mix(log_pi: np.ndarray, lsm_t: np.ndarray) -> np.ndarray:
@@ -163,22 +168,27 @@ def transform_contexts(C: np.ndarray, H: np.ndarray) -> list:
     return [np.tanh(H @ C[k]) for k in range(C.shape[0])]
 
 
-def component_logits(config: MixtureConfig, params: OutputParams, h_k, k: int):
+def component_logits(config: MixtureConfig, params: OutputParams, h_k, k: int,
+                     ws: Optional[kernels.Workspace] = None):
     """(B x V logits, kernel cache) of component k at its B x d transformed
-    contexts h_k; a non-finite logit raises NonFiniteScore naming k."""
+    contexts h_k, computed in ``ws`` when given (see forward_logits); a
+    non-finite logit raises NonFiniteScore naming k."""
     spec = config.components[k]
     try:
         return kernels.forward_logits(
             spec, params.W, h_k * kernels.context_scale(spec, config.d),
-            *_variances(params.word_log_vars, params.component_log_vars, k))
+            *_variances(params.word_log_vars, params.component_log_vars, k), ws=ws, k=k)
     except NonFiniteScore as e:
         raise NonFiniteScore(f"component {k} ({spec.kind}): {e}", component=k) from e
 
 
 def _forward(config: MixtureConfig, params: OutputParams, H: np.ndarray,
-             targets: Optional[np.ndarray] = None) -> ForwardCache:
+             targets: Optional[np.ndarray] = None,
+             ws: Optional[kernels.Workspace] = None) -> ForwardCache:
     """Forward pass; with ``targets`` the log posterior is mixed at the
-    targets (B values), without them it is None."""
+    targets (B values), without them it is None. With a workspace ``ws``
+    the K x B x V arrays live in it, and the cache stays valid until the
+    next call given ``ws``; without one they are fresh."""
     H = np.asarray(H, dtype=np.float64)
     if H.ndim != 2 or H.shape[1] != config.d:
         raise DimensionMismatch(f"H {H.shape} vs d={config.d}")
@@ -199,11 +209,11 @@ def _forward(config: MixtureConfig, params: OutputParams, H: np.ndarray,
         h_tilde = [H]
     pi = np.exp(log_pi)
 
-    lsm = np.empty((K, B, config.V))
+    lsm = kernels.buffer(ws, "lsm", (K, B, config.V))
     caches = []
     for k in range(K):
-        L, cache = component_logits(config, params, h_tilde[k], k)
-        lsm[k] = _log_softmax(L)
+        L, cache = component_logits(config, params, h_tilde[k], k, ws)
+        _log_softmax(L, lsm[k], ws)
         caches.append(cache)
 
     log_post = None
@@ -211,7 +221,7 @@ def _forward(config: MixtureConfig, params: OutputParams, H: np.ndarray,
         log_post = _log_mix(log_pi.T, lsm[:, np.arange(B), targets])
     return ForwardCache(H=H, pi=pi, log_pi=log_pi, lsm=lsm, targets=targets,
                         log_posterior=log_post, h_tilde=h_tilde,
-                        kernel_caches=caches)
+                        kernel_caches=caches, ws=ws)
 
 
 def posterior(config: MixtureConfig, params: OutputParams, H: np.ndarray):
@@ -231,13 +241,13 @@ def _pi_variance(pi: np.ndarray, across_data: bool) -> float:
 
 
 def loss(config: MixtureConfig, params: OutputParams, H: np.ndarray,
-         targets: np.ndarray):
+         targets: np.ndarray, ws: Optional[kernels.Workspace] = None):
     """Mean cross-entropy plus the scaled mixture-weight variance penalty.
 
     Returns (scalar loss, ForwardCache); the cache records the regularizer
-    term separately.
+    term separately. ``ws`` is passed to _forward.
     """
-    cache = _forward(config, params, H, targets)
+    cache = _forward(config, params, H, targets, ws)
     ce = -float(cache.log_posterior.mean())
     reg = config.rho * _pi_variance(cache.pi, config.reg_across_data)
     cache.reg_term = reg
@@ -247,7 +257,8 @@ def loss(config: MixtureConfig, params: OutputParams, H: np.ndarray,
 def backward(config: MixtureConfig, params: OutputParams,
              cache: ForwardCache) -> tuple:
     """Analytic gradients of loss() at the cached targets: (an OutputParams
-    of the gradient of every output-layer tensor, dL/dH for the encoder)."""
+    of the gradient of every output-layer tensor, dL/dH for the encoder).
+    Its B x V scratch comes from the cache's workspace."""
     H = cache.H
     B, d = H.shape
     K = config.K
@@ -267,8 +278,8 @@ def backward(config: MixtureConfig, params: OutputParams,
              if params.component_log_vars is not None else None)
 
     for k, spec in enumerate(config.components):
-        pk = np.exp(cache.lsm[k])  # B x V
-        dL = (q[:, k:k + 1] / B) * pk
+        dL = np.exp(cache.lsm[k], out=kernels.buffer(cache.ws, "dL", (B, config.V)))
+        np.multiply(q[:, k:k + 1] / B, dL, out=dL)
         dL[rows, cache.targets] -= q[:, k] / B
         dWk, dHk, dwlv_k, dclv_k = kernels.backward_logits(
             spec, cache.kernel_caches[k], dL)

@@ -93,6 +93,9 @@ class TrainState:
     step: int
     step_in_epoch: int
     best_dev_ppl: float
+    # scratch of train_step; never checkpointed, and a copy starts empty
+    ws: kernels.Workspace = dataclasses.field(
+        default_factory=kernels.Workspace, repr=False, compare=False)
 
 
 def _named(enc: encoder_mod.EncoderParams, out: OutputParams) -> list:
@@ -152,13 +155,18 @@ def _apply_update(state: TrainState, grads: dict):
             g = grads[name]
             m = state.opt_m[name]
             v = state.opt_v[name]
+            # out= keeps a 0-d tensor an array; a plain product is a scalar
+            tmp = state.ws.take("adam.tmp", g.shape)
+            den = state.ws.take("adam.den", g.shape)
             m *= b1
-            m += (1 - b1) * g
+            m += np.multiply(1 - b1, g, out=tmp)
             v *= b2
-            v += (1 - b2) * g * g
-            mhat = m / (1 - b1 ** t)
-            vhat = v / (1 - b2 ** t)
-            arr -= lr * mhat / (np.sqrt(vhat) + eps)
+            v += np.multiply(np.multiply(1 - b2, g, out=tmp), g, out=tmp)
+            mhat = np.divide(m, 1 - b1 ** t, out=tmp)
+            vhat = np.divide(v, 1 - b2 ** t, out=den)
+            update = np.multiply(lr, mhat, out=tmp)
+            update /= np.add(np.sqrt(vhat, out=den), eps, out=den)
+            arr -= update
     if state.mixture.uses_ball:
         kernels.project_to_ball(state.out.W)
 
@@ -172,7 +180,8 @@ def loss_and_grads(state: TrainState, windows: np.ndarray,
     """
     H, enc_cache = encoder_mod.encode(state.enc, windows)
     try:
-        loss_val, cache = output_layer.loss(state.mixture, state.out, H, targets)
+        loss_val, cache = output_layer.loss(state.mixture, state.out, H, targets,
+                                            state.ws)
     except NonFiniteScore as e:
         raise DivergenceDetected(
             f"non-finite logits at step {state.step}: {e}", step=state.step,
@@ -247,6 +256,13 @@ def _metrics_row(epoch, train_loss, dev_ppl, pi_mean, reg_term) -> list:
             + [fmt(p) for p in pi_mean] + [fmt(reg_term)])
 
 
+def check_dev_split(split: data_mod.CorpusSplit):
+    """Raise KsoftmaxError when the dev split holds no token: train would
+    have nothing to score after an epoch."""
+    if not sum(map(len, split.dev)):
+        raise KsoftmaxError("empty dev split: there is nothing to score after an epoch")
+
+
 def train(config: TrainConfig, split: data_mod.CorpusSplit, V: int,
           out_dir=None, state: Optional[TrainState] = None,
           max_epochs: Optional[int] = None):
@@ -258,8 +274,7 @@ def train(config: TrainConfig, split: data_mod.CorpusSplit, V: int,
     On divergence the last finite checkpoint is saved before the error
     propagates. An empty dev split raises KsoftmaxError before any step.
     """
-    if not sum(map(len, split.dev)):
-        raise KsoftmaxError("empty dev split: there is nothing to score after an epoch")
+    check_dev_split(split)
     if state is None:
         state = init_state(config, V)
     cfg = state.config

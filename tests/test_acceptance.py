@@ -209,6 +209,43 @@ def test_kernel_ordering():
 # 7. baseline sanity
 # ---------------------------------------------------------------------------
 
+def unigram_ppl(train_sentences, eval_sentences, V: int) -> float:
+    """Closed-form add-one-smoothed unigram baseline perplexity."""
+    counts = np.zeros(V)
+    for sent in train_sentences:
+        for tok in sent:
+            counts[tok] += 1
+    probs = (counts + 1.0) / (counts.sum() + V)
+    nll = 0.0
+    total = 0
+    for sent in eval_sentences:
+        for tok in sent:
+            nll -= math.log(probs[tok])
+            total += 1
+    return math.exp(nll / total)
+
+
+class TestUnigramBaseline:
+    def test_matches_exponentiated_entropy(self):
+        # evaluating the train split itself: PPL = exp(cross-entropy of the
+        # smoothed distribution), computed here independently token by token
+        V = 8
+        train = [[2, 2, 3], [4, 2]]
+        counts = np.zeros(V)
+        for s in train:
+            for t in s:
+                counts[t] += 1
+        probs = (counts + 1) / (counts.sum() + V)
+        expected = math.exp(-np.mean(
+            [math.log(probs[t]) for s in train for t in s]))
+        assert unigram_ppl(train, train, V) == pytest.approx(expected, rel=1e-6)
+
+    def test_uniform_counts_give_vocab_size(self):
+        V = 5
+        train = [[0, 1, 2, 3, 4]]
+        assert unigram_ppl(train, train, V) == pytest.approx(V)
+
+
 def test_baseline_sanity(small_zipf, small_english):
     details = []
     ok = True
@@ -216,7 +253,7 @@ def test_baseline_sanity(small_zipf, small_english):
                                  ("english", small_english)):
         best, _ = training.train(quick_config(), split, vocab.V)
         model = eval_mod.perplexity(best, split.test)
-        baseline = eval_mod.unigram_ppl(split.train, split.test, vocab.V)
+        baseline = unigram_ppl(split.train, split.test, vocab.V)
         details.append(f"{name}: lin {model:.2f} vs unigram {baseline:.2f}")
         ok = ok and model <= 0.9 * baseline
     report("baseline-sanity", ok, "; ".join(details))

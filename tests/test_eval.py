@@ -55,6 +55,25 @@ class TestPerplexity:
             eval_mod.perplexity(make_state(V=10), [[2, 3, 15]])
 
 
+    def test_batches_in_one_workspace_match_fresh_scoring(self, monkeypatch):
+        # 19 positions in batches of 4: the short last batch reuses the
+        # buffers of the full ones
+        state = make_state(V=10, components=tuple(
+            KernelSpec(k) for k in ("lin", "pow", "ssg", "hpb")), seed=6)
+        sentences = [[2, 3, 4, 5, 6, 7, 8, 9, 2, 3]] + [[4, 5, 6, 7, 8, 9, 2, 3, 4]]
+        monkeypatch.setattr(eval_mod, "EVAL_BATCH", 4)
+        nll, pi_mean, _ = eval_mod.mean_nll_and_pi(state, sentences)
+        windows, targets = data.make_examples(sentences, state.config.n)
+        assert len(targets) % 4 == 3
+        total, pi_sum = 0.0, np.zeros(4)
+        for lo in range(0, len(targets), 4):
+            H, _ = encoder.encode(state.enc, windows[lo:lo + 4])
+            cache = output_layer._forward(state.mixture, state.out, H, targets[lo:lo + 4])
+            total -= float(cache.log_posterior.sum())
+            pi_sum += cache.pi.sum(axis=0)
+        assert nll == total / len(targets)
+        assert np.array_equal(pi_mean, pi_sum / len(targets))
+
     def test_no_cache_outlives_its_batch(self, monkeypatch):
         # at each _forward call, count the caches of earlier batches still alive
         state = make_state(V=10, components=(KernelSpec("lin"), KernelSpec("pow")))
@@ -88,28 +107,6 @@ class TestPerplexity:
         assert pi_var == pytest.approx(output_layer._pi_variance(pi, across), rel=1e-12)
 
 
-class TestUnigramBaseline:
-    def test_matches_exponentiated_entropy(self):
-        # evaluating the train split itself: PPL = exp(cross-entropy of the
-        # smoothed distribution), computed here independently token by token
-        V = 8
-        train = [[2, 2, 3], [4, 2]]
-        counts = np.zeros(V)
-        for s in train:
-            for t in s:
-                counts[t] += 1
-        probs = (counts + 1) / (counts.sum() + V)
-        expected = math.exp(-np.mean(
-            [math.log(probs[t]) for s in train for t in s]))
-        assert eval_mod.unigram_ppl(train, train, V) == pytest.approx(
-            expected, rel=1e-6)
-
-    def test_uniform_counts_give_vocab_size(self):
-        V = 5
-        train = [[0, 1, 2, 3, 4]]
-        assert eval_mod.unigram_ppl(train, train, V) == pytest.approx(V)
-
-
 class TestCurves:
     def test_values_match_kernel_module(self, tmp_path):
         specs = [KernelSpec(k) for k in kernels.KINDS]
@@ -117,7 +114,8 @@ class TestCurves:
                                             out_dir=tmp_path)
         assert len(paths) == len(kernels.KINDS)
         for spec, path in zip(specs, paths):
-            rows = open(path).read().splitlines()
+            with open(path) as f:
+                rows = f.read().splitlines()
             assert rows[0] == "x,score,dscore_dx"
             assert len(rows) == 51
             xs = np.array([float(r.split(",")[0]) for r in rows[1:]])
@@ -155,7 +153,8 @@ class TestCurves:
     def test_negative_range_kept_for_dot_products(self, tmp_path):
         specs = [KernelSpec("lin"), KernelSpec("pol", p=3)]
         paths = eval_mod.emit_kernel_curves(specs, -3.0, 5, tmp_path)
-        rows = open(paths[0]).read().splitlines()
+        with open(paths[0]) as f:
+            rows = f.read().splitlines()
         assert [float(r.split(",")[0]) for r in rows[1:]] == [0.0, -0.75, -1.5, -2.25, -3.0]
 
     def test_determinism(self, tmp_path):

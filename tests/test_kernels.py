@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 import weakref
@@ -385,6 +386,24 @@ class TestProjectToBall:
         kernels.project_to_ball(W)
         assert np.linalg.norm(W[:, 0]) == pytest.approx(1 - 1e-5)
         assert W[0, 1] == 0.1
+
+
+class TestWorkspace:
+    def test_a_buffer_grows_only_for_a_larger_request(self):
+        ws = kernels.Workspace()
+        big = ws.take("a", (4, 5))
+        small = ws.take("a", (3, 5))
+        assert small.shape == (3, 5) and np.shares_memory(big, small)
+        bigger = ws.take("a", (5, 5))
+        assert not np.shares_memory(bigger, big)
+        assert np.shares_memory(ws.take("a", (2,)), bigger)
+        assert not np.shares_memory(ws.take("b", (5, 5)), bigger)
+        assert ws.take("c", ()).shape == ()
+
+    def test_a_copy_is_empty(self):
+        ws = kernels.Workspace()
+        ws.take("a", (3,))
+        assert copy.deepcopy(ws)._buffers == {}
 
 
 # ---------------------------------------------------------------------------

@@ -227,6 +227,39 @@ def mixture_id(components):
                     for s in components)
 
 
+def cache_arrays(cache):
+    """Every array a ForwardCache holds, its kernel caches' included."""
+    out = [cache.pi, cache.log_pi, cache.lsm, cache.log_posterior, *cache.h_tilde]
+    for kc in cache.kernel_caches:
+        out += [v for v in kc.values() if isinstance(v, np.ndarray)]
+    return [a for a in out if a is not None]
+
+
+class TestNoWorkspace:
+    # without a workspace every call allocates: a later call leaves an
+    # earlier result unchanged
+    def test_forward_results_survive_the_next_call(self):
+        config, params = make(SPECS[:len(ALL_KINDS)], d=5, V=11, seed=32)
+        rng = np.random.default_rng(33)
+        H1, H2 = (np.tanh(rng.normal(size=(6, config.d))) for _ in range(2))
+        targets = rng.integers(0, config.V, 6)
+        first = output_layer._forward(config, params, H1, targets)
+        before = [a.copy() for a in cache_arrays(first)]
+        output_layer._forward(config, params, H2, targets[::-1].copy())
+        for a, b in zip(cache_arrays(first), before):
+            assert np.array_equal(a, b)
+
+    def test_posterior_results_survive_the_next_call(self):
+        config, params = make(SPECS[:len(ALL_KINDS)], d=5, V=11, seed=34)
+        rng = np.random.default_rng(35)
+        H1, H2 = (np.tanh(rng.normal(size=(6, config.d))) for _ in range(2))
+        probs, cache = output_layer.posterior(config, params, H1)
+        before = [a.copy() for a in [probs] + cache_arrays(cache)]
+        output_layer.posterior(config, params, H2)
+        for a, b in zip([probs] + cache_arrays(cache), before):
+            assert np.array_equal(a, b)
+
+
 class TestTargetOnlyForward:
     @pytest.mark.parametrize("B", [1, 64])
     @pytest.mark.parametrize("components", TARGET_MIXTURES, ids=mixture_id)

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 import math
@@ -99,6 +100,31 @@ class TestClipping:
         before = grads["a"].copy()
         clip_gradients(grads, clip_norm=5.0)
         assert np.array_equal(grads["a"], before)
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("kinds", ["lin pow ssg hpb", "mog rbf wav log pol", "pow1.5"])
+    def test_stale_buffer_contents_are_never_read(self, kinds):
+        components = ((KernelSpec("pow", p=1.5),) if kinds == "pow1.5"
+                      else tuple(KernelSpec(k) for k in kinds.split()))
+        split = toy_split()
+        state = init_state(make_config(components=components, rho=0.1), V)
+        train_steps(state, split, 2)
+        fresh = copy.deepcopy(state)
+        assert state.ws._buffers and not fresh.ws._buffers
+        for buf in state.ws._buffers.values():
+            buf.fill(np.nan)
+        train_steps(state, split, 3)
+        train_steps(fresh, split, 3)
+        for name, arr in named_tensors(state):
+            assert np.array_equal(arr, dict(named_tensors(fresh))[name]), name
+            assert np.array_equal(state.opt_v[name], fresh.opt_v[name]), name
+
+    def test_a_loaded_state_starts_with_an_empty_workspace(self, tmp_path):
+        state = init_state(make_config(), V)
+        train_steps(state, toy_split(), 1)
+        save_checkpoint(state, tmp_path / "a.ckpt")
+        assert not load_checkpoint(tmp_path / "a.ckpt").ws._buffers
 
 
 class TestCheckpoint:
