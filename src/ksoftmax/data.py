@@ -164,6 +164,23 @@ def save_lines(lines: Sequence[str], path):
 # Bundled corpus generators
 # ---------------------------------------------------------------------------
 
+def _zipf_probs(n: int, s: float) -> np.ndarray:
+    """Zipf(s) probabilities of ranks 1..n."""
+    probs = np.arange(1, n + 1, dtype=np.float64) ** -s
+    probs /= probs.sum()
+    return probs
+
+
+def _categorical(rng: np.random.Generator, probs: np.ndarray):
+    """A function that draws one index with probabilities ``probs``, as
+    ``int(rng.choice(len(probs), p=probs))`` does: numpy's own algorithm
+    (inverse CDF, one double per draw), with the CDF built once instead of
+    on every call."""
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return lambda: int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def generate_zipf(vocab_size: int, n_tokens: int, s: float = 1.1,
                   seed: int = 0, copy_prob: float = 0.5) -> list:
     """Zipf-distributed corpus with a deterministic successor rule.
@@ -176,10 +193,8 @@ def generate_zipf(vocab_size: int, n_tokens: int, s: float = 1.1,
     long.
     """
     rng = np.random.default_rng(seed)
-    ranks = np.arange(1, vocab_size + 1, dtype=np.float64)
-    probs = ranks ** (-s)
-    probs /= probs.sum()
-    successor = rng.permutation(vocab_size)
+    draw = _categorical(rng, _zipf_probs(vocab_size, s))
+    successor = rng.permutation(vocab_size).tolist()
     lines = []
     tokens_left = n_tokens
     while tokens_left > 0:
@@ -188,9 +203,9 @@ def generate_zipf(vocab_size: int, n_tokens: int, s: float = 1.1,
         prev = None
         for _ in range(length):
             if prev is not None and rng.random() < copy_prob:
-                tok = int(successor[prev])
+                tok = successor[prev]
             else:
-                tok = int(rng.choice(vocab_size, p=probs))
+                tok = draw()
             sent.append(tok)
             prev = tok
         lines.append(" ".join(f"w{t:03d}" for t in sent))
@@ -226,12 +241,12 @@ def generate_english(n_tokens: int, seed: int = 0) -> list:
     predictive, so contextual models have real signal to pick up.
     """
     rng = np.random.default_rng(seed)
+    # a word's Zipf weight depends only on its rank and its class's size
+    draws = {len(words): _categorical(rng, _zipf_probs(len(words), 1.2))
+             for words in (_DETS, _ADJS, _NOUNS, _VERBS, _IVERBS, _ADVS, _PREPS)}
 
     def zipf_pick(words):
-        ranks = np.arange(1, len(words) + 1, dtype=np.float64)
-        p = ranks ** -1.2
-        p /= p.sum()
-        return words[int(rng.choice(len(words), p=p))]
+        return words[draws[len(words)]()]
 
     def np_phrase():
         out = [zipf_pick(_DETS)]

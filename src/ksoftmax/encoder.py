@@ -61,7 +61,7 @@ def encode(params: EncoderParams, windows: np.ndarray):
     windows = np.asarray(windows)
     if windows.ndim != 2 or windows.shape[1] != params.n:
         raise DimensionMismatch(f"windows {windows.shape} vs n={params.n}")
-    if np.any(windows < 0) or np.any(windows >= params.V):
+    if (windows < 0).any() or (windows >= params.V).any():
         bad = windows[(windows < 0) | (windows >= params.V)].flat[0]
         raise TokenOutOfRange(f"token id {bad} outside [0, {params.V})")
     B = windows.shape[0]
@@ -77,7 +77,10 @@ def encode_backward(params: EncoderParams, cache: EncodeCache,
     dpre = dH * (1.0 - cache.H * cache.H)
     dF = cache.X.T @ dpre
     dbias = dpre.sum(axis=0)
-    dX = (dpre @ params.F.T).reshape(-1, params.n, params.d_e)
-    dE = np.zeros_like(params.E)
-    np.add.at(dE, cache.windows, dX)
-    return EncoderParams(E=dE, F=dF, bias=dbias, n=params.n)
+    dX = dpre @ params.F.T
+    # one bin per entry of E: each bin adds its terms from 0 in index order,
+    # as np.add.at(dE, windows, dX) does, so repeated ids give the same sums
+    V, d_e = params.E.shape
+    bins = cache.windows[..., None] * d_e + np.arange(d_e)
+    dE = np.bincount(bins.ravel(), weights=dX.ravel(), minlength=V * d_e)
+    return EncoderParams(E=dE.reshape(V, d_e), F=dF, bias=dbias, n=params.n)

@@ -252,7 +252,7 @@ def _below_p2_kink(spec, st):
 
 def _hpb_score(spec, st):
     for side, norms in (("word column", st["wn"]), ("context row", st["hn"])):
-        if np.any(norms >= 1.0):
+        if (norms >= 1.0).any():
             raise HpbOutsideBall(
                 f"{side} {int(np.argmax(norms >= 1.0))} has norm >= 1")
     st["A"] = A = 1.0 - st["wn"]
@@ -567,7 +567,7 @@ def forward_logits(spec: KernelSpec, W: np.ndarray, H: np.ndarray,
                   clv=np.asarray(comp_log_vars, dtype=np.float64))
     L = kernel.score(spec, st)
     st.pop("dot", None)  # no VJP reads it
-    if not np.all(np.isfinite(L)):
+    if not np.isfinite(L).all():
         b, v = np.argwhere(~np.isfinite(L))[0]
         raise NonFiniteScore(f"non-finite {spec.kind} logit at (b={b}, v={v})")
     return L, st
@@ -607,6 +607,6 @@ def project_to_ball(W: np.ndarray) -> np.ndarray:
     norms = np.sqrt(np.einsum("dv,dv->v", W, W))
     limit = 1.0 - BALL_MARGIN
     over = norms > limit
-    if np.any(over):
+    if over.any():
         W[:, over] *= limit / norms[over]
     return W

@@ -198,7 +198,7 @@ def _forward(config: MixtureConfig, params: OutputParams, H: np.ndarray,
         targets = np.asarray(targets)
         if targets.shape != (B,):
             raise DimensionMismatch(f"targets {targets.shape} vs B={B}")
-        if np.any(targets < 0) or np.any(targets >= config.V):
+        if (targets < 0).any() or (targets >= config.V).any():
             bad = targets[(targets < 0) | (targets >= config.V)][0]
             raise TargetOutOfRange(f"target id {bad} outside [0, {config.V})")
     if K > 1:
@@ -249,7 +249,8 @@ def loss(config: MixtureConfig, params: OutputParams, H: np.ndarray,
     """
     cache = _forward(config, params, H, targets, ws)
     ce = -float(cache.log_posterior.mean())
-    reg = config.rho * _pi_variance(cache.pi, config.reg_across_data)
+    reg = (config.rho * _pi_variance(cache.pi, config.reg_across_data)
+           if config.rho > 0 else 0.0)
     cache.reg_term = reg
     return ce + reg, cache
 
@@ -258,7 +259,8 @@ def backward(config: MixtureConfig, params: OutputParams,
              cache: ForwardCache) -> tuple:
     """Analytic gradients of loss() at the cached targets: (an OutputParams
     of the gradient of every output-layer tensor, dL/dH for the encoder).
-    Its B x V scratch comes from the cache's workspace."""
+    Its B x V scratch and the gradient of W come from the cache's
+    workspace."""
     H = cache.H
     B, d = H.shape
     K = config.K
@@ -268,7 +270,8 @@ def backward(config: MixtureConfig, params: OutputParams,
     lsm_t = cache.lsm[:, rows, cache.targets].T  # B x K
     q = np.exp(cache.log_pi + lsm_t - cache.log_posterior[:, None])
 
-    dW = np.zeros_like(params.W)
+    dW = kernels.buffer(cache.ws, "out.dW", params.W.shape)
+    dW.fill(0.0)
     dH = np.zeros((B, d))
     dM = None
     dC = np.zeros_like(params.C) if params.C is not None else None

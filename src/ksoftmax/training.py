@@ -131,10 +131,14 @@ def init_state(config: TrainConfig, V: int) -> TrainState:
     return state
 
 
-def clip_gradients(grads: dict, clip_norm: float) -> float:
+def clip_gradients(grads: dict, clip_norm: float,
+                   ws: Optional[kernels.Workspace] = None) -> float:
     """Rescale grads in place so the global norm is <= clip_norm.
-    Returns the pre-clip global norm."""
-    total = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+    Returns the pre-clip global norm. The squares are taken in ``ws`` when
+    given, in the buffer that the update then takes for its temporaries."""
+    total = math.sqrt(sum(
+        float(np.sum(np.multiply(g, g, out=kernels.buffer(ws, "update.tmp", g.shape))))
+        for g in grads.values()))
     if total > clip_norm:
         scale = clip_norm / total
         for g in grads.values():
@@ -151,19 +155,20 @@ def _apply_update(state: TrainState, grads: dict):
     else:
         b1, b2, eps = 0.9, 0.999, 1e-8
         t = state.step + 1
+        c1, c2 = 1 - b1 ** t, 1 - b2 ** t
         for name, arr in named_tensors(state):
             g = grads[name]
             m = state.opt_m[name]
             v = state.opt_v[name]
             # out= keeps a 0-d tensor an array; a plain product is a scalar
-            tmp = state.ws.take("adam.tmp", g.shape)
+            tmp = state.ws.take("update.tmp", g.shape)
             den = state.ws.take("adam.den", g.shape)
             m *= b1
             m += np.multiply(1 - b1, g, out=tmp)
             v *= b2
             v += np.multiply(np.multiply(1 - b2, g, out=tmp), g, out=tmp)
-            mhat = np.divide(m, 1 - b1 ** t, out=tmp)
-            vhat = np.divide(v, 1 - b2 ** t, out=den)
+            mhat = np.divide(m, c1, out=tmp)
+            vhat = np.divide(v, c2, out=den)
             update = np.multiply(lr, mhat, out=tmp)
             update /= np.add(np.sqrt(vhat, out=den), eps, out=den)
             arr -= update
@@ -193,7 +198,7 @@ def loss_and_grads(state: TrainState, windows: np.ndarray,
     enc_grads = encoder_mod.encode_backward(state.enc, enc_cache, dH)
     grads = dict(_named(enc_grads, out_grads))
     for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise DivergenceDetected(
                 f"non-finite gradient in {name} at step {state.step}",
                 step=state.step, component=name)
@@ -208,7 +213,7 @@ def train_step(state: TrainState, windows: np.ndarray, targets: np.ndarray):
     from the last finite step.
     """
     loss_val, reg_term, grads = loss_and_grads(state, windows, targets)
-    clip_gradients(grads, state.config.clip_norm)
+    clip_gradients(grads, state.config.clip_norm, state.ws)
     _apply_update(state, grads)
     state.step += 1
     state.step_in_epoch += 1

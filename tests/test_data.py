@@ -1,4 +1,5 @@
 import collections
+import hashlib
 
 import numpy as np
 import pytest
@@ -181,6 +182,31 @@ class TestExampleArrays:
 
 
 class TestGenerators:
+    @pytest.mark.parametrize("n", [3, 8, 30])
+    @pytest.mark.parametrize("kind", ["zipf", "random-weights"])
+    def test_hoisted_draw_is_numpys_choice(self, n, kind):
+        # the generators draw through _categorical; a change in numpy's
+        # choice algorithm would change every bundled corpus
+        if kind == "zipf":
+            p = data._zipf_probs(n, 1.1)
+        else:
+            w = np.random.default_rng(n).random(n)
+            p = w / w.sum()
+        draw = data._categorical(np.random.default_rng(7), p)
+        ref = np.random.default_rng(7)
+        assert ([draw() for _ in range(2000)]
+                == [int(ref.choice(n, p=p)) for _ in range(2000)])
+
+    @pytest.mark.parametrize("make, digest", [
+        (lambda: data.generate_zipf(10000, 20000, seed=0),
+         "3fe3241a677cd7f9f80e05dd6ce8f9d10a820877"),
+        (lambda: data.generate_english(20000, seed=0),
+         "1d07366b3be9b4f0753ab581af02bc97178a3711"),
+    ], ids=["zipf", "english"])
+    def test_corpora_are_pinned(self, make, digest):
+        # sha1 of the lines joined by newlines, as numpy's rng.choice drew them
+        assert hashlib.sha1("\n".join(make()).encode()).hexdigest() == digest
+
     def test_zipf_deterministic(self):
         a = data.generate_zipf(50, 2000, seed=4)
         b = data.generate_zipf(50, 2000, seed=4)

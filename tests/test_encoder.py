@@ -68,6 +68,20 @@ class TestEncodeBackward:
                           n=3, d=3, d_e=4, seed=1)
         assert not gradcheck.check_pipeline(cfg, V=5, B=2, seed=2)
 
+    @pytest.mark.parametrize("windows", [
+        np.array([[1, 1, 3], [3, 0, 1], [1, 1, 1], [2, 3, 3]]),
+        np.random.default_rng(3).integers(0, 6, size=(50, 3)),
+    ], ids=["repeats-in-window", "repeats-across-batch"])
+    def test_embedding_gradient_equals_add_at_reference(self, windows):
+        params = make(V=6, n=3, d=4, d_e=5)
+        H, cache = encoder.encode(params, windows)
+        dH = np.random.default_rng(4).normal(size=H.shape)
+        grads = encoder.encode_backward(params, cache, dH)
+        dX = ((dH * (1.0 - H * H)) @ params.F.T).reshape(-1, 3, 5)
+        expected = np.zeros_like(params.E)
+        np.add.at(expected, windows, dX)
+        assert np.array_equal(grads.E, expected)
+
     def test_embedding_gradient_accumulates_repeated_tokens(self):
         params = make(V=4, n=2, d=3, d_e=2)
         windows = np.array([[1, 1]])  # same token twice in one window

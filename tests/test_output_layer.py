@@ -187,6 +187,21 @@ class TestLoss:
         assert val == pytest.approx(ce, rel=1e-12)
         assert cache.reg_term == 0.0
 
+    @pytest.mark.parametrize("kinds", [("pow",), ("lin", "pow", "ssg")])
+    @pytest.mark.parametrize("across", [False, True])
+    def test_rho_zero_loss_bits_without_the_variance(self, kinds, across):
+        config, params = make([KernelSpec(k) for k in kinds], rho=0.0,
+                              reg_across_data=across)
+        rng = np.random.default_rng(16)
+        H = rng.normal(size=(5, config.d))
+        targets = rng.integers(0, config.V, 5)
+        val, cache = output_layer.loss(config, params, H, targets)
+        # the regularized expression, with the variance scaled by rho = 0
+        full = (-float(cache.log_posterior.mean())
+                + config.rho * output_layer._pi_variance(cache.pi, across))
+        assert val.hex() == full.hex()
+        assert cache.reg_term == 0.0
+
     def test_uniform_pi_gives_zero_regularizer(self):
         config, params = make([KernelSpec("lin"), KernelSpec("pow")], rho=5.0)
         params.M[:] = 0.0

@@ -9,7 +9,7 @@ import pytest
 from ksoftmax import data, training
 from ksoftmax import eval as eval_mod
 from ksoftmax.errors import DivergenceDetected, KsoftmaxError
-from ksoftmax.kernels import KernelSpec
+from ksoftmax.kernels import KernelSpec, Workspace
 from ksoftmax.training import (TrainConfig, clip_gradients, grid_search,
                                init_state, load_checkpoint, named_tensors,
                                save_checkpoint, train, train_step, train_steps)
@@ -94,6 +94,18 @@ class TestClipping:
         post = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
         assert reported == pytest.approx(pre, rel=1e-12)
         assert post == pytest.approx(5.0, rel=1e-12)
+
+    def test_squares_in_a_stale_workspace_give_the_same_norm(self):
+        rng = np.random.default_rng(1)
+        grads = {"a": rng.normal(size=(6, 4)), "b": rng.normal(size=9),
+                 "c": np.array(2.5)}
+        ws = Workspace()
+        ws.take("update.tmp", (30,)).fill(np.nan)
+        copies = {k: g.copy() for k, g in grads.items()}
+        assert (clip_gradients(grads, clip_norm=1.0, ws=ws)
+                == clip_gradients(copies, clip_norm=1.0))
+        for name in grads:
+            assert np.array_equal(grads[name], copies[name]), name
 
     def test_small_gradients_untouched(self):
         grads = {"a": np.array([0.1, -0.2])}
