@@ -240,6 +240,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_grid(args) -> int:
+    if args.jobs < 1:
+        raise KsoftmaxError(f"--jobs must be >= 1, got {args.jobs}")
     grid = {}
     for item in args.grid.split(";"):
         name, _, vals = item.partition("=")

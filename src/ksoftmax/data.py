@@ -53,9 +53,6 @@ class Vocabulary:
             raise TokenOutOfRange(f"id {idx} outside [0, {self.V})")
         return self.id_to_token[idx]
 
-    def encode_line(self, line: str, lowercase: bool = True) -> list:
-        return [self.encode_token(t) for t in tokenize(line, lowercase)]
-
     def save(self, path):
         # one token per line, line number = id - 2 (reserved ids implicit)
         with open(path, "w", encoding="utf-8") as f:
@@ -114,7 +111,8 @@ def prepare_corpus(lines: Sequence[str], max_size: int, min_count: int = 1,
     test_idx = sorted(order[n_train + n_dev:])
     vocab = build_vocab((lines[i] for i in train_idx), max_size, min_count,
                         lowercase)
-    enc = lambda ids: [vocab.encode_line(lines[i], lowercase) for i in ids]
+    enc = lambda ids: [[vocab.encode_token(t) for t in tokenize(lines[i], lowercase)]
+                       for i in ids]
     return vocab, CorpusSplit(train=enc(train_idx), dev=enc(dev_idx),
                               test=enc(test_idx))
 
@@ -192,6 +190,12 @@ def generate_zipf(vocab_size: int, n_tokens: int, s: float = 1.1,
     the unigram marginal stays heavy-tailed. Sentences are 5 to 20 tokens
     long.
     """
+    if vocab_size < 1:
+        raise ValueError(f"vocab_size must be >= 1, got {vocab_size}")
+    if not math.isfinite(s):
+        raise ValueError(f"zipf s must be finite, got {s}")
+    if not 0 <= copy_prob <= 1:
+        raise ValueError(f"copy_prob must be in [0, 1], got {copy_prob}")
     rng = np.random.default_rng(seed)
     draw = _categorical(rng, _zipf_probs(vocab_size, s))
     successor = rng.permutation(vocab_size).tolist()

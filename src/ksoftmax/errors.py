@@ -47,7 +47,8 @@ class CorruptCheckpoint(KsoftmaxError):
 
 
 class DivergenceDetected(KsoftmaxError):
-    """Training hit a non-finite logit, loss or gradient.
+    """Training hit a non-finite logit, loss or gradient, or ended with no
+    finite dev perplexity.
 
     Carries the global step at which it happened and, when known, where the
     non-finite value came from: the mixture component index for a logit,

@@ -25,7 +25,8 @@ def mean_nll_and_pi(state, sentences):
     """(mean NLL, per-component mean pi, pi variance) of the
     training.TrainState ``state`` over every target position of
     ``sentences``; the variance is output_layer._pi_variance in the
-    mixture's mode over all those positions, the term rho scales in loss."""
+    mixture's mode over all those positions, the term rho scales in loss.
+    The batches are scored in ``state.ws``, the training step's workspace."""
     config = state.mixture
     windows, targets = data_mod.make_examples(sentences, state.config.n)
     total_nll = 0.0
@@ -34,11 +35,10 @@ def mean_nll_and_pi(state, sentences):
     count = len(targets)
     if count == 0:
         raise KsoftmaxError("empty split: no target positions to score")
-    ws = kernels.Workspace()  # every batch reuses the first one's buffers
     for lo in range(0, count, EVAL_BATCH):
         rows = slice(lo, lo + EVAL_BATCH)
         H, _ = encoder_mod.encode(state.enc, windows[rows])
-        cache = output_layer._forward(config, state.out, H, targets[rows], ws)
+        cache = output_layer._forward(config, state.out, H, targets[rows], state.ws)
         total_nll -= float(cache.log_posterior.sum())
         pi_sum += cache.pi.sum(axis=0)
         pis.append(cache.pi)

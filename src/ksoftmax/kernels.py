@@ -57,10 +57,10 @@ LOG_2PI = math.log(2.0 * math.pi)
 class KernelSpec:
     """One kernel kind plus its hyperparameters.
 
-    ``alpha`` and ``gamma`` default to None, meaning 1/d resolved against
-    the vector dimension at evaluation time (1 when no dimension applies,
-    e.g. radial curve emission). A field the kind does not read (see
-    ``Kernel.fields``) must keep its default.
+    ``alpha`` and ``gamma`` default to None, meaning 1/d; ``resolved``
+    works that out against the vector dimension at evaluation time (1 when
+    no dimension applies, e.g. radial curve emission). A field the kind
+    does not read (see ``Kernel.fields``) must keep its default.
     """
 
     kind: str
@@ -93,14 +93,11 @@ class KernelSpec:
         if self.num_gauss < 1:
             raise ValueError("num_gauss must be >= 1")
 
-    def resolved_alpha(self, d: Optional[int] = None) -> float:
-        if self.alpha is not None:
-            return self.alpha
-        return 1.0 / d if d else 1.0
-
-    def resolved_gamma(self, d: Optional[int] = None) -> float:
-        if self.gamma is not None:
-            return self.gamma
+    def resolved(self, field: str, d: Optional[int] = None) -> float:
+        """The value of ``alpha`` or ``gamma`` at vector dimension ``d``."""
+        value = getattr(self, field)
+        if value is not None:
+            return value
         return 1.0 / d if d else 1.0
 
     @staticmethod
@@ -223,13 +220,13 @@ class Kernel:
 
 
 def _pol_score(spec, st):
-    st["base"] = base = spec.resolved_alpha(st["d"]) * st["dot"] + spec.c
+    st["base"] = base = spec.resolved("alpha", st["d"]) * st["dot"] + spec.c
     return base ** int(spec.p)
 
 
 def _pol_vjp(spec, st, dL, kink):
     p = int(spec.p)
-    return {"dot": dL * (p * spec.resolved_alpha(st["d"]) * st["base"] ** (p - 1))}
+    return {"dot": dL * (p * spec.resolved("alpha", st["d"]) * st["base"] ** (p - 1))}
 
 
 def _radial(phi, dphi, fields, kink=None) -> Kernel:
@@ -380,10 +377,10 @@ KERNELS = {
     "pol": Kernel("dot", _pol_score, _pol_vjp, fields=("p", "alpha", "c")),
     "rbf": _radial(
         lambda spec, x, d, out: np.exp(
-            np.multiply(-spec.resolved_gamma(d), x, out=out), out=out),
+            np.multiply(-spec.resolved("gamma", d), x, out=out), out=out),
         lambda spec, x, d, out: np.multiply(
-            -spec.resolved_gamma(d),
-            np.exp(np.multiply(-spec.resolved_gamma(d), x, out=out), out=out), out=out),
+            -spec.resolved("gamma", d),
+            np.exp(np.multiply(-spec.resolved("gamma", d), x, out=out), out=out), out=out),
         ("gamma",)),
     "ssg": Kernel("x", _ssg_score, _ssg_vjp, var_shape=lambda spec: ()),
     "mog": Kernel("x", _mog_score, _mog_vjp,
@@ -538,11 +535,12 @@ def forward_logits(spec: KernelSpec, W: np.ndarray, H: np.ndarray,
     expects (V, G) and (G,). Returns (L, cache); the cache, all that
     backward_logits reads, is W, H and the statistics the kind's VJP reads.
 
-    With a workspace ``ws``, the B x V arrays the cache keeps are taken
-    under keys tagged with the component index ``k``, and L and every
-    other B x V array under keys that all components share: L is valid
-    until the next call given ``ws``, the cache until the next call given
-    ``ws`` and the same ``k``.
+    A non-finite logit raises NonFiniteScore naming the mixture component
+    index ``k``. With a workspace ``ws``, the B x V arrays the cache keeps
+    are taken under keys tagged with ``k``, and L and every other B x V
+    array under keys that all components share: L is valid until the next
+    call given ``ws``, the cache until the next call given ``ws`` and the
+    same ``k``.
     """
     W = np.asarray(W, dtype=np.float64)
     H = np.asarray(H, dtype=np.float64)
@@ -569,7 +567,8 @@ def forward_logits(spec: KernelSpec, W: np.ndarray, H: np.ndarray,
     st.pop("dot", None)  # no VJP reads it
     if not np.isfinite(L).all():
         b, v = np.argwhere(~np.isfinite(L))[0]
-        raise NonFiniteScore(f"non-finite {spec.kind} logit at (b={b}, v={v})")
+        raise NonFiniteScore(f"component {k} ({spec.kind}): non-finite {spec.kind} "
+                             f"logit at (b={b}, v={v})", component=k)
     return L, st
 
 

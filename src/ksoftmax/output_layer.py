@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .errors import DimensionMismatch, NonFiniteScore, TargetOutOfRange
+from .errors import DimensionMismatch, TargetOutOfRange
 
 
 def check_components(components):
@@ -54,12 +54,6 @@ class MixtureConfig:
         return len(self.components)
 
     @property
-    def variance_shapes(self) -> list:
-        """Per component, the shape of its log-variance parameter (None for
-        kinds without Gaussian parameters)."""
-        return [kernels.variance_shape(s) for s in self.components]
-
-    @property
     def uses_ball(self) -> bool:
         return any(kernels.KERNELS[s.kind].in_ball for s in self.components)
 
@@ -88,7 +82,7 @@ def init_output_params(config: MixtureConfig, rng: np.random.Generator) -> Outpu
     W = rng.uniform(-scale, scale, size=(d, V))
     M = rng.uniform(-scale, scale, size=(d, K)) if K > 1 else None
     C = rng.uniform(-scale, scale, size=(K, d, d)) if K > 1 else None
-    shapes = config.variance_shapes
+    shapes = [kernels.variance_shape(s) for s in config.components]
     comp_lv = [np.zeros(s) if s is not None else None for s in shapes]
     # one word array serves every Gaussian component: (V,) for ssg alone,
     # (V, G) once a mog is present
@@ -152,16 +146,6 @@ def _log_mix(log_pi: np.ndarray, lsm_t: np.ndarray) -> np.ndarray:
     return m + np.log(total)
 
 
-def mixture_weights(M: Optional[np.ndarray], H: np.ndarray) -> np.ndarray:
-    """pi[b, k] = softmax over k of M_k . h_b, with max-subtraction."""
-    H = np.asarray(H, dtype=np.float64)
-    if M is None:
-        return np.ones((H.shape[0], 1))
-    if M.shape[0] != H.shape[1]:
-        raise DimensionMismatch(f"M {M.shape} vs H {H.shape}")
-    return np.exp(_log_softmax(H @ M))
-
-
 def transform_contexts(C: np.ndarray, H: np.ndarray) -> list:
     """h_k~ = tanh(C_k^T h) for each component; returns K arrays of B x d."""
     H = np.asarray(H, dtype=np.float64)
@@ -171,15 +155,11 @@ def transform_contexts(C: np.ndarray, H: np.ndarray) -> list:
 def component_logits(config: MixtureConfig, params: OutputParams, h_k, k: int,
                      ws: Optional[kernels.Workspace] = None):
     """(B x V logits, kernel cache) of component k at its B x d transformed
-    contexts h_k, computed in ``ws`` when given (see forward_logits); a
-    non-finite logit raises NonFiniteScore naming k."""
+    contexts h_k, computed in ``ws`` when given (see forward_logits)."""
     spec = config.components[k]
-    try:
-        return kernels.forward_logits(
-            spec, params.W, h_k * kernels.context_scale(spec, config.d),
-            *_variances(params.word_log_vars, params.component_log_vars, k), ws=ws, k=k)
-    except NonFiniteScore as e:
-        raise NonFiniteScore(f"component {k} ({spec.kind}): {e}", component=k) from e
+    return kernels.forward_logits(
+        spec, params.W, h_k * kernels.context_scale(spec, config.d),
+        *_variances(params.word_log_vars, params.component_log_vars, k), ws=ws, k=k)
 
 
 def _forward(config: MixtureConfig, params: OutputParams, H: np.ndarray,

@@ -276,8 +276,9 @@ def train(config: TrainConfig, split: data_mod.CorpusSplit, V: int,
     Returns (best_state, metrics) where metrics is the list of per-epoch
     row dicts and best_state is the checkpoint with the lowest dev PPL.
     Writes metrics.csv, best.ckpt and last.ckpt under out_dir when given.
-    On divergence the last finite checkpoint is saved before the error
-    propagates. An empty dev split raises KsoftmaxError before any step.
+    A run that ends with no finite dev PPL has diverged too: on divergence
+    last.ckpt is saved before DivergenceDetected propagates. An empty dev
+    split raises KsoftmaxError before any step.
     """
     check_dev_split(split)
     if state is None:
@@ -330,6 +331,9 @@ def train(config: TrainConfig, split: data_mod.CorpusSplit, V: int,
                     save_checkpoint(best_state, os.path.join(out_dir, "best.ckpt"))
             if bad_epochs >= cfg.patience:
                 break
+        if not math.isfinite(state.best_dev_ppl):
+            raise DivergenceDetected(
+                f"no finite dev perplexity by epoch {state.epoch}", step=state.step)
     except DivergenceDetected:
         if out_dir is not None:
             save_checkpoint(state, os.path.join(out_dir, "last.ckpt"))

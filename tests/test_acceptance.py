@@ -148,8 +148,8 @@ def test_bruteforce_posterior():
                                d=3, V=6)
         params = init_output_params(config, rng)
         H = rng.normal(size=(4, 3))
-        probs, _ = output_layer.posterior(config, params, H)
-        pi = output_layer.mixture_weights(params.M, H)
+        probs, cache = output_layer.posterior(config, params, H)
+        pi = cache.pi
         h_tilde = ([H] if params.C is None
                    else output_layer.transform_contexts(params.C, H))
         for b in range(4):

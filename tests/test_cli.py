@@ -114,6 +114,21 @@ class TestTrainEvalPipeline:
         assert code == 2
         assert "diverged" in capsys.readouterr().err
 
+    def test_run_with_no_finite_dev_ppl_exits_2(self, tmp_path, capsys):
+        # every epoch's dev perplexity overflows to inf while loss and
+        # gradients stay finite
+        corpus = str(tmp_path / "corpus.txt")
+        assert cli.run(["synth", "--vocab", "30", "--tokens", "800", "--seed", "1",
+                        "--out", corpus]) == 0
+        code = cli.run(["train", "--corpus", corpus, "--out", str(tmp_path / "run"),
+                        "--kernels", "pol(p=3,c=5)", "--learning-rate", "50",
+                        "--max-epochs", "6"])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith("diverged:")
+        assert (tmp_path / "run" / "last.ckpt").exists()
+        assert not (tmp_path / "run" / "best.ckpt").exists()
+
 
 def _set_header(field, value):
     return lambda lines, body: (
@@ -281,6 +296,25 @@ class TestValidationErrors:
         assert cli.run(["curves", "--kernels", "rbf", "--xmax", "-3",
                         "--out", str(tmp_path / "c")]) == 1
         assert "error: rbf" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--vocab", "0"], ["--zipf-s", "nan"],
+                                       ["--zipf-s", "inf"], ["--copy-prob", "1.5"],
+                                       ["--copy-prob", "-0.1"]],
+                             ids=["vocab-0", "s-nan", "s-inf", "copy-1.5", "copy-neg"])
+    def test_synth_bad_zipf_parameter_exits_1(self, tmp_path, capsys, flags):
+        out = tmp_path / "corpus.txt"
+        assert cli.run(["synth", "--tokens", "100", "--out", str(out)] + flags) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_grid_jobs_below_one_exits_1_before_writing(self, tmp_path, corpus_file,
+                                                        capsys, jobs):
+        out = tmp_path / "grid"
+        assert cli.run(["grid", "--corpus", corpus_file, "--out", str(out),
+                        "--grid", "rho=0.1", "--jobs", jobs] + FAST) == 1
+        assert "error: --jobs" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_flag(self, capsys):
         assert cli.run(["train", "--nonsense"]) == 1

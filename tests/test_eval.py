@@ -1,3 +1,4 @@
+import copy
 import math
 import weakref
 
@@ -74,6 +75,29 @@ class TestPerplexity:
         assert nll == total / len(targets)
         assert np.array_equal(pi_mean, pi_sum / len(targets))
 
+    def test_scoring_in_the_states_dirty_workspace_changes_no_bits(self):
+        # eval scores in state.ws; its stale contents, left at a larger
+        # batch, reach neither the perplexity nor the next training step
+        components = tuple(KernelSpec(k) for k in ("lin", "pow", "ssg", "hpb"))
+        state = make_state(V=10, components=components, seed=7, rho=0.1)
+        windows, targets = data.make_examples([[2, 3, 4, 5, 6, 7, 8, 9]] * 6,
+                                              state.config.n)
+        training.train_step(state, windows, targets)
+        eval_mod.perplexity(state, [[2, 3, 4, 5, 6, 7, 8, 9]] * 8)
+        copied = copy.deepcopy(state)
+        assert state.ws._buffers and not copied.ws._buffers
+        for buf in state.ws._buffers.values():
+            buf.fill(np.nan)
+        sentences = [[9, 8, 7, 6], [5, 4, 3, 2, 2]]
+        assert eval_mod.perplexity(state, sentences) == eval_mod.perplexity(
+            copied, sentences)
+        batch = windows[:20], targets[:20]
+        assert training.train_step(state, *batch) == training.train_step(copied, *batch)
+        for name, arr in training.named_tensors(state):
+            assert np.array_equal(arr, dict(training.named_tensors(copied))[name]), name
+            assert np.array_equal(state.opt_m[name], copied.opt_m[name]), name
+            assert np.array_equal(state.opt_v[name], copied.opt_v[name]), name
+
     def test_no_cache_outlives_its_batch(self, monkeypatch):
         # at each _forward call, count the caches of earlier batches still alive
         state = make_state(V=10, components=(KernelSpec("lin"), KernelSpec("pow")))
@@ -101,7 +125,7 @@ class TestPerplexity:
         sentences = [[2, 3, 4, 5, 6], [7, 8, 9]] * 120
         windows, _ = data.make_examples(sentences, state.config.n)
         H, _ = encoder.encode(state.enc, windows)
-        pi = output_layer.mixture_weights(state.out.M, H)
+        pi = output_layer._forward(state.mixture, state.out, H).pi
         _, _, pi_var = eval_mod.mean_nll_and_pi(state, sentences)
         assert len(windows) > eval_mod.EVAL_BATCH
         assert pi_var == pytest.approx(output_layer._pi_variance(pi, across), rel=1e-12)

@@ -56,9 +56,10 @@ class TestSpecValidation:
 
     def test_alpha_gamma_default_to_inverse_dimension(self):
         s = KernelSpec("rbf")
-        assert s.resolved_gamma(4) == 0.25
-        assert s.resolved_gamma(None) == 1.0
-        assert KernelSpec("pol").resolved_alpha(8) == 0.125
+        assert s.resolved("gamma", 4) == 0.25
+        assert s.resolved("gamma", None) == 1.0
+        assert KernelSpec("pol").resolved("alpha", 8) == 0.125
+        assert KernelSpec("pol", alpha=0.5).resolved("alpha", 8) == 0.5
 
 
 class TestScore:

@@ -32,21 +32,24 @@ class TestMixtureConfig:
 
 
 class TestMixtureWeights:
+    # pi is read from the forward cache, the one place it is computed
     def test_single_component_is_degenerate(self):
-        pi = output_layer.mixture_weights(None, np.random.normal(size=(3, 4)))
-        assert np.array_equal(pi, np.ones((3, 1)))
+        config, params = make([KernelSpec("lin")])
+        _, cache = output_layer.posterior(config, params, np.random.normal(size=(3, 4)))
+        assert np.array_equal(cache.pi, np.ones((3, 1)))
 
     def test_zero_matrix_gives_uniform(self):
-        pi = output_layer.mixture_weights(np.zeros((4, 3)),
-                                          np.random.normal(size=(2, 4)))
-        assert np.allclose(pi, 1.0 / 3.0)
+        config, params = make([KernelSpec("lin")] * 3)
+        params.M[:] = 0.0
+        _, cache = output_layer.posterior(config, params, np.random.normal(size=(2, 4)))
+        assert np.allclose(cache.pi, 1.0 / 3.0)
 
     def test_huge_logits_do_not_overflow(self):
-        M = np.full((2, 2), 1000.0)
-        H = np.ones((1, 2))
-        pi = output_layer.mixture_weights(M, H)
-        assert np.allclose(pi, [[0.5, 0.5]])
-        assert np.all(np.isfinite(pi))
+        config, params = make([KernelSpec("lin")] * 2, d=2)
+        params.M[:] = 1000.0
+        _, cache = output_layer.posterior(config, params, np.ones((1, 2)))
+        assert np.allclose(cache.pi, [[0.5, 0.5]])
+        assert np.all(np.isfinite(cache.pi))
 
 
 class TestTransformContexts:
@@ -103,10 +106,10 @@ class TestPosterior:
                               d=4, V=7, seed=4)
         rng = np.random.default_rng(5)
         H = rng.normal(size=(3, 4))
-        probs, _ = output_layer.posterior(config, params, H)
+        probs, cache = output_layer.posterior(config, params, H)
 
         from ksoftmax import kernels as kmod
-        pi = output_layer.mixture_weights(params.M, H)
+        pi = cache.pi
         h_tilde = output_layer.transform_contexts(params.C, H)
         for b in range(3):
             for v in range(7):

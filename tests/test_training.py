@@ -380,16 +380,14 @@ class TestBestCheckpoint:
             return 1e6, pi_mean, pi_var
         monkeypatch.setattr(eval_mod, "mean_nll_and_pi", overflow)
 
-    def test_run_with_no_finite_dev_ppl_leaves_one(self, tmp_path, monkeypatch):
+    def test_run_with_no_finite_dev_ppl_diverges(self, tmp_path, monkeypatch):
         self.overflowing_dev(monkeypatch)
-        best, metrics = train(make_config(max_epochs=3), toy_split(), V,
-                              out_dir=tmp_path)
-        assert [r["dev_ppl"] for r in metrics] == [math.inf] * 3
-        loaded = load_checkpoint(tmp_path / "best.ckpt")
-        assert (loaded.epoch, loaded.step, loaded.best_dev_ppl) == (
-            best.epoch, best.step, best.best_dev_ppl)
-        for (name, a), (_, b) in zip(named_tensors(loaded), named_tensors(best)):
-            assert np.array_equal(a, b), name
+        with pytest.raises(DivergenceDetected, match="no finite dev perplexity by epoch 3"):
+            train(make_config(max_epochs=3), toy_split(), V, out_dir=tmp_path)
+        assert load_checkpoint(tmp_path / "last.ckpt").epoch == 3
+        assert not (tmp_path / "best.ckpt").exists()
+        rows = (tmp_path / "metrics.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[2] for row in rows] == ["inf"] * 3
 
     def test_resume_that_never_improves_keeps_the_earlier_one(
             self, tmp_path, monkeypatch):

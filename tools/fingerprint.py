@@ -6,7 +6,8 @@ prints one `name digest` line per artifact. Each CLI call also prints its
 exit code, a digest of its stdout and its first stderr line. The
 timestamped `# started` line of `run.log` is dropped and the temporary
 root is replaced by `<tmp>`, so two runs of the same code print the same
-lines. Comparing two trees:
+lines. BLAS runs on one thread whatever the environment says, since
+trained bits depend on the thread count. Comparing two trees:
 
     diff <(PYTHONPATH=<other>/src python tools/fingerprint.py) \\
          <(PYTHONPATH=src python tools/fingerprint.py)
@@ -20,6 +21,9 @@ import io
 import os
 import sys
 import tempfile
+
+# before numpy loads, which reads the thread count once
+os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
 
 import numpy as np
 
