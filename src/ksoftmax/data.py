@@ -163,9 +163,13 @@ def save_lines(lines: Sequence[str], path):
 # ---------------------------------------------------------------------------
 
 def _zipf_probs(n: int, s: float) -> np.ndarray:
-    """Zipf(s) probabilities of ranks 1..n."""
-    probs = np.arange(1, n + 1, dtype=np.float64) ** -s
-    probs /= probs.sum()
+    """Zipf(s) probabilities of ranks 1..n. Raises ValueError when they are
+    not all finite, as when a large negative s overflows the weights."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        probs = np.arange(1, n + 1, dtype=np.float64) ** -s
+        probs /= probs.sum()
+    if not np.isfinite(probs).all():
+        raise ValueError(f"zipf s={s} over {n} ranks gives non-finite probabilities")
     return probs
 
 

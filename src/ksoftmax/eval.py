@@ -26,7 +26,8 @@ def mean_nll_and_pi(state, sentences):
     training.TrainState ``state`` over every target position of
     ``sentences``; the variance is output_layer._pi_variance in the
     mixture's mode over all those positions, the term rho scales in loss.
-    The batches are scored in ``state.ws``, the training step's workspace."""
+    The batches are scored in ``state.ws``, the training step's workspace,
+    on its lanes; the pass only scores, so it keeps nothing for backward."""
     config = state.mixture
     windows, targets = data_mod.make_examples(sentences, state.config.n)
     total_nll = 0.0

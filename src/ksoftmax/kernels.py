@@ -23,13 +23,21 @@ entries on one (w, h) pair, but compute x from the explicit difference
 w - h, an independent distance computation.
 
 The batched path takes an optional ``Workspace`` that owns its B x V
-buffers across calls; without one every array is freshly allocated.
+buffers across calls; without one every array is freshly allocated. A
+workspace also owns the lanes on which ``in_lanes`` runs independent
+per-component work concurrently.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
+import contextvars
 import dataclasses
 import math
+import mmap
+import os
+import queue
+import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -155,21 +163,96 @@ class Workspace:
     grows only when a request is larger than what it holds, so a shorter
     batch reuses it. A result computed in a workspace stays valid until the
     next call given the same workspace. A copy is empty: copying an object
-    that holds a workspace copies no buffers.
+    that holds a workspace copies no buffers and no lanes.
+
+    Buffers are anonymous memory mappings rather than heap arrays: one
+    taken on a lane's thread would otherwise land in that thread's malloc
+    arena, which keeps the memory after the buffer is gone.
     """
 
     def __init__(self):
         self._buffers = {}
+        self._free = None  # queue of lane scratch workspaces not in use
+        self._pool = None  # (n, executor of the n lane threads)
+        self._seconds = {}  # (lane body code, K) -> the last time of each call
 
     def take(self, key, shape) -> np.ndarray:
         size = math.prod(shape)
         buf = self._buffers.get(key)
         if buf is None or buf.size < size:
-            buf = self._buffers[key] = np.empty(size)
+            buf = self._buffers[key] = np.frombuffer(
+                mmap.mmap(-1, 8 * max(size, 1)), dtype=np.float64)
         return buf[:size].reshape(shape)
+
+    def lanes(self, n: int) -> tuple:
+        """(executor of n lane threads, None for n = 1; the queue of lane
+        scratch workspaces not in use), made on first use and the executor
+        again for another n."""
+        if self._free is None:
+            self._free = queue.SimpleQueue()
+        if n > 1 and (self._pool is None or self._pool[0] != n):
+            if self._pool is not None:
+                self._pool[1].shutdown(wait=False)
+            self._pool = (n, concurrent.futures.ThreadPoolExecutor(n, "ksoftmax-lane"))
+        return (self._pool[1] if n > 1 else None), self._free
 
     def __deepcopy__(self, memo):
         return Workspace()
+
+
+# Below this many elements in a component's B x V arrays, lane threads
+# cost more than they save: the lanes then wait on the interpreter lock
+# between numpy calls too short to release it. On 2 CPUs a K=4 step broke
+# even at B x V = 32,000 and gained 1.1x at 64,000 and 1.36x at 512,000.
+LANE_MIN_SIZE = 1 << 16
+
+
+def lane_count(K: int, size: int) -> int:
+    """Lanes for K independent components whose B x V arrays hold ``size``
+    elements: one per CPU this process may run on, at most K, and just one
+    below LANE_MIN_SIZE."""
+    return min(K, len(os.sched_getaffinity(0))) if size >= LANE_MIN_SIZE else 1
+
+
+def in_lanes(ws: Optional[Workspace], K: int, size: int, body: Callable) -> list:
+    """[body(k, scratch) for k in range(K)], the calls spread over the lanes
+    of ``ws`` (lane_count(K, size) of them); ``scratch`` is the workspace
+    of the lane running the call, None without ``ws``. A call may write
+    only to its lane's scratch, to buffers under keys tagged with its k and
+    to its own slices of shared arrays, so the results do not depend on
+    the lane count.
+
+    With one lane, or no workspace, the calls run in turn on the calling
+    thread. Otherwise each runs in a copy of the caller's context, so the
+    caller's ``np.errstate`` holds in it; every call finishes before an
+    exception is raised, and the one raised is that of the lowest k, the
+    call at which the serial loop stops.
+    """
+    if ws is None:
+        return [body(k, None) for k in range(K)]
+    pool, free = ws.lanes(lane_count(K, size))
+    seconds = ws._seconds.setdefault((body.__code__, K), [0.0] * K)
+
+    def task(k):
+        t0 = time.perf_counter()
+        try:
+            scratch = free.get_nowait()
+        except queue.Empty:  # one more lane than ever ran at once before
+            scratch = Workspace()
+        try:
+            return body(k, scratch)
+        finally:
+            free.put(scratch)
+            seconds[k] = time.perf_counter() - t0
+
+    if pool is None:
+        return [task(k) for k in range(K)]
+    # longest first, by the last call's times, so no lane idles while
+    # another runs the slowest component last
+    futures = {k: pool.submit(contextvars.copy_context().run, task, k)
+               for k in sorted(range(K), key=lambda k: -seconds[k])}
+    concurrent.futures.wait(futures.values())
+    return [futures[k].result() for k in range(K)]
 
 
 def buffer(ws: Optional[Workspace], key, shape) -> np.ndarray:
@@ -177,13 +260,28 @@ def buffer(ws: Optional[Workspace], key, shape) -> np.ndarray:
     return np.empty(shape) if ws is None else ws.take(key, shape)
 
 
-def _scratch(st, name, keep=False) -> np.ndarray:
-    """A buffer shaped like the statistic x, from the workspace of ``st``:
-    kept for this component's backward when ``keep``, otherwise shared by
-    every component. Of the shared ones, forward_logits leaves L in "L"
-    and the log-softmax of L takes "exp"; a VJP runs once both are dead,
-    beside backward's "dL", and takes its scratch from "L", "exp" and "t"."""
-    return buffer(st.get("ws"), (name, st.get("k")) if keep else name, st["x"].shape)
+def _kept(st, name, shape) -> np.ndarray:
+    """A buffer for what this component's backward reads: under (name, k)
+    in the workspace "ws". Without "ws" the pass only scores, and it is the
+    lane's scratch "s0", which the log-softmax's exp then takes over;
+    without either workspace it is fresh."""
+    ws = st.get("ws")
+    if ws is not None:
+        return ws.take((name, st["k"]), shape)
+    return buffer(st.get("scratch"), "s0", shape)
+
+
+def _scratch(st, name) -> np.ndarray:
+    """The lane's scratch buffer ``name`` ("s0" or "s1"), shaped like the
+    statistic x and free for any use until the next take; fresh without a
+    lane."""
+    return buffer(st.get("scratch"), name, st["x"].shape)
+
+
+def _logits(st) -> np.ndarray:
+    """The buffer the logits go to: "out", or a fresh one."""
+    out = st.get("out")
+    return np.empty(st["x"].shape) if out is None else out
 
 
 def _sq_dist(w_norm_sq, h_norm_sq, dot, out):
@@ -203,11 +301,14 @@ class Kernel:
     intermediates to it for the VJP. ``st`` holds "d" (the dimension, None
     when unknown), "dot" or "x" as B x V arrays, for hpb "wn" (1 x V) and
     "hn" (B x 1), and for ssg/mog the word and component log-variances
-    "wlv"/"clv"; in the batched path also the workspace "ws" (None for
-    fresh arrays) and the component index "k" that tags the buffers kept
-    for backward. ``vjp(spec, st, dL, kink)`` maps the cotangent of the
-    logits to cotangents of those entries, with the zero subgradient where
-    the ``kink`` mask is set; it leaves ``st`` and ``dL`` unchanged.
+    "wlv"/"clv". In the batched path it also holds the buffer "out" for
+    the logits, the workspace "ws" that keeps what backward reads under
+    keys tagged with the component index "k", and the lane's "scratch"
+    workspace; each is None when absent (fresh arrays).
+    ``vjp(spec, st, dL, kink)`` maps the cotangent of the logits to
+    cotangents of those entries, with the zero subgradient where the
+    ``kink`` mask is set. It leaves ``st`` unchanged but may overwrite
+    ``dL``, and a returned cotangent may be ``dL`` itself.
     """
 
     stat: str                             # "dot" or "x"
@@ -235,11 +336,11 @@ def _radial(phi, dphi, fields, kink=None) -> Kernel:
     def vjp(spec, st, dL, kink_mask):
         # at x = 0 with p < 2 dphi is non-finite; kink_mask replaces it
         with np.errstate(divide="ignore", invalid="ignore"):
-            dx = dphi(spec, st["x"], st["d"], _scratch(st, "L"))
+            dx = dphi(spec, st["x"], st["d"], _scratch(st, "s0"))
         if kink_mask is not None:
             dx[kink_mask] = 0.0
-        return {"x": np.multiply(dL, dx, out=dx)}
-    return Kernel("x", lambda spec, st: phi(spec, st["x"], st["d"], _scratch(st, "L")),
+        return {"x": np.multiply(dL, dx, out=dL)}
+    return Kernel("x", lambda spec, st: phi(spec, st["x"], st["d"], _logits(st)),
                   vjp, kink, fields=fields)
 
 
@@ -254,9 +355,10 @@ def _hpb_score(spec, st):
                 f"{side} {int(np.argmax(norms >= 1.0))} has norm >= 1")
     st["A"] = A = 1.0 - st["wn"]
     st["Bn"] = Bn = 1.0 - st["hn"]
-    # z = max(1 + 2 x / (Bn A), 1)
-    st["z"] = z = np.multiply(2.0, st["x"], out=_scratch(st, "z", keep=True))
-    L = np.multiply(Bn, A, out=_scratch(st, "L"))
+    # z = max(1 + 2 x / (Bn A), 1); when the pass only scores, z is
+    # computed in place over x
+    st["z"] = z = np.multiply(2.0, st["x"], out=_kept(st, "z", st["x"].shape))
+    L = np.multiply(Bn, A, out=_logits(st))
     z /= L
     np.add(1.0, z, out=z)
     np.maximum(z, 1.0, out=z)
@@ -266,10 +368,10 @@ def _hpb_score(spec, st):
 def _hpb_vjp(spec, st, dL, kink):
     A, Bn, x, z = st["A"], st["Bn"], st["x"], st["z"]
     # dz = -dL / sqrt(z^2 - 1)
-    t = np.multiply(z, z, out=_scratch(st, "L"))
+    t = np.multiply(z, z, out=_scratch(st, "s0"))
     t -= 1.0
     np.sqrt(t, out=t)
-    dz = np.negative(dL, out=_scratch(st, "exp"))
+    dz = np.negative(dL, out=dL)
     with np.errstate(divide="ignore", invalid="ignore"):
         dz /= t
     if kink is not None:
@@ -278,7 +380,7 @@ def _hpb_vjp(spec, st, dL, kink):
     np.divide(1.0, inv_ab, out=inv_ab)
     # z depends on the norms through A = 1 - wn and Bn = 1 - hn, both via
     # u = dz (2 x) inv_ab
-    u = np.multiply(2.0, x, out=_scratch(st, "t"))
+    u = np.multiply(2.0, x, out=_scratch(st, "s1"))
     np.multiply(dz, u, out=u)
     u *= inv_ab
     dx = np.multiply(dz, 2.0, out=dz)
@@ -297,11 +399,11 @@ def _gauss_ell(d, x, s, out=None):
 
 def _gauss_ell_vjp(d, x, s, g, dx=None, ds=None):
     """(x, s) cotangents of _gauss_ell given its cotangent g, written into
-    ``dx`` and ``ds`` when they are given."""
-    dx = np.multiply(g, -1.0 / (2.0 * s), out=dx)
+    ``dx`` and ``ds`` when they are given; ``dx`` may be ``g`` itself."""
     ds = np.divide(x, 2.0 * s * s, out=ds)
     np.add(-0.5 * d / s, ds, out=ds)
-    return dx, np.multiply(g, ds, out=ds)
+    np.multiply(g, ds, out=ds)
+    return np.multiply(g, -1.0 / (2.0 * s), out=dx), ds
 
 
 def _log_mean_exp(ell):
@@ -321,12 +423,11 @@ def _pair_posterior(ell):
 
 def _ssg_score(spec, st):
     st["s"] = s = np.exp(st["wlv"]) + math.exp(float(st["clv"]))
-    return _gauss_ell(st["d"], st["x"], s, _scratch(st, "L"))
+    return _gauss_ell(st["d"], st["x"], s, _logits(st))
 
 
 def _ssg_vjp(spec, st, dL, kink):
-    dx, ds = _gauss_ell_vjp(st["d"], st["x"], st["s"], dL,
-                            _scratch(st, "L"), _scratch(st, "exp"))
+    dx, ds = _gauss_ell_vjp(st["d"], st["x"], st["s"], dL, dL, _scratch(st, "s0"))
     ds_v = ds.sum(axis=0)
     return {"x": dx, "wlv": ds_v * np.exp(st["wlv"]),
             "clv": np.float64(ds_v.sum() * math.exp(float(st["clv"])))}
@@ -526,7 +627,9 @@ def grad(spec: KernelSpec, w, h, w_log_var=None, h_log_var=None) -> KernelGrad:
 def forward_logits(spec: KernelSpec, W: np.ndarray, H: np.ndarray,
                    word_log_vars: Optional[np.ndarray] = None,
                    comp_log_vars: Optional[np.ndarray] = None,
-                   ws: Optional[Workspace] = None, k: int = 0) -> tuple:
+                   ws: Optional[Workspace] = None, k: int = 0,
+                   out: Optional[np.ndarray] = None,
+                   scratch: Optional[Workspace] = None) -> tuple:
     """Logit matrix L with L[b, v] = score(spec, W[:, v], H[b]), plus
     ``word_log_vars[v], comp_log_vars`` for ssg/mog.
 
@@ -536,11 +639,13 @@ def forward_logits(spec: KernelSpec, W: np.ndarray, H: np.ndarray,
     backward_logits reads, is W, H and the statistics the kind's VJP reads.
 
     A non-finite logit raises NonFiniteScore naming the mixture component
-    index ``k``. With a workspace ``ws``, the B x V arrays the cache keeps
-    are taken under keys tagged with ``k``, and L and every other B x V
-    array under keys that all components share: L is valid until the next
-    call given ``ws``, the cache until the next call given ``ws`` and the
-    same ``k``.
+    index ``k``. L is written to ``out`` when given. The B x V arrays the
+    cache keeps are taken from the workspace ``ws`` under keys tagged with
+    ``k``, valid until the next call given ``ws`` and the same ``k``; other
+    temporaries come from the lane workspace ``scratch``. Given ``scratch``
+    but no ``ws`` the pass only scores: the arrays the cache would keep
+    share the scratch too, and the cache is not valid for backward_logits.
+    Without either workspace every array is fresh.
     """
     W = np.asarray(W, dtype=np.float64)
     H = np.asarray(H, dtype=np.float64)
@@ -550,12 +655,13 @@ def forward_logits(spec: KernelSpec, W: np.ndarray, H: np.ndarray,
         raise DimensionMismatch("need V >= 2")
     kernel = KERNELS[spec.kind]
     shape = (H.shape[0], W.shape[1])
-    st = {"d": W.shape[0], "W": W, "H": H, "ws": ws, "k": k}
-    dot = np.matmul(H, W, out=buffer(ws, "L", shape))  # for lin L is dot
+    st = {"d": W.shape[0], "W": W, "H": H, "ws": ws, "k": k, "scratch": scratch,
+          "out": np.empty(shape) if out is None else out}
+    dot = np.matmul(H, W, out=st["out"])  # for lin L is dot
     if kernel.stat == "x":
         wn = np.einsum("dv,dv->v", W, W)[None, :]
         hn = np.einsum("bd,bd->b", H, H)[:, None]
-        st.update(x=_sq_dist(wn, hn, dot, buffer(ws, ("x", k), shape)), wn=wn, hn=hn)
+        st.update(x=_sq_dist(wn, hn, dot, _kept(st, "x", shape)), wn=wn, hn=hn)
     else:
         st["dot"] = dot
     if kernel.var_shape is not None:
@@ -564,7 +670,11 @@ def forward_logits(spec: KernelSpec, W: np.ndarray, H: np.ndarray,
         st.update(wlv=np.asarray(word_log_vars, dtype=np.float64),
                   clv=np.asarray(comp_log_vars, dtype=np.float64))
     L = kernel.score(spec, st)
-    st.pop("dot", None)  # no VJP reads it
+    if out is not None and L is not out:  # pol and mog score into fresh arrays
+        out[...] = L
+        L = out
+    for name in ("dot", "out", "scratch"):  # no VJP reads them
+        st.pop(name, None)
     if not np.isfinite(L).all():
         b, v = np.argwhere(~np.isfinite(L))[0]
         raise NonFiniteScore(f"component {k} ({spec.kind}): non-finite {spec.kind} "
@@ -572,30 +682,35 @@ def forward_logits(spec: KernelSpec, W: np.ndarray, H: np.ndarray,
     return L, st
 
 
-def backward_logits(spec: KernelSpec, cache: dict, dL: np.ndarray):
+def backward_logits(spec: KernelSpec, cache: dict, dL: np.ndarray,
+                    scratch: Optional[Workspace] = None):
     """Backpropagate dLoss/dL through forward_logits, given its cache.
 
     Returns (dW, dH, d_word_log_vars, d_comp_log_vars); the last two are
-    None for kernels without Gaussian parameters. The scratch, dW included,
-    comes from the cache's workspace: dW is valid until the next call given
-    that workspace.
+    None for kernels without Gaussian parameters. ``dL`` may be
+    overwritten. dW is taken from the cache's workspace under its
+    component's key, valid until the next call given that workspace and
+    component; the other temporaries come from the lane workspace
+    ``scratch``.
     """
     W, H, ws = cache["W"], cache["H"], cache.get("ws")
     kernel = KERNELS[spec.kind]
-    kink = kernel.kink(spec, cache) if kernel.kink is not None else None
-    g = kernel.vjp(spec, cache, dL, kink)
-    dW = buffer(ws, "dW", W.shape)
+    st = dict(cache, scratch=scratch)
+    kink = kernel.kink(spec, st) if kernel.kink is not None else None
+    g = kernel.vjp(spec, st, dL, kink)
+    dW = buffer(ws, ("dW", cache.get("k")), W.shape)
     if kernel.stat == "dot":
         dW, dH = np.matmul(H.T, g["dot"], out=dW), g["dot"] @ W.T
     else:
-        # chain rule through x = wn + hn - 2 w.h
+        # chain rule through x = wn + hn - 2 w.h; every VJP leaves its
+        # scratch free by now, and none returns dx in it
         dx = g["x"]
         np.multiply(W, dx.sum(axis=0)[None, :], out=dW)
-        dW -= np.matmul(H.T, dx, out=buffer(ws, "dW.t", W.shape))
+        dW -= np.matmul(H.T, dx, out=buffer(scratch, "s0", W.shape))
         dW *= 2.0
         dH = 2.0 * (H * dx.sum(axis=1)[:, None] - dx @ W.T)
     if "wn" in g:
-        t = np.multiply(2.0, W, out=buffer(ws, "dW.t", W.shape))
+        t = np.multiply(2.0, W, out=buffer(scratch, "s0", W.shape))
         dW += np.multiply(t, g["wn"], out=t)
         dH = dH + 2.0 * H * g["hn"]
     return dW, dH, g.get("wlv"), g.get("clv")

@@ -12,6 +12,10 @@ the log domain; mixed logits are never softmaxed jointly.
 The loss and the evaluation NLL need only log p(t | h) = LSE_k(log pi_k +
 log softmax_t(S_k)), K values per datum, so the forward pass mixes just
 those; posterior() is the one place the full B x V mixture is built.
+
+Given a workspace, the forward and backward passes run each component's
+B x V chain on the workspace's lanes (kernels.in_lanes) and combine the
+results in component order, so the bits do not depend on the lane count.
 """
 
 from __future__ import annotations
@@ -113,7 +117,7 @@ class ForwardCache:
     H: np.ndarray
     pi: np.ndarray            # B x K
     log_pi: np.ndarray        # B x K
-    lsm: np.ndarray           # K x B x V, per-component log-softmax
+    lsm: np.ndarray           # K x B x V, per-component log-softmax (backward consumes it)
     targets: Optional[np.ndarray]        # B target ids; None without
     log_posterior: Optional[np.ndarray]  # B, at the targets; None without
     h_tilde: list             # K tanh outputs (or H itself when K = 1)
@@ -122,12 +126,12 @@ class ForwardCache:
     reg_term: float = 0.0
 
 
-def _log_softmax(a: np.ndarray, out=None, ws=None) -> np.ndarray:
-    """Log-softmax over the last axis, into ``out`` when given; the exp
-    temporary comes from ``ws``."""
+def _log_softmax(a: np.ndarray, out=None, scratch=None) -> np.ndarray:
+    """Log-softmax over the last axis, into ``out`` when given (which may be
+    ``a``); the exp temporary is the lane scratch "s0"."""
     m = a.max(axis=-1, keepdims=True)
     z = np.subtract(a, m, out=out)
-    e = np.exp(z, out=kernels.buffer(ws, "exp", z.shape))
+    e = np.exp(z, out=kernels.buffer(scratch, "s0", z.shape))
     z -= np.log(e.sum(axis=-1, keepdims=True))
     return z
 
@@ -153,22 +157,27 @@ def transform_contexts(C: np.ndarray, H: np.ndarray) -> list:
 
 
 def component_logits(config: MixtureConfig, params: OutputParams, h_k, k: int,
-                     ws: Optional[kernels.Workspace] = None):
+                     ws: Optional[kernels.Workspace] = None, out=None, scratch=None):
     """(B x V logits, kernel cache) of component k at its B x d transformed
-    contexts h_k, computed in ``ws`` when given (see forward_logits)."""
+    contexts h_k; ``ws``, ``out`` and ``scratch`` as in forward_logits."""
     spec = config.components[k]
     return kernels.forward_logits(
         spec, params.W, h_k * kernels.context_scale(spec, config.d),
-        *_variances(params.word_log_vars, params.component_log_vars, k), ws=ws, k=k)
+        *_variances(params.word_log_vars, params.component_log_vars, k),
+        ws=ws, k=k, out=out, scratch=scratch)
 
 
 def _forward(config: MixtureConfig, params: OutputParams, H: np.ndarray,
              targets: Optional[np.ndarray] = None,
-             ws: Optional[kernels.Workspace] = None) -> ForwardCache:
+             ws: Optional[kernels.Workspace] = None,
+             for_backward: bool = False) -> ForwardCache:
     """Forward pass; with ``targets`` the log posterior is mixed at the
     targets (B values), without them it is None. With a workspace ``ws``
-    the K x B x V arrays live in it, and the cache stays valid until the
-    next call given ``ws``; without one they are fresh."""
+    the K x B x V arrays live in it and the components are scored on its
+    lanes; the cache stays valid until the next call given ``ws``. It
+    keeps what backward reads only ``for_backward``: otherwise those
+    arrays share the lanes' scratch. Without a workspace every array is
+    fresh and the cache always serves backward."""
     H = np.asarray(H, dtype=np.float64)
     if H.ndim != 2 or H.shape[1] != config.d:
         raise DimensionMismatch(f"H {H.shape} vs d={config.d}")
@@ -190,11 +199,15 @@ def _forward(config: MixtureConfig, params: OutputParams, H: np.ndarray,
     pi = np.exp(log_pi)
 
     lsm = kernels.buffer(ws, "lsm", (K, B, config.V))
-    caches = []
-    for k in range(K):
-        L, cache = component_logits(config, params, h_tilde[k], k, ws)
-        _log_softmax(L, lsm[k], ws)
-        caches.append(cache)
+    kept = ws if for_backward else None
+
+    def score(k, scratch):
+        # the logits are written to lsm[k] and log-softmaxed in place
+        _, cache = component_logits(config, params, h_tilde[k], k, kept, lsm[k], scratch)
+        _log_softmax(lsm[k], lsm[k], scratch)
+        return cache
+
+    caches = kernels.in_lanes(ws, K, B * config.V, score)
 
     log_post = None
     if targets is not None:
@@ -225,9 +238,9 @@ def loss(config: MixtureConfig, params: OutputParams, H: np.ndarray,
     """Mean cross-entropy plus the scaled mixture-weight variance penalty.
 
     Returns (scalar loss, ForwardCache); the cache records the regularizer
-    term separately. ``ws`` is passed to _forward.
+    term separately and serves backward. ``ws`` is passed to _forward.
     """
-    cache = _forward(config, params, H, targets, ws)
+    cache = _forward(config, params, H, targets, ws, for_backward=True)
     ce = -float(cache.log_posterior.mean())
     reg = (config.rho * _pi_variance(cache.pi, config.reg_across_data)
            if config.rho > 0 else 0.0)
@@ -239,8 +252,13 @@ def backward(config: MixtureConfig, params: OutputParams,
              cache: ForwardCache) -> tuple:
     """Analytic gradients of loss() at the cached targets: (an OutputParams
     of the gradient of every output-layer tensor, dL/dH for the encoder).
+
+    Each component's chain runs on a lane of the cache's workspace, and
+    the calling thread sums the terms in component order. It consumes
+    ``cache.lsm``: component k's logit cotangent is computed over lsm[k].
     Its B x V scratch and the gradient of W come from the cache's
-    workspace."""
+    workspace.
+    """
     H = cache.H
     B, d = H.shape
     K = config.K
@@ -249,36 +267,41 @@ def backward(config: MixtureConfig, params: OutputParams,
     # responsibilities at the target: q[b,k] = pi_k p_k(t) / p(t)
     lsm_t = cache.lsm[:, rows, cache.targets].T  # B x K
     q = np.exp(cache.log_pi + lsm_t - cache.log_posterior[:, None])
-
-    dW = kernels.buffer(cache.ws, "out.dW", params.W.shape)
-    dW.fill(0.0)
-    dH = np.zeros((B, d))
-    dM = None
     dC = np.zeros_like(params.C) if params.C is not None else None
-    d_wlv = np.zeros_like(params.word_log_vars) if params.word_log_vars is not None else None
-    d_clv = ([np.zeros_like(v) if v is not None else None
-              for v in params.component_log_vars]
-             if params.component_log_vars is not None else None)
 
-    for k, spec in enumerate(config.components):
-        dL = np.exp(cache.lsm[k], out=kernels.buffer(cache.ws, "dL", (B, config.V)))
+    def chain(k, scratch):
+        """(dW_k, component k's dH term, its log-variance gradients); fills dC[k]."""
+        spec = config.components[k]
+        dL = np.exp(cache.lsm[k], out=cache.lsm[k])
         np.multiply(q[:, k:k + 1] / B, dL, out=dL)
         dL[rows, cache.targets] -= q[:, k] / B
         dWk, dHk, dwlv_k, dclv_k = kernels.backward_logits(
-            spec, cache.kernel_caches[k], dL)
-        dW += dWk
-        if dwlv_k is not None:
-            word, comp = _variances(d_wlv, d_clv, k)
-            word += dwlv_k
-            comp += dclv_k
+            spec, cache.kernel_caches[k], dL, scratch)
         dHk = dHk * kernels.context_scale(spec, d)
         if K > 1:
             ht = cache.h_tilde[k]
             dpre = dHk * (1.0 - ht * ht)
             dC[k] = H.T @ dpre
-            dH += dpre @ params.C[k].T
-        else:
-            dH += dHk
+            dHk = dpre @ params.C[k].T
+        return dWk, dHk, dwlv_k, dclv_k
+
+    terms = kernels.in_lanes(cache.ws, K, B * config.V, chain)
+
+    dW = kernels.buffer(cache.ws, "out.dW", params.W.shape)
+    dW.fill(0.0)
+    dH = np.zeros((B, d))
+    dM = None
+    d_wlv = np.zeros_like(params.word_log_vars) if params.word_log_vars is not None else None
+    d_clv = ([np.zeros_like(v) if v is not None else None
+              for v in params.component_log_vars]
+             if params.component_log_vars is not None else None)
+    for k, (dWk, dHk, dwlv_k, dclv_k) in enumerate(terms):
+        dW += dWk
+        if dwlv_k is not None:
+            word, comp = _variances(d_wlv, d_clv, k)
+            word += dwlv_k
+            comp += dclv_k
+        dH += dHk
 
     if K > 1:
         dA = (cache.pi - q) / B  # d CE / d (H M)

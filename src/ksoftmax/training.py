@@ -496,7 +496,10 @@ def grid_search(base_config: TrainConfig, grid: dict,
         tasks.append((config, split, V, point_dir))
     if jobs > 1:
         import concurrent.futures
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as ex:
+        import multiprocessing
+        # spawn, not fork: forking a process that holds lane threads can deadlock
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=jobs, mp_context=multiprocessing.get_context("spawn")) as ex:
             outcomes = list(ex.map(_run_grid_point, tasks))
     else:
         outcomes = [_run_grid_point(t) for t in tasks]

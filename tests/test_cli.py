@@ -2,6 +2,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -299,11 +300,16 @@ class TestValidationErrors:
 
     @pytest.mark.parametrize("flags", [["--vocab", "0"], ["--zipf-s", "nan"],
                                        ["--zipf-s", "inf"], ["--copy-prob", "1.5"],
-                                       ["--copy-prob", "-0.1"]],
-                             ids=["vocab-0", "s-nan", "s-inf", "copy-1.5", "copy-neg"])
+                                       ["--copy-prob", "-0.1"],
+                                       ["--vocab", "50", "--zipf-s", "-1000"]],
+                             ids=["vocab-0", "s-nan", "s-inf", "copy-1.5", "copy-neg",
+                                  "s-overflows"])
     def test_synth_bad_zipf_parameter_exits_1(self, tmp_path, capsys, flags):
         out = tmp_path / "corpus.txt"
-        assert cli.run(["synth", "--tokens", "100", "--out", str(out)] + flags) == 1
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.run(["synth", "--tokens", "100", "--out", str(out)] + flags) == 1
+        assert not caught, [str(w.message) for w in caught]
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
 

@@ -8,11 +8,16 @@ TOOL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                     "tools", "fingerprint.py")
 
 
-def fingerprint(**env) -> str:
+def pin_to_one_cpu():
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+def fingerprint(preexec_fn=None, **env) -> str:
     src = os.path.dirname(os.path.dirname(ksoftmax.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, TOOL], capture_output=True, text=True,
-                          timeout=300, env=dict(os.environ, PYTHONPATH=path, **env))
+                          timeout=300, env=dict(os.environ, PYTHONPATH=path, **env),
+                          preexec_fn=preexec_fn)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -21,6 +26,9 @@ def test_two_runs_print_the_same_fingerprint():
     # the tool pins BLAS to one thread whatever the environment asks for
     first = fingerprint()
     assert first == fingerprint(OPENBLAS_NUM_THREADS="2")
+    if len(os.sched_getaffinity(0)) > 1:
+        # one CPU leaves one lane: the bits do not depend on the lane count
+        assert first == fingerprint(preexec_fn=pin_to_one_cpu)
     lines = first.splitlines()
     assert len(lines) > 40 and all(len(line.split()) >= 2 for line in lines)
-    assert "cli.diverge exit 2 stdout" in first
+    assert "cli.diverge exit 2 stdout" in first and "lib.lanes.dev_ppl" in first

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import math
+import time
 import weakref
 
 import numpy as np
@@ -406,6 +407,27 @@ class TestWorkspace:
         ws.take("a", (3,))
         assert copy.deepcopy(ws)._buffers == {}
 
+    @pytest.mark.parametrize("lanes", [1, 3])
+    def test_in_lanes_keeps_k_order_and_raises_the_lowest_k_last(self, monkeypatch,
+                                                                 lanes):
+        monkeypatch.setattr(kernels, "lane_count", lambda K, size: min(K, lanes))
+        ws = kernels.Workspace()
+        assert kernels.in_lanes(ws, 5, 0, lambda k, scratch: k * k) == [0, 1, 4, 9, 16]
+        done = []
+
+        def body(k, scratch):
+            if k > 0:
+                time.sleep(0.05 if k < 3 else 0.0)  # k = 3 fails first
+            if k in (1, 3):
+                raise ValueError(k)
+            done.append(k)
+
+        with pytest.raises(ValueError) as info:
+            kernels.in_lanes(ws, 4, 0, body)
+        assert info.value.args == (1,)
+        # the serial loop stops at k = 1; lanes finish every other call first
+        assert sorted(done) == ([0] if lanes == 1 else [0, 2])
+
 
 # ---------------------------------------------------------------------------
 # Batched forward/backward against the scalar score/grad
@@ -479,7 +501,8 @@ class TestBatchedAgainstScalar:
         W, H, gauss = property_inputs(spec, rng, B, V, d, edge)
         L, cache = kernels.forward_logits(spec, W, H, *gauss)
         dL = rng.normal(size=L.shape)
-        dW, dH, dwlv, dclv = kernels.backward_logits(spec, cache, dL)
+        # backward_logits may overwrite its dL, which the checks below read
+        dW, dH, dwlv, dclv = kernels.backward_logits(spec, cache, dL.copy())
         assert np.all(np.isfinite(dW)) and np.all(np.isfinite(dH))
         pairs = {(b, v): scalar_pair(spec, W, H, gauss, b, v)
                  for b in range(B) for v in range(V)}

@@ -2,11 +2,13 @@ import copy
 import dataclasses
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from ksoftmax import data, training
+from ksoftmax import data, kernels, output_layer, training
 from ksoftmax import eval as eval_mod
 from ksoftmax.errors import DivergenceDetected, KsoftmaxError
 from ksoftmax.kernels import KernelSpec, Workspace
@@ -34,6 +36,31 @@ def toy_split(n_tokens=400, seed=0):
 
 def snapshot(state):
     return {name: t.copy() for name, t in named_tensors(state)}
+
+
+def assert_same_state(a, b):
+    """Every trainable tensor and Adam slot of two states is bit-identical."""
+    b_tensors = dict(named_tensors(b))
+    for name, arr in named_tensors(a):
+        assert np.array_equal(arr, b_tensors[name]), name
+        assert np.array_equal(a.opt_m[name], b.opt_m[name]), name
+        assert np.array_equal(a.opt_v[name], b.opt_v[name]), name
+
+
+def use_lanes(monkeypatch, n):
+    """Give every mixture pass in a workspace min(K, n) lanes, however
+    small its arrays: n = 1 is the serial loop."""
+    monkeypatch.setattr(kernels, "lane_count", lambda K, size: min(K, n))
+
+
+def lane_scratch(ws):
+    """The scratch workspaces of the lanes of ``ws``."""
+    lanes = []
+    while not ws._free.empty():
+        lanes.append(ws._free.get())
+    for lane in lanes:
+        ws._free.put(lane)
+    return lanes
 
 
 class TestTrainStep:
@@ -116,16 +143,21 @@ class TestClipping:
 
 class TestWorkspace:
     @pytest.mark.parametrize("kinds", ["lin pow ssg hpb", "mog rbf wav log pol", "pow1.5"])
-    def test_stale_buffer_contents_are_never_read(self, kinds):
+    def test_stale_buffer_contents_are_never_read(self, kinds, monkeypatch):
         components = ((KernelSpec("pow", p=1.5),) if kinds == "pow1.5"
                       else tuple(KernelSpec(k) for k in kinds.split()))
+        use_lanes(monkeypatch, 2)
         split = toy_split()
         state = init_state(make_config(components=components, rho=0.1), V)
         train_steps(state, split, 2)
         fresh = copy.deepcopy(state)
         assert state.ws._buffers and not fresh.ws._buffers
-        for buf in state.ws._buffers.values():
-            buf.fill(np.nan)
+        assert (state.ws._pool is not None) == (len(components) > 1)
+        lanes = lane_scratch(state.ws)
+        assert lanes and all(lane._buffers for lane in lanes)
+        for ws in [state.ws] + lanes:
+            for buf in ws._buffers.values():
+                buf.fill(np.nan)
         train_steps(state, split, 3)
         train_steps(fresh, split, 3)
         for name, arr in named_tensors(state):
@@ -137,6 +169,91 @@ class TestWorkspace:
         train_steps(state, toy_split(), 1)
         save_checkpoint(state, tmp_path / "a.ckpt")
         assert not load_checkpoint(tmp_path / "a.ckpt").ws._buffers
+
+
+NINE_KINDS = " ".join(kernels.KINDS)
+
+
+class TestLanes:
+    # with lanes each component's chain runs on a thread of the state's
+    # workspace; nothing may depend on how many there are
+
+    @pytest.mark.parametrize("kinds", ["lin pow ssg hpb", NINE_KINDS])
+    def test_lanes_give_the_bits_of_the_serial_loop(self, kinds, monkeypatch):
+        config = make_config(components=tuple(KernelSpec(k) for k in kinds.split()),
+                             rho=0.1)
+        split = toy_split()
+        states = []
+        for n in (2, 1):
+            use_lanes(monkeypatch, n)
+            states.append(init_state(config, V))
+            train_steps(states[-1], split, 5)
+        assert states[0].ws._pool is not None and states[1].ws._pool is None
+        assert_same_state(*states)
+
+    def test_stress_more_lanes_than_cores(self, monkeypatch):
+        config = make_config(components=tuple(KernelSpec(k) for k in kernels.KINDS),
+                             rho=0.1, reg_across_data=True)
+        split = toy_split()
+        serial = init_state(config, V)
+        use_lanes(monkeypatch, 1)
+        train_steps(serial, split, 4)
+        state = init_state(config, V)
+        use_lanes(monkeypatch, 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            worker = threading.Thread(target=train_steps, args=(state, split, 4),
+                                      daemon=True)
+            worker.start()
+            worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive()
+        assert state.ws._pool[0] == 4 and state.step == 4
+        assert_same_state(state, serial)
+
+    def test_the_callers_errstate_holds_in_the_lanes(self, monkeypatch):
+        # component 1 overflows in (alpha w.h + c)^3
+        config = output_layer.MixtureConfig(
+            components=(KernelSpec("lin"), KernelSpec("pol", p=3, alpha=1e300),
+                        KernelSpec("pow")), d=4, V=V)
+        params = output_layer.init_output_params(config, np.random.default_rng(0))
+        H = np.tanh(np.random.default_rng(1).normal(size=(5, 4)))
+        for n in (1, 3):
+            use_lanes(monkeypatch, n)
+            ws = Workspace()
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+                output_layer._forward(config, params, H, np.arange(5), ws, True)
+            assert (ws._pool is not None) == (n > 1)
+
+    def test_divergence_names_the_lowest_component_and_leaves_no_trace(
+            self, monkeypatch):
+        config = make_config(components=(KernelSpec("lin"), KernelSpec("ssg"),
+                                         KernelSpec("ssg")), rho=0.1)
+        split = toy_split()
+        windows, targets = data.make_examples(split.train, config.n)
+        batch = windows[:config.batch_size], targets[:config.batch_size]
+        state = init_state(config, V)
+        use_lanes(monkeypatch, 3)
+        train_steps(state, split, 2)
+        saved = [v.copy() for v in state.out.component_log_vars[1:]]
+        for v in state.out.component_log_vars[1:]:
+            v[()] = np.inf  # every logit of components 1 and 2 is -inf
+        messages = []
+        for n in (3, 1):
+            use_lanes(monkeypatch, n)
+            with pytest.raises(DivergenceDetected) as info:
+                train_step(state, *batch)
+            assert info.value.component == 1
+            messages.append(str(info.value))
+        assert messages[0] == messages[1] and "component 1 (ssg)" in messages[0]
+        for v, old in zip(state.out.component_log_vars[1:], saved):
+            v[()] = old
+        copied = copy.deepcopy(state)
+        use_lanes(monkeypatch, 3)
+        assert train_step(state, *batch) == train_step(copied, *batch)
+        assert_same_state(state, copied)
 
 
 class TestCheckpoint:

@@ -1,7 +1,8 @@
 """Identity fingerprint of a fixed set of small ksoftmax runs.
 
 Runs library training (with resumes), a mid-epoch `train_steps`
-checkpoint and a handful of CLI calls in a temporary directory, then
+checkpoint, a mixture large enough for the kernels to run its components
+on parallel lanes, and a handful of CLI calls in a temporary directory, then
 prints one `name digest` line per artifact. Each CLI call also prints its
 exit code, a digest of its stdout and its first stderr line. The
 timestamped `# started` line of `run.log` is dropped and the temporary
@@ -28,6 +29,7 @@ os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS
 import numpy as np
 
 from ksoftmax import cli, data, training
+from ksoftmax import eval as eval_mod
 from ksoftmax.cli import parse_kernel_list
 
 PLACEHOLDER = b"<tmp>"
@@ -102,6 +104,23 @@ def library_runs(fp: Fingerprint, split, V: int):
     fp.files("lib.train_steps", out)
 
 
+def lane_run(fp: Fingerprint):
+    """K=4 steps and a dev evaluation with B x V = 64 x 1,026 elements per
+    component, enough for lanes: the lines must not change when the
+    process is pinned to one CPU, which leaves one lane."""
+    vocab, split = data.prepare_corpus(data.generate_zipf(1200, 20000, seed=1),
+                                       max_size=1026, seed=0)
+    config = training.TrainConfig(components=parse_kernel_list("lin pow ssg hpb"),
+                                  n=2, d=8, batch_size=64, rho=0.1, seed=2)
+    state = training.init_state(config, vocab.V)
+    training.train_steps(state, split, 12)
+    out = os.path.join(fp.root, "lib.lanes")
+    os.makedirs(out)
+    training.save_checkpoint(state, os.path.join(out, "steps.ckpt"))
+    fp.files("lib.lanes", out)
+    fp.lines.append(f"lib.lanes.dev_ppl {eval_mod.perplexity(state, split.dev).hex()}")
+
+
 def cli_runs(fp: Fingerprint):
     os.environ["COLUMNS"] = "80"  # argparse wraps --help to the terminal
     fp.cli("train-help", ["train", "--help"])
@@ -147,6 +166,7 @@ def main() -> int:
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 library_runs(fp, split, vocab.V)
+                lane_run(fp)
                 cli_runs(fp)
         finally:
             os.chdir(cwd)
