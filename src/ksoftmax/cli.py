@@ -52,6 +52,8 @@ def parse_kernel_list(text: str) -> tuple:
         if not m:
             raise KsoftmaxError(f"cannot parse kernel spec {item!r}")
         count = int(m.group(1)) if m.group(1) else 1
+        if count < 1:
+            raise KsoftmaxError(f"repeat count must be >= 1 in {item!r}")
         kind = m.group(2)
         if kind not in KINDS:
             raise KsoftmaxError(f"unknown kernel kind {kind!r} in {item!r}")

@@ -27,7 +27,8 @@ def mean_nll_and_pi(state, sentences):
     ``sentences``; the variance is output_layer._pi_variance in the
     mixture's mode over all those positions, the term rho scales in loss.
     The batches are scored in ``state.ws``, the training step's workspace,
-    on its lanes; the pass only scores, so it keeps nothing for backward."""
+    on its lanes; the pass only scores, so it keeps nothing for backward
+    and, of the log-softmax, only the values at the targets."""
     config = state.mixture
     windows, targets = data_mod.make_examples(sentences, state.config.n)
     total_nll = 0.0
@@ -75,6 +76,8 @@ def emit_kernel_curves(specs: Sequence[KernelSpec], x_max: float, steps: int,
     """
     if steps < 2:
         raise ValueError("steps must be >= 2")
+    if not math.isfinite(x_max):
+        raise ValueError(f"x_max must be finite, got {x_max}")
     for spec in specs:
         if x_max < 0 and kernels.KERNELS[spec.kind].stat == "x":
             raise ValueError(f"{spec.kind}: x is a squared distance, so x_max "

@@ -206,6 +206,12 @@ class Workspace:
 # even at B x V = 32,000 and gained 1.1x at 64,000 and 1.36x at 512,000.
 LANE_MIN_SIZE = 1 << 16
 
+# A pass that only scores runs everything after the GEMM over tiles of rows
+# of about this many elements (512 KB of float64), which stay in a core's
+# cache across the kernel's elementwise passes; a numpy call on a tile is
+# still long enough for the lanes.
+TILE_SIZE = LANE_MIN_SIZE
+
 
 def lane_count(K: int, size: int) -> int:
     """Lanes for K independent components whose B x V arrays hold ``size``
@@ -304,7 +310,8 @@ class Kernel:
     "wlv"/"clv". In the batched path it also holds the buffer "out" for
     the logits, the workspace "ws" that keeps what backward reads under
     keys tagged with the component index "k", and the lane's "scratch"
-    workspace; each is None when absent (fresh arrays).
+    workspace, each None when absent (fresh arrays); and "b0", the batch
+    row of the first of its rows (a tile's rows start there).
     ``vjp(spec, st, dL, kink)`` maps the cotangent of the logits to
     cotangents of those entries, with the zero subgradient where the
     ``kink`` mask is set. It leaves ``st`` unchanged but may overwrite
@@ -349,10 +356,11 @@ def _below_p2_kink(spec, st):
 
 
 def _hpb_score(spec, st):
-    for side, norms in (("word column", st["wn"]), ("context row", st["hn"])):
+    for side, norms, first in (("word column", st["wn"], 0),
+                               ("context row", st["hn"], st.get("b0", 0))):
         if (norms >= 1.0).any():
             raise HpbOutsideBall(
-                f"{side} {int(np.argmax(norms >= 1.0))} has norm >= 1")
+                f"{side} {first + int(np.argmax(norms >= 1.0))} has norm >= 1")
     st["A"] = A = 1.0 - st["wn"]
     st["Bn"] = Bn = 1.0 - st["hn"]
     # z = max(1 + 2 x / (Bn A), 1); when the pass only scores, z is
@@ -422,8 +430,9 @@ def _pair_posterior(ell):
 
 
 def _ssg_score(spec, st):
-    st["s"] = s = np.exp(st["wlv"]) + math.exp(float(st["clv"]))
-    return _gauss_ell(st["d"], st["x"], s, _logits(st))
+    if "s" not in st:  # the word terms, once per pass
+        st["s"] = np.exp(st["wlv"]) + math.exp(float(st["clv"]))
+    return _gauss_ell(st["d"], st["x"], st["s"], _logits(st))
 
 
 def _ssg_vjp(spec, st, dL, kink):
@@ -436,14 +445,18 @@ def _ssg_vjp(spec, st, dL, kink):
 def _mog_score(spec, st):
     """Each word and each context carry G Gaussians sharing one mean; s is
     V x G x G over (word Gaussian, context Gaussian) pairs."""
-    st["s"] = s = np.exp(st["wlv"])[:, :, None] + np.exp(st["clv"])[None, None, :]
     d, x = st["d"], st["x"]
+    if "s" not in st:  # the word terms, once per pass
+        st["s"] = s = np.exp(st["wlv"])[:, :, None] + np.exp(st["clv"])[None, None, :]
+        if not spec.mog_log_of_sum:
+            # the sum over pairs is affine in the shared x
+            st["c2"] = (1.0 / (2.0 * s)).sum(axis=(1, 2))
+            st["c0"] = -0.5 * d * (LOG_2PI + np.log(s)).sum(axis=(1, 2))[None, :]
     if spec.mog_log_of_sum:
-        st["ell"] = ell = _gauss_ell(d, x[:, :, None, None], s)
+        st["ell"] = ell = _gauss_ell(d, x[:, :, None, None], st["s"])
         return _log_mean_exp(ell)
-    # the sum over pairs is affine in the shared x
-    st["c2"] = c2 = (1.0 / (2.0 * s)).sum(axis=(1, 2))
-    return -0.5 * d * (LOG_2PI + np.log(s)).sum(axis=(1, 2))[None, :] - x * c2[None, :]
+    L = np.multiply(x, st["c2"][None, :], out=_logits(st))
+    return np.subtract(st["c0"], L, out=L)
 
 
 def _mog_vjp(spec, st, dL, kink):
@@ -629,7 +642,8 @@ def forward_logits(spec: KernelSpec, W: np.ndarray, H: np.ndarray,
                    comp_log_vars: Optional[np.ndarray] = None,
                    ws: Optional[Workspace] = None, k: int = 0,
                    out: Optional[np.ndarray] = None,
-                   scratch: Optional[Workspace] = None) -> tuple:
+                   scratch: Optional[Workspace] = None,
+                   each: Optional[Callable] = None) -> tuple:
     """Logit matrix L with L[b, v] = score(spec, W[:, v], H[b]), plus
     ``word_log_vars[v], comp_log_vars`` for ssg/mog.
 
@@ -644,8 +658,13 @@ def forward_logits(spec: KernelSpec, W: np.ndarray, H: np.ndarray,
     ``k``, valid until the next call given ``ws`` and the same ``k``; other
     temporaries come from the lane workspace ``scratch``. Given ``scratch``
     but no ``ws`` the pass only scores: the arrays the cache would keep
-    share the scratch too, and the cache is not valid for backward_logits.
-    Without either workspace every array is fresh.
+    share the scratch too, the cache is not valid for backward_logits, and
+    everything after the GEMM runs over tiles of rows of about TILE_SIZE
+    elements. Without either workspace every array is fresh.
+
+    ``each(rows, L[rows])``, when given, is called on each tile (all B rows
+    at once unless the pass only scores) once its logits are checked; it
+    may overwrite them.
     """
     W = np.asarray(W, dtype=np.float64)
     H = np.asarray(H, dtype=np.float64)
@@ -654,31 +673,42 @@ def forward_logits(spec: KernelSpec, W: np.ndarray, H: np.ndarray,
     if W.shape[1] < 2:
         raise DimensionMismatch("need V >= 2")
     kernel = KERNELS[spec.kind]
-    shape = (H.shape[0], W.shape[1])
-    st = {"d": W.shape[0], "W": W, "H": H, "ws": ws, "k": k, "scratch": scratch,
-          "out": np.empty(shape) if out is None else out}
-    dot = np.matmul(H, W, out=st["out"])  # for lin L is dot
+    B, V = H.shape[0], W.shape[1]
+    # the GEMM runs on the whole batch: BLAS gets other bits for fewer rows
+    L = np.matmul(H, W, out=np.empty((B, V)) if out is None else out)
+    base = {"d": W.shape[0], "W": W, "ws": ws, "k": k, "scratch": scratch}
     if kernel.stat == "x":
-        wn = np.einsum("dv,dv->v", W, W)[None, :]
+        base["wn"] = np.einsum("dv,dv->v", W, W)[None, :]
         hn = np.einsum("bd,bd->b", H, H)[:, None]
-        st.update(x=_sq_dist(wn, hn, dot, _kept(st, "x", shape)), wn=wn, hn=hn)
-    else:
-        st["dot"] = dot
     if kernel.var_shape is not None:
         if word_log_vars is None or comp_log_vars is None:
             raise DimensionMismatch(f"{spec.kind} needs word and component log-variances")
-        st.update(wlv=np.asarray(word_log_vars, dtype=np.float64),
-                  clv=np.asarray(comp_log_vars, dtype=np.float64))
-    L = kernel.score(spec, st)
-    if out is not None and L is not out:  # pol and mog score into fresh arrays
-        out[...] = L
-        L = out
-    for name in ("dot", "out", "scratch"):  # no VJP reads them
-        st.pop(name, None)
-    if not np.isfinite(L).all():
-        b, v = np.argwhere(~np.isfinite(L))[0]
-        raise NonFiniteScore(f"component {k} ({spec.kind}): non-finite {spec.kind} "
-                             f"logit at (b={b}, v={v})", component=k)
+        base.update(wlv=np.asarray(word_log_vars, dtype=np.float64),
+                    clv=np.asarray(comp_log_vars, dtype=np.float64))
+    step = max(1, TILE_SIZE // V if ws is None and scratch is not None else B)
+    st = base
+    for b0 in range(0, max(B, 1), step):  # an empty batch is one empty tile
+        rows = slice(b0, b0 + step)
+        # a tile's dict starts from the previous one's, so the terms a kind
+        # computes per word are computed once per pass
+        st = dict(st, H=H[rows], b0=b0, out=L[rows], scratch=scratch)
+        tile = st["out"]  # the dot products, then the logits
+        if kernel.stat == "x":
+            st["hn"] = hn[rows]
+            st["x"] = _sq_dist(st["wn"], st["hn"], tile, _kept(st, "x", tile.shape))
+        else:
+            st["dot"] = tile
+        scored = kernel.score(spec, st)
+        if scored is not tile:  # pol and mog's log-of-sum score into fresh arrays
+            tile[...] = scored
+        for name in ("dot", "out", "scratch"):  # no VJP reads them
+            st.pop(name, None)
+        if not np.isfinite(tile).all():
+            b, v = np.argwhere(~np.isfinite(tile))[0]
+            raise NonFiniteScore(f"component {k} ({spec.kind}): non-finite {spec.kind} "
+                                 f"logit at (b={b0 + b}, v={v})", component=k)
+        if each is not None:
+            each(rows, tile)
     return L, st
 
 

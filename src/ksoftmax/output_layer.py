@@ -16,6 +16,8 @@ those; posterior() is the one place the full B x V mixture is built.
 Given a workspace, the forward and backward passes run each component's
 B x V chain on the workspace's lanes (kernels.in_lanes) and combine the
 results in component order, so the bits do not depend on the lane count.
+A forward pass that only scores at the targets runs each chain over row
+tiles and keeps K x B values, not the K x B x V log-softmax.
 """
 
 from __future__ import annotations
@@ -117,7 +119,9 @@ class ForwardCache:
     H: np.ndarray
     pi: np.ndarray            # B x K
     log_pi: np.ndarray        # B x K
-    lsm: np.ndarray           # K x B x V, per-component log-softmax (backward consumes it)
+    lsm: Optional[np.ndarray]  # K x B x V, per-component log-softmax (backward
+                               # consumes it); None when the pass scored only
+                               # at the targets
     targets: Optional[np.ndarray]        # B target ids; None without
     log_posterior: Optional[np.ndarray]  # B, at the targets; None without
     h_tilde: list             # K tanh outputs (or H itself when K = 1)
@@ -134,6 +138,14 @@ def _log_softmax(a: np.ndarray, out=None, scratch=None) -> np.ndarray:
     e = np.exp(z, out=kernels.buffer(scratch, "s0", z.shape))
     z -= np.log(e.sum(axis=-1, keepdims=True))
     return z
+
+
+def _log_softmax_at(a: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """_log_softmax(a)[i, t[i]] for each row i, bit for bit; overwrites
+    ``a``."""
+    z = np.subtract(a, a.max(axis=-1, keepdims=True), out=a)
+    z_t = z[np.arange(len(t)), t]
+    return z_t - np.log(np.exp(z, out=z).sum(axis=-1))
 
 
 def _log_mix(log_pi: np.ndarray, lsm_t: np.ndarray) -> np.ndarray:
@@ -157,14 +169,16 @@ def transform_contexts(C: np.ndarray, H: np.ndarray) -> list:
 
 
 def component_logits(config: MixtureConfig, params: OutputParams, h_k, k: int,
-                     ws: Optional[kernels.Workspace] = None, out=None, scratch=None):
+                     ws: Optional[kernels.Workspace] = None, out=None, scratch=None,
+                     each=None):
     """(B x V logits, kernel cache) of component k at its B x d transformed
-    contexts h_k; ``ws``, ``out`` and ``scratch`` as in forward_logits."""
+    contexts h_k; ``ws``, ``out``, ``scratch`` and ``each`` as in
+    forward_logits."""
     spec = config.components[k]
     return kernels.forward_logits(
         spec, params.W, h_k * kernels.context_scale(spec, config.d),
         *_variances(params.word_log_vars, params.component_log_vars, k),
-        ws=ws, k=k, out=out, scratch=scratch)
+        ws=ws, k=k, out=out, scratch=scratch, each=each)
 
 
 def _forward(config: MixtureConfig, params: OutputParams, H: np.ndarray,
@@ -176,8 +190,10 @@ def _forward(config: MixtureConfig, params: OutputParams, H: np.ndarray,
     the K x B x V arrays live in it and the components are scored on its
     lanes; the cache stays valid until the next call given ``ws``. It
     keeps what backward reads only ``for_backward``: otherwise those
-    arrays share the lanes' scratch. Without a workspace every array is
-    fresh and the cache always serves backward."""
+    arrays share the lanes' scratch, and a pass with targets keeps no
+    log-softmax (``lsm`` is None), only each row's value at its target,
+    taken tile by tile. Without a workspace every array is fresh and the
+    cache always serves backward."""
     H = np.asarray(H, dtype=np.float64)
     if H.ndim != 2 or H.shape[1] != config.d:
         raise DimensionMismatch(f"H {H.shape} vs d={config.d}")
@@ -198,20 +214,31 @@ def _forward(config: MixtureConfig, params: OutputParams, H: np.ndarray,
         h_tilde = [H]
     pi = np.exp(log_pi)
 
-    lsm = kernels.buffer(ws, "lsm", (K, B, config.V))
+    at_targets = ws is not None and targets is not None and not for_backward
+    lsm = None if at_targets else kernels.buffer(ws, "lsm", (K, B, config.V))
+    lsm_t = np.empty((K, B)) if at_targets else None
     kept = ws if for_backward else None
 
     def score(k, scratch):
-        # the logits are written to lsm[k] and log-softmaxed in place
-        _, cache = component_logits(config, params, h_tilde[k], k, kept, lsm[k], scratch)
-        _log_softmax(lsm[k], lsm[k], scratch)
-        return cache
+        # the logits are written to lsm[k] and log-softmaxed in place, or,
+        # at the targets only, to the lane's scratch "s1"
+        def each(rows, L):
+            if at_targets:
+                lsm_t[k, rows] = _log_softmax_at(L, targets[rows])
+            else:
+                _log_softmax(L, L, scratch)
+
+        out = kernels.buffer(scratch, "s1", (B, config.V)) if at_targets else lsm[k]
+        return component_logits(config, params, h_tilde[k], k, kept, out, scratch,
+                                each)[1]
 
     caches = kernels.in_lanes(ws, K, B * config.V, score)
 
     log_post = None
     if targets is not None:
-        log_post = _log_mix(log_pi.T, lsm[:, np.arange(B), targets])
+        if not at_targets:
+            lsm_t = lsm[:, np.arange(B), targets]
+        log_post = _log_mix(log_pi.T, lsm_t)
     return ForwardCache(H=H, pi=pi, log_pi=log_pi, lsm=lsm, targets=targets,
                         log_posterior=log_post, h_tilde=h_tilde,
                         kernel_caches=caches, ws=ws)

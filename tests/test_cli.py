@@ -23,15 +23,50 @@ FAST = ["--n", "2", "--d", "4", "--batch-size", "16", "--max-epochs", "2",
         "--vocab-size", "20", "--seed", "0"]
 
 
-def run_process(argv, python_flags=()):
-    """``python -m ksoftmax argv`` in a new process, with this package's
-    source first on its path."""
+def run_python(args, unset=(), **env):
+    """``python args`` in a new process, with this package's source first
+    on its path, the variables ``unset`` removed from its environment and
+    ``env`` added to it."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, *python_flags, "-m", "ksoftmax", *argv],
-        capture_output=True, text=True, timeout=120,
-        env=dict(os.environ, PYTHONPATH=path))
+    child = dict(os.environ, PYTHONPATH=path, **env)
+    for name in unset:
+        child.pop(name, None)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=120, env=child)
+
+
+def run_process(argv, python_flags=()):
+    """``python -m ksoftmax argv`` in a new process, as run_python."""
+    return run_python([*python_flags, "-m", "ksoftmax", *argv])
+
+
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+class TestBlasThreads:
+    # the module behind ``python -m ksoftmax`` and the ``ksoftmax`` script
+    # sets BLAS to one thread before numpy loads, unless the environment
+    # sets a count; importing the cli leaves the environment alone
+    PROBE = ("import os, sys, ksoftmax\n"
+             "assert 'numpy' not in sys.modules\n"
+             "import ksoftmax.{}\n"
+             "print(*(os.environ.get(n) for n in {}))")
+
+    @pytest.mark.parametrize("module, preset, expected", [
+        ("__main__", None, "1"), ("__main__", "2", "2"), ("cli", None, "None"),
+    ], ids=["unset", "user-set", "cli-import"])
+    def test_thread_counts_in_a_new_process(self, module, preset, expected):
+        env = dict.fromkeys(BLAS_THREADS, preset) if preset else {}
+        proc = run_python(["-c", self.PROBE.format(module, BLAS_THREADS)],
+                          unset=() if preset else BLAS_THREADS, **env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [expected] * 3
+
+    def test_the_script_runs_the_entry_point(self):
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
+        with open(path, encoding="utf-8") as f:
+            assert 'ksoftmax = "ksoftmax.__main__:main"' in f.read()
 
 
 class TestKernelListParsing:
@@ -49,7 +84,7 @@ class TestKernelListParsing:
     @pytest.mark.parametrize("bad", [
         "", "xyz", "pow(q=1)", "2*", "pow(p=oops)", "lin()extra",
         "ssg(learn_variances=false)", "rbf(a=2)", "ssg(num_gauss=4)",
-        "mog(mog_log_of_sum=ture)",
+        "mog(mog_log_of_sum=ture)", "lin 0*pow", "0*lin", "00*rbf",
     ])
     def test_rejects_malformed(self, bad):
         with pytest.raises(KsoftmaxError):
@@ -291,6 +326,24 @@ class TestValidationErrors:
                         "--tokens", token, "--top-m", "0"]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and "top_m" in captured.err
+
+    def test_zero_repeat_count_exits_1_before_training(self, tmp_path, corpus_file,
+                                                        capsys):
+        out = tmp_path / "o"
+        assert cli.run(["train", "--corpus", corpus_file, "--out", str(out),
+                        "--kernels", "lin 0*pow"] + FAST) == 1
+        assert "error: repeat count" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("xmax", ["nan", "inf", "-inf"])
+    def test_curves_non_finite_xmax_exits_1(self, tmp_path, capsys, xmax):
+        out = tmp_path / "c"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.run(["curves", "--kernels", "lin,rbf", f"--xmax={xmax}",
+                            "--out", str(out)]) == 1
+        assert "error: x_max must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_curves_negative_xmax_exits_1_for_a_squared_distance(
             self, tmp_path, capsys):

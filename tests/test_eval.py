@@ -98,6 +98,19 @@ class TestPerplexity:
             assert np.array_equal(state.opt_m[name], copied.opt_m[name]), name
             assert np.array_equal(state.opt_v[name], copied.opt_v[name]), name
 
+    def test_an_eval_pass_keeps_no_k_by_b_by_v_buffer(self):
+        # it keeps each row's log-softmax value at its target, K x B values
+        components = tuple(KernelSpec(k) for k in ("lin", "pow", "ssg", "hpb"))
+        state = make_state(V=10, components=components, seed=8)
+        eval_mod.mean_nll_and_pi(state, [[2, 3, 4, 5, 6, 7, 8, 9]] * 80)
+        lanes = []
+        while not state.ws._free.empty():
+            lanes.append(state.ws._free.get())
+        sizes = [buf.size for ws in [state.ws] + lanes for buf in ws._buffers.values()]
+        assert lanes and sizes
+        assert max(sizes) == eval_mod.EVAL_BATCH * 10  # a lane's logits, B x V
+        assert "lsm" not in state.ws._buffers
+
     def test_no_cache_outlives_its_batch(self, monkeypatch):
         # at each _forward call, count the caches of earlier batches still alive
         state = make_state(V=10, components=(KernelSpec("lin"), KernelSpec("pow")))

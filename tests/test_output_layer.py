@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ksoftmax import gradcheck, output_layer, training
-from ksoftmax.errors import TargetOutOfRange
-from ksoftmax.kernels import KernelSpec
+from ksoftmax import gradcheck, kernels, output_layer, training
+from ksoftmax.errors import HpbOutsideBall, NonFiniteScore, TargetOutOfRange
+from ksoftmax.kernels import KernelSpec, Workspace
 from ksoftmax.output_layer import MixtureConfig, init_output_params
 
 ALL_KINDS = ("lin", "log", "pow", "pol", "rbf", "ssg", "mog", "hpb", "wav")
@@ -300,6 +300,83 @@ class TestTargetOnlyForward:
                                    rho=0.1, seed=20)
         failures = gradcheck.check_pipeline(cfg, V=5, B=2, seed=21)
         assert not failures, f"{mixture_id(components)}: {failures}"
+
+
+def use_tiles(monkeypatch, rows, V):
+    """Run every pass that only scores over tiles of ``rows`` rows at V."""
+    monkeypatch.setattr(kernels, "TILE_SIZE", rows * V)
+
+
+class TestTiles:
+    # a pass with a workspace and targets that keeps nothing for backward
+    # scores each component over tiles of rows and keeps only the targets'
+    # log-softmax values: nothing may depend on the tile size
+
+    @pytest.mark.parametrize("lanes", [1, 2])
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("components",
+                             [(s, KernelSpec("pow", p=1.5)) for s in SPECS]
+                             + [tuple(SPECS[:len(ALL_KINDS)])], ids=mixture_id)
+    def test_tiles_give_the_bits_of_the_whole_batch(self, components, rows, lanes,
+                                                    monkeypatch):
+        config, params = make(components, d=5, V=11, seed=40)
+        monkeypatch.setattr(kernels, "lane_count", lambda K, size: min(K, lanes))
+        use_tiles(monkeypatch, rows, config.V)
+        tiles = []
+        at_targets = output_layer._log_softmax_at
+        monkeypatch.setattr(output_layer, "_log_softmax_at",
+                            lambda a, t: tiles.append(len(t)) or at_targets(a, t))
+        rng = np.random.default_rng(41)
+        ws = Workspace()
+        for B in (7, 5):  # the shorter batch reuses the longer one's buffers
+            H = np.tanh(rng.normal(size=(B, config.d)) * 2)
+            targets = rng.integers(0, config.V, B)
+            tiles.clear()
+            tiled = output_layer._forward(config, params, H, targets, ws)
+            whole = output_layer._forward(config, params, H, targets)
+            assert tiled.lsm is None
+            assert np.array_equal(tiled.log_posterior, whole.log_posterior)
+            assert np.array_equal(tiled.pi, whole.pi)
+            # the last tile is short unless rows divides B
+            expected = [rows] * (B // rows) + ([B % rows] if B % rows else [])
+            assert sorted(tiles) == sorted(expected * config.K)
+        assert (ws._pool is not None) == (lanes > 1)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_a_non_finite_logit_names_its_row_in_the_batch(self, kind, monkeypatch):
+        config, params = make([KernelSpec(kind)], d=5, V=11, seed=42)
+        H = np.tanh(np.random.default_rng(43).normal(size=(7, config.d)))
+        H[5] = np.nan  # in the second tile of 3 rows
+        use_tiles(monkeypatch, 3, config.V)
+        with pytest.raises(NonFiniteScore) as whole:
+            output_layer._forward(config, params, H, np.arange(7))
+        with pytest.raises(NonFiniteScore) as tiled:
+            output_layer._forward(config, params, H, np.arange(7), Workspace())
+        assert str(tiled.value) == str(whole.value)
+        assert f"component 0 ({kind}): non-finite {kind} logit at (b=5, v=0)" == str(
+            tiled.value)
+        assert tiled.value.component == 0
+
+    def test_an_empty_batch_is_one_empty_tile(self):
+        config, params = make([KernelSpec("pow"), KernelSpec("lin")], d=4, V=7)
+        H, targets = np.zeros((0, config.d)), np.zeros(0, dtype=int)
+        for ws in (None, Workspace()):
+            for for_backward in (False, True):
+                cache = output_layer._forward(config, params, H, targets, ws, for_backward)
+                assert cache.log_posterior.shape == (0,)
+            grads, dH = output_layer.backward(config, params, cache)
+            assert dH.shape == (0, config.d) and not grads.W.any()
+
+    def test_a_context_outside_the_ball_names_its_row_in_the_batch(self, monkeypatch):
+        config, params = make([KernelSpec("hpb")], d=5, V=11, seed=44)
+        H = np.tanh(np.random.default_rng(45).normal(size=(7, config.d)))
+        H[4] = 10.0
+        use_tiles(monkeypatch, 3, config.V)
+        with pytest.raises(HpbOutsideBall) as whole:
+            output_layer._forward(config, params, H, np.arange(7))
+        with pytest.raises(HpbOutsideBall) as tiled:
+            output_layer._forward(config, params, H, np.arange(7), Workspace())
+        assert str(tiled.value) == str(whole.value) == "context row 4 has norm >= 1"
 
 
 class TestBackward:

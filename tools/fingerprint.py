@@ -2,13 +2,14 @@
 
 Runs library training (with resumes), a mid-epoch `train_steps`
 checkpoint, a mixture large enough for the kernels to run its components
-on parallel lanes, and a handful of CLI calls in a temporary directory, then
-prints one `name digest` line per artifact. Each CLI call also prints its
-exit code, a digest of its stdout and its first stderr line. The
-timestamped `# started` line of `run.log` is dropped and the temporary
-root is replaced by `<tmp>`, so two runs of the same code print the same
-lines. BLAS runs on one thread whatever the environment says, since
-trained bits depend on the thread count. Comparing two trees:
+on parallel lanes and to score in row tiles, and a handful of CLI calls in
+a temporary directory, then prints one `name digest` line per artifact.
+Each CLI call also prints its exit code, a digest of its stdout and its
+first stderr line. The timestamped `# started` line of `run.log` is
+dropped and the temporary root is replaced by `<tmp>`, so two runs of the
+same code print the same lines. BLAS runs on one thread whatever the
+environment says, since trained bits depend on the thread count.
+Comparing two trees:
 
     diff <(PYTHONPATH=<other>/src python tools/fingerprint.py) \\
          <(PYTHONPATH=src python tools/fingerprint.py)
@@ -105,9 +106,10 @@ def library_runs(fp: Fingerprint, split, V: int):
 
 
 def lane_run(fp: Fingerprint):
-    """K=4 steps and a dev evaluation with B x V = 64 x 1,026 elements per
-    component, enough for lanes: the lines must not change when the
-    process is pinned to one CPU, which leaves one lane."""
+    """K=4 steps with B x V = 64 x 1,026 elements per component, enough for
+    lanes, and a dev evaluation at B = 512, whose scoring pass runs each
+    component over 9 row tiles a batch: the lines must not change when
+    the process is pinned to one CPU, which leaves one lane."""
     vocab, split = data.prepare_corpus(data.generate_zipf(1200, 20000, seed=1),
                                        max_size=1026, seed=0)
     config = training.TrainConfig(components=parse_kernel_list("lin pow ssg hpb"),
