@@ -219,7 +219,10 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     state = training.load_checkpoint(args.checkpoint)
     ckpt_dir = os.path.dirname(os.path.abspath(args.checkpoint))
-    config_path = args.config or os.path.join(ckpt_dir, "effective_config.ini")
+    # grid writes the run files once, in the directory above its points
+    run_dir = next((d for d in (ckpt_dir, os.path.dirname(ckpt_dir))
+                    if os.path.exists(os.path.join(d, "effective_config.ini"))), ckpt_dir)
+    config_path = args.config or os.path.join(run_dir, "effective_config.ini")
     values = dict(_DEFAULTS)
     values.update(_read_config_file(config_path))
     if args.corpus:
@@ -231,7 +234,7 @@ def cmd_eval(args) -> int:
     if vocab.V != state.mixture.V:
         raise KsoftmaxError(f"corpus vocabulary of {vocab.V} tokens for a model "
                             f"of V={state.mixture.V}")
-    saved = os.path.join(ckpt_dir, "vocab.txt")
+    saved = os.path.join(run_dir, "vocab.txt")
     if (os.path.exists(saved)
             and data_mod.Vocabulary.load(saved).id_to_token != vocab.id_to_token):
         raise KsoftmaxError(f"corpus vocabulary differs from {saved}")
@@ -250,6 +253,8 @@ def cmd_grid(args) -> int:
         name = name.strip()
         if name not in _TRAIN_FIELDS:
             raise KsoftmaxError(f"unknown grid field {name!r}")
+        if name in grid:
+            raise KsoftmaxError(f"grid field {name!r} given twice")
         if name == "components":
             grid[name] = [parse_kernel_list(v) for v in vals.split("|")]
             continue

@@ -196,6 +196,8 @@ def generate_zipf(vocab_size: int, n_tokens: int, s: float = 1.1,
     """
     if vocab_size < 1:
         raise ValueError(f"vocab_size must be >= 1, got {vocab_size}")
+    if n_tokens < 0:
+        raise ValueError(f"n_tokens must be >= 0, got {n_tokens}")
     if not math.isfinite(s):
         raise ValueError(f"zipf s must be finite, got {s}")
     if not 0 <= copy_prob <= 1:
@@ -248,6 +250,8 @@ def generate_english(n_tokens: int, seed: int = 0) -> list:
     Zipf-weighted within their class and sentence structure is strongly
     predictive, so contextual models have real signal to pick up.
     """
+    if n_tokens < 0:
+        raise ValueError(f"n_tokens must be >= 0, got {n_tokens}")
     rng = np.random.default_rng(seed)
     # a word's Zipf weight depends only on its rank and its class's size
     draws = {len(words): _categorical(rng, _zipf_probs(len(words), 1.2))

@@ -25,10 +25,6 @@ class NonFiniteScore(KsoftmaxError):
         self.component = component
 
 
-class WrongKernelKind(KsoftmaxError):
-    """Operation invoked with a kernel kind it does not support."""
-
-
 class TargetOutOfRange(KsoftmaxError):
     """A target token id falls outside [0, V)."""
 

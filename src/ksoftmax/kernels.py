@@ -43,17 +43,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    HpbOutsideBall,
-    NonFiniteScore,
-    WrongKernelKind,
-)
-
-# Kernels whose score is a function of the squared distance ||w - h||^2
-# alone (hpb additionally depends on the two norms); the order is the one
-# the trick-equivalence audit draws its inputs in.
-DISTANCE_KINDS = ("log", "pow", "rbf", "wav", "hpb")
+from .errors import DimensionMismatch, HpbOutsideBall, NonFiniteScore
 
 # Margin kept between hpb vectors and the unit sphere.
 BALL_MARGIN = 1e-5
@@ -267,14 +257,14 @@ def buffer(ws: Optional[Workspace], key, shape) -> np.ndarray:
 
 
 def _kept(st, name, shape) -> np.ndarray:
-    """A buffer for what this component's backward reads: under (name, k)
-    in the workspace "ws". Without "ws" the pass only scores, and it is the
-    lane's scratch "s0", which the log-softmax's exp then takes over;
-    without either workspace it is fresh."""
+    """A buffer for the statistic ``name`` that this component's backward
+    reads: under (name, k) in the workspace "ws". Without "ws" the pass
+    only scores, and it is the lane's scratch under ``name``; without
+    either workspace it is fresh."""
     ws = st.get("ws")
     if ws is not None:
         return ws.take((name, st["k"]), shape)
-    return buffer(st.get("scratch"), "s0", shape)
+    return buffer(st.get("scratch"), name, shape)
 
 
 def _scratch(st, name) -> np.ndarray:
@@ -282,12 +272,6 @@ def _scratch(st, name) -> np.ndarray:
     statistic x and free for any use until the next take; fresh without a
     lane."""
     return buffer(st.get("scratch"), name, st["x"].shape)
-
-
-def _logits(st) -> np.ndarray:
-    """The buffer the logits go to: "out", or a fresh one."""
-    out = st.get("out")
-    return np.empty(st["x"].shape) if out is None else out
 
 
 def _sq_dist(w_norm_sq, h_norm_sq, dot, out):
@@ -303,15 +287,17 @@ def _sq_dist(w_norm_sq, h_norm_sq, dot, out):
 class Kernel:
     """One kind's entry in the kernel table.
 
-    ``score(spec, st)`` maps a statistics dict to logits and may add
-    intermediates to it for the VJP. ``st`` holds "d" (the dimension, None
-    when unknown), "dot" or "x" as B x V arrays, for hpb "wn" (1 x V) and
-    "hn" (B x 1), and for ssg/mog the word and component log-variances
-    "wlv"/"clv". In the batched path it also holds the buffer "out" for
-    the logits, the workspace "ws" that keeps what backward reads under
-    keys tagged with the component index "k", and the lane's "scratch"
-    workspace, each None when absent (fresh arrays); and "b0", the batch
-    row of the first of its rows (a tile's rows start there).
+    ``score(spec, st)`` maps a statistics dict to logits, in "out" or a
+    fresh array, and may add intermediates for the VJP, each taken with
+    ``_kept`` under its own name. ``st`` holds "d" (the dimension, None
+    when unknown), the B x V arrays "out" and "dot" or "x", for hpb "wn"
+    (1 x V) and "hn" (B x 1), and for ssg/mog the word and component
+    log-variances "wlv"/"clv". In the batched path it also holds the
+    workspace "ws" that keeps what backward reads under keys tagged with
+    the component index "k", and the lane's "scratch" workspace, whose
+    "s0" and "s1" hold only temporaries, each None when absent (fresh
+    arrays); and "b0", the batch row of the first of its rows (a tile's
+    rows start there).
     ``vjp(spec, st, dL, kink)`` maps the cotangent of the logits to
     cotangents of those entries, with the zero subgradient where the
     ``kink`` mask is set. It leaves ``st`` unchanged but may overwrite
@@ -347,7 +333,7 @@ def _radial(phi, dphi, fields, kink=None) -> Kernel:
         if kink_mask is not None:
             dx[kink_mask] = 0.0
         return {"x": np.multiply(dL, dx, out=dL)}
-    return Kernel("x", lambda spec, st: phi(spec, st["x"], st["d"], _logits(st)),
+    return Kernel("x", lambda spec, st: phi(spec, st["x"], st["d"], st["out"]),
                   vjp, kink, fields=fields)
 
 
@@ -363,10 +349,9 @@ def _hpb_score(spec, st):
                 f"{side} {first + int(np.argmax(norms >= 1.0))} has norm >= 1")
     st["A"] = A = 1.0 - st["wn"]
     st["Bn"] = Bn = 1.0 - st["hn"]
-    # z = max(1 + 2 x / (Bn A), 1); when the pass only scores, z is
-    # computed in place over x
+    # z = max(1 + 2 x / (Bn A), 1)
     st["z"] = z = np.multiply(2.0, st["x"], out=_kept(st, "z", st["x"].shape))
-    L = np.multiply(Bn, A, out=_logits(st))
+    L = np.multiply(Bn, A, out=st["out"])
     z /= L
     np.add(1.0, z, out=z)
     np.maximum(z, 1.0, out=z)
@@ -432,7 +417,7 @@ def _pair_posterior(ell):
 def _ssg_score(spec, st):
     if "s" not in st:  # the word terms, once per pass
         st["s"] = np.exp(st["wlv"]) + math.exp(float(st["clv"]))
-    return _gauss_ell(st["d"], st["x"], st["s"], _logits(st))
+    return _gauss_ell(st["d"], st["x"], st["s"], st["out"])
 
 
 def _ssg_vjp(spec, st, dL, kink):
@@ -455,7 +440,7 @@ def _mog_score(spec, st):
     if spec.mog_log_of_sum:
         st["ell"] = ell = _gauss_ell(d, x[:, :, None, None], st["s"])
         return _log_mean_exp(ell)
-    L = np.multiply(x, st["c2"][None, :], out=_logits(st))
+    L = np.multiply(x, st["c2"][None, :], out=st["out"])
     return np.subtract(st["c0"], L, out=L)
 
 
@@ -538,7 +523,8 @@ def radial_profile(spec: KernelSpec, x):
     x = np.asarray(x, dtype=np.float64)
     kernel = KERNELS[spec.kind]
     row = x.reshape(1, -1)
-    st = {"d": 1, kernel.stat: row, "wn": np.zeros((1, 1)), "hn": np.zeros((1, 1))}
+    st = {"d": 1, kernel.stat: row, "out": np.empty(row.shape),
+          "wn": np.zeros((1, 1)), "hn": np.zeros((1, 1))}
     if kernel.var_shape is not None:
         shape = kernel.var_shape(spec)
         st.update(wlv=np.zeros(row.shape[1:] + shape), clv=np.zeros(shape))
@@ -557,7 +543,7 @@ def _pair_stats(spec: KernelSpec, w, h, w_log_var, h_log_var) -> tuple:
     the explicit difference w - h. Log-variances must have variance_shape."""
     w, h = _check_pair(w, h)
     kernel = KERNELS[spec.kind]
-    st = {"d": w.shape[0]}
+    st = {"d": w.shape[0], "out": np.empty((1, 1))}
     if kernel.stat == "dot":
         st["dot"] = np.full((1, 1), np.dot(w, h))
     else:
@@ -582,29 +568,6 @@ def score(spec: KernelSpec, w, h, w_log_var=None, h_log_var=None) -> float:
     of them (shape (G,)); every Gaussian of a side is centred on w or h.
     """
     st, _, _ = _pair_stats(spec, w, h, w_log_var, h_log_var)
-    return float(_check_finite(KERNELS[spec.kind].score(spec, st)[0, 0], spec.kind))
-
-
-def score_via_trick(spec: KernelSpec, w_norm_sq: float, h_norm_sq: float,
-                    dot: float) -> float:
-    """Score a distance-based kernel from cached norms and a dot product.
-
-    The squared distance is recovered via the norm expansion
-    ||w - h||^2 = ||w||^2 + ||h||^2 - 2 w.h, clamped at 0: the batched
-    path at B = V = 1.
-    """
-    if spec.kind not in DISTANCE_KINDS:
-        raise WrongKernelKind(
-            f"norm-expansion trick is vacuous for {spec.kind!r}")
-    if w_norm_sq < 0 or h_norm_sq < 0:
-        raise DimensionMismatch("squared norms must be nonnegative")
-    # gamma default 1/d needs the dimension, which the trick does not see;
-    # callers relying on the default must resolve it into the spec first.
-    if spec.kind == "rbf" and spec.gamma is None:
-        raise WrongKernelKind("rbf via trick needs an explicit gamma")
-    wn, hn = np.full((1, 1), float(w_norm_sq)), np.full((1, 1), float(h_norm_sq))
-    st = {"d": None, "wn": wn, "hn": hn,
-          "x": _sq_dist(wn, hn, np.full((1, 1), float(dot)), np.empty((1, 1)))}
     return float(_check_finite(KERNELS[spec.kind].score(spec, st)[0, 0], spec.kind))
 
 
@@ -658,9 +621,10 @@ def forward_logits(spec: KernelSpec, W: np.ndarray, H: np.ndarray,
     ``k``, valid until the next call given ``ws`` and the same ``k``; other
     temporaries come from the lane workspace ``scratch``. Given ``scratch``
     but no ``ws`` the pass only scores: the arrays the cache would keep
-    share the scratch too, the cache is not valid for backward_logits, and
-    everything after the GEMM runs over tiles of rows of about TILE_SIZE
-    elements. Without either workspace every array is fresh.
+    are taken from the scratch too, the cache is not valid for
+    backward_logits, and everything after the GEMM runs over tiles of rows
+    of about TILE_SIZE elements. Without either workspace every array is
+    fresh.
 
     ``each(rows, L[rows])``, when given, is called on each tile (all B rows
     at once unless the pass only scores) once its logits are checked; it

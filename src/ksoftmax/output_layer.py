@@ -186,14 +186,16 @@ def _forward(config: MixtureConfig, params: OutputParams, H: np.ndarray,
              ws: Optional[kernels.Workspace] = None,
              for_backward: bool = False) -> ForwardCache:
     """Forward pass; with ``targets`` the log posterior is mixed at the
-    targets (B values), without them it is None. With a workspace ``ws``
-    the K x B x V arrays live in it and the components are scored on its
-    lanes; the cache stays valid until the next call given ``ws``. It
-    keeps what backward reads only ``for_backward``: otherwise those
-    arrays share the lanes' scratch, and a pass with targets keeps no
-    log-softmax (``lsm`` is None), only each row's value at its target,
-    taken tile by tile. Without a workspace every array is fresh and the
-    cache always serves backward."""
+    targets (B values), without them it is None. It is one of two passes.
+    A keeping pass (``for_backward``, or no workspace: loss, posterior and
+    the probe) keeps what backward reads. A scoring pass (a workspace
+    without ``for_backward``: evaluation) takes those arrays from the
+    lanes' scratch, and with targets keeps no log-softmax (``lsm`` is
+    None), only each row's value at its target, taken tile by tile. With
+    a workspace ``ws`` the K x B x V arrays live in it and the components
+    are scored on its lanes; the cache stays valid until the next call
+    given ``ws``. Without one every array is fresh: a buffer source, not a
+    third pass."""
     H = np.asarray(H, dtype=np.float64)
     if H.ndim != 2 or H.shape[1] != config.d:
         raise DimensionMismatch(f"H {H.shape} vs d={config.d}")

@@ -16,6 +16,8 @@ from ksoftmax.kernels import KernelSpec
 from ksoftmax.output_layer import MixtureConfig, init_output_params
 from ksoftmax.training import TrainConfig
 
+from test_kernels import DISTANCE_KINDS, score_via_trick
+
 
 def report(name: str, ok: bool, detail: str = ""):
     status = "PASS" if ok else "FAIL"
@@ -87,7 +89,7 @@ def test_pipeline_gradient_audit():
 def test_trick_equivalence():
     rng = np.random.default_rng(3)
     worst = 0.0
-    for kind in kernels.DISTANCE_KINDS:
+    for kind in DISTANCE_KINDS:
         spec = (KernelSpec(kind, gamma=0.7) if kind == "rbf"
                 else KernelSpec(kind))
         for _ in range(1000):
@@ -98,8 +100,7 @@ def test_trick_equivalence():
                 w *= 0.9 / max(1.0, np.linalg.norm(w))
                 h *= 0.9 / max(1.0, np.linalg.norm(h))
             direct = kernels.score(spec, w, h)
-            trick = kernels.score_via_trick(spec, float(w @ w), float(h @ h),
-                                            float(w @ h))
+            trick = score_via_trick(spec, float(w @ w), float(h @ h), float(w @ h))
             worst = max(worst, abs(direct - trick))
     report("trick-equivalence", worst < 1e-8,
            f"max |direct - trick| = {worst:.3g} over 1000 pairs per kernel")

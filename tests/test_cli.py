@@ -366,6 +366,13 @@ class TestValidationErrors:
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["zipf", "english"])
+    def test_synth_negative_token_count_exits_1(self, tmp_path, capsys, kind):
+        out = tmp_path / "corpus.txt"
+        assert cli.run(["synth", "--kind", kind, "--tokens", "-5", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: n_tokens must be >= 0")
+        assert not out.exists()
+
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_grid_jobs_below_one_exits_1_before_writing(self, tmp_path, corpus_file,
                                                         capsys, jobs):
@@ -420,7 +427,9 @@ class TestGrid:
         ("rho=abc", 1, []),
         ("de=3", 1, []),
         ("reg_across_data=flase", 1, []),
-    ], ids=["bool", "int-unset-in-base", "bad-float", "not-a-field", "bad-bool"])
+        ("rho=0.01,0.1;rho=0.5", 1, []),
+    ], ids=["bool", "int-unset-in-base", "bad-float", "not-a-field", "bad-bool",
+            "field-twice"])
     def test_values_take_the_config_key_type(self, tmp_path, corpus_file,
                                              capsys, grid, code, points):
         out = tmp_path / "grid"
@@ -429,6 +438,7 @@ class TestGrid:
         err = capsys.readouterr().err
         if code:
             assert "error:" in err and grid.split("=")[0] in err
+            assert not out.exists()
         for i, fields in enumerate(points):
             config = training.load_checkpoint(out / f"point_{i:03d}" / "best.ckpt").config
             for name, value in fields.items():
@@ -446,9 +456,14 @@ class TestGrid:
         assert cli.run(["probe", "--checkpoint", ckpt, "--vocab",
                         str(out / "vocab.txt"), "--tokens", token,
                         "--contexts", token]) == 0
+        assert f"query: {token}" in capsys.readouterr().out
         assert cli.run(["eval", "--checkpoint", ckpt, "--config",
                         str(out / "effective_config.ini")]) == 0
-        assert f"query: {token}" in capsys.readouterr().out
+        with_config = capsys.readouterr().out
+        assert with_config.startswith("test ppl ")
+        # without --config, eval reads the grid's files above the point
+        assert cli.run(["eval", "--checkpoint", ckpt]) == 0
+        assert capsys.readouterr().out == with_config
 
 
 class TestOtherSubcommands:

@@ -1,11 +1,13 @@
+import importlib.util
 import os
 import subprocess
 import sys
 
 import ksoftmax
 
-TOOL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                    "tools", "fingerprint.py")
+TOOLS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                     "tools")
+TOOL = os.path.join(TOOLS, "fingerprint.py")
 
 
 def pin_to_one_cpu():
@@ -32,3 +34,33 @@ def test_two_runs_print_the_same_fingerprint():
     lines = first.splitlines()
     assert len(lines) > 40 and all(len(line.split()) >= 2 for line in lines)
     assert "cli.diverge exit 2 stdout" in first and "lib.lanes.dev_ppl" in first
+
+
+SNIPPET = '''"""A module docstring
+over two lines."""
+
+import os  # a comment after code
+
+
+# a comment alone
+def f(x):
+    """A function docstring."""
+    s = """a string that is
+    no docstring"""
+    return (x +
+            1)
+
+
+class C:
+    """A class docstring."""
+    y = 2
+'''
+
+
+def test_identity_counts_the_lines_that_hold_code():
+    spec = importlib.util.spec_from_file_location(
+        "identity", os.path.join(TOOLS, "identity.py"))
+    identity = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(identity)
+    # import, def, the two lines of s, the two of the return, class, y
+    assert identity.code_lines(SNIPPET) == 8

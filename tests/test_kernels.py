@@ -10,16 +10,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ksoftmax import gradcheck, kernels
-from ksoftmax.errors import (
-    DimensionMismatch,
-    HpbOutsideBall,
-    WrongKernelKind,
-)
+from ksoftmax.errors import DimensionMismatch, HpbOutsideBall
 from ksoftmax.kernels import KernelSpec
+
+# The kinds whose score is a function of the squared distance ||w - h||^2
+# alone (hpb also of the two norms), in the order the trick-equivalence
+# audit draws its inputs in.
+DISTANCE_KINDS = ("log", "pow", "rbf", "wav", "hpb")
 
 
 def vec(*xs):
     return np.asarray(xs, dtype=np.float64)
+
+
+def score_via_trick(spec: KernelSpec, w_norm_sq: float, h_norm_sq: float,
+                    dot: float) -> float:
+    """A distance kind's score from cached norms and a dot product: the
+    squared distance comes from the norm expansion
+    ||w - h||^2 = ||w||^2 + ||h||^2 - 2 w.h, clamped at 0, as in the
+    batched path at B = V = 1. rbf needs an explicit gamma, since the
+    dimension is not seen."""
+    wn, hn = np.full((1, 1), float(w_norm_sq)), np.full((1, 1), float(h_norm_sq))
+    st = {"d": None, "wn": wn, "hn": hn, "out": np.empty((1, 1)),
+          "x": kernels._sq_dist(wn, hn, np.full((1, 1), float(dot)), np.empty((1, 1)))}
+    value = float(kernels.KERNELS[spec.kind].score(spec, st)[0, 0])
+    assert math.isfinite(value), spec
+    return value
 
 
 class TestSpecValidation:
@@ -148,14 +164,14 @@ class TestScore:
 
 class TestTrick:
     def test_pow_example(self):
-        assert kernels.score_via_trick(KernelSpec("pow", p=2), 9, 16, 0) == -25.0
+        assert score_via_trick(KernelSpec("pow", p=2), 9, 16, 0) == -25.0
 
     def test_zero_distance_symmetry(self):
         for spec in (KernelSpec("pow", p=2), KernelSpec("log"),
                      KernelSpec("rbf", gamma=0.7), KernelSpec("wav")):
             w = vec(0.2, -0.4)
             wn = float(w @ w)
-            assert kernels.score_via_trick(spec, wn, wn, wn) == \
+            assert score_via_trick(spec, wn, wn, wn) == \
                 kernels.score(spec, w, w)
 
     @pytest.mark.parametrize("spec", [
@@ -171,7 +187,7 @@ class TestTrick:
             w = rng.uniform(-10, 10, 16)
             h = rng.uniform(-10, 10, 16)
             direct = kernels.score(spec, w, h)
-            trick = kernels.score_via_trick(
+            trick = score_via_trick(
                 spec, float(w @ w), float(h @ h), float(w @ h))
             assert abs(direct - trick) < 1e-8
 
@@ -181,15 +197,9 @@ class TestTrick:
             w = rng.uniform(-0.6, 0.6, 4) * 0.5
             h = rng.uniform(-0.6, 0.6, 4) * 0.5
             direct = kernels.score(KernelSpec("hpb"), w, h)
-            trick = kernels.score_via_trick(
+            trick = score_via_trick(
                 KernelSpec("hpb"), float(w @ w), float(h @ h), float(w @ h))
             assert abs(direct - trick) < 1e-8
-
-    def test_rejects_inner_product_kernels(self):
-        with pytest.raises(WrongKernelKind):
-            kernels.score_via_trick(KernelSpec("lin"), 1, 1, 0)
-        with pytest.raises(WrongKernelKind):
-            kernels.score_via_trick(KernelSpec("pol"), 1, 1, 0)
 
 
 class TestGrad:

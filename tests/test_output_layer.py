@@ -337,6 +337,9 @@ class TestTiles:
             assert tiled.lsm is None
             assert np.array_equal(tiled.log_posterior, whole.log_posterior)
             assert np.array_equal(tiled.pi, whole.pi)
+            for cache in tiled.kernel_caches:
+                if "z" in cache:  # hpb keeps x and z, each in a buffer of its own
+                    assert not np.shares_memory(cache["x"], cache["z"])
             # the last tile is short unless rows divides B
             expected = [rows] * (B // rows) + ([B % rows] if B % rows else [])
             assert sorted(tiles) == sorted(expected * config.K)
