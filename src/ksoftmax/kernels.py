@@ -155,9 +155,9 @@ class Workspace:
     next call given the same workspace. A copy is empty: copying an object
     that holds a workspace copies no buffers and no lanes.
 
-    Buffers are anonymous memory mappings rather than heap arrays: one
-    taken on a lane's thread would otherwise land in that thread's malloc
-    arena, which keeps the memory after the buffer is gone.
+    Buffers are anonymous memory mappings (``mapped``) rather than heap
+    arrays: one taken on a lane's thread would otherwise land in that
+    thread's malloc arena, which keeps the memory after the buffer is gone.
     """
 
     def __init__(self):
@@ -170,17 +170,18 @@ class Workspace:
         size = math.prod(shape)
         buf = self._buffers.get(key)
         if buf is None or buf.size < size:
-            buf = self._buffers[key] = np.frombuffer(
-                mmap.mmap(-1, 8 * max(size, 1)), dtype=np.float64)
+            buf = self._buffers[key] = mapped(size)
         return buf[:size].reshape(shape)
 
     def lanes(self, n: int) -> tuple:
-        """(executor of n lane threads, None for n = 1; the queue of lane
-        scratch workspaces not in use), made on first use and the executor
-        again for another n."""
+        """(executor that runs the lanes of an n-lane call besides the
+        calling thread, None for n = 1; the queue of lane scratch
+        workspaces not in use), made on first use and the executor again
+        only for a larger n, so passes that want different counts do not
+        replace it each time."""
         if self._free is None:
             self._free = queue.SimpleQueue()
-        if n > 1 and (self._pool is None or self._pool[0] != n):
+        if n > 1 and (self._pool is None or self._pool[0] < n):
             if self._pool is not None:
                 self._pool[1].shutdown(wait=False)
             self._pool = (n, concurrent.futures.ThreadPoolExecutor(n, "ksoftmax-lane"))
@@ -188,6 +189,15 @@ class Workspace:
 
     def __deepcopy__(self, memo):
         return Workspace()
+
+
+def mapped(size: int) -> np.ndarray:
+    """A float64 vector of ``size`` zeros in an anonymous memory mapping of
+    its own. A page costs memory only once written, and all of them go back
+    to the system when the vector is freed: unlike a large heap array, it
+    leaves no hole in the heap and does not raise malloc's threshold for
+    serving later arrays from the heap."""
+    return np.frombuffer(mmap.mmap(-1, 8 * max(size, 1)), dtype=np.float64)[:size]
 
 
 # Below this many elements in a component's B x V arrays, lane threads
@@ -219,36 +229,73 @@ def in_lanes(ws: Optional[Workspace], K: int, size: int, body: Callable) -> list
     the lane count.
 
     With one lane, or no workspace, the calls run in turn on the calling
-    thread. Otherwise each runs in a copy of the caller's context, so the
-    caller's ``np.errstate`` holds in it; every call finishes before an
-    exception is raised, and the one raised is that of the lowest k, the
-    call at which the serial loop stops.
+    thread. Otherwise the calling thread is one of the lanes, and the
+    others run in copies of the caller's context, so the caller's
+    ``np.errstate`` holds in every lane. Each lane takes the next call not
+    yet taken until none is left. Every call finishes before an exception
+    is raised, and the one raised is that of the lowest k, the call at
+    which the serial loop stops.
     """
     if ws is None:
         return [body(k, None) for k in range(K)]
-    pool, free = ws.lanes(lane_count(K, size))
-    seconds = ws._seconds.setdefault((body.__code__, K), [0.0] * K)
-
-    def task(k):
-        t0 = time.perf_counter()
+    n = lane_count(K, size)
+    pool, free = ws.lanes(n)
+    if pool is None:
+        scratch = _lane_scratch(free)
         try:
-            scratch = free.get_nowait()
-        except queue.Empty:  # one more lane than ever ran at once before
-            scratch = Workspace()
-        try:
-            return body(k, scratch)
+            return [body(k, scratch) for k in range(K)]
         finally:
             free.put(scratch)
-            seconds[k] = time.perf_counter() - t0
-
-    if pool is None:
-        return [task(k) for k in range(K)]
+    seconds = ws._seconds.setdefault((body.__code__, K), [0.0] * K)
+    results, errors = [None] * K, {}
+    todo = queue.SimpleQueue()
     # longest first, by the last call's times, so no lane idles while
-    # another runs the slowest component last
-    futures = {k: pool.submit(contextvars.copy_context().run, task, k)
-               for k in sorted(range(K), key=lambda k: -seconds[k])}
-    concurrent.futures.wait(futures.values())
-    return [futures[k].result() for k in range(K)]
+    # another runs the slowest component last; then one stop per lane
+    for k in sorted(range(K), key=lambda k: -seconds[k]) + [None] * n:
+        todo.put(k)
+
+    def lane():
+        scratch = None
+        try:
+            for k in iter(todo.get, None):
+                scratch = scratch or _lane_scratch(free)
+                t0 = time.perf_counter()
+                try:
+                    results[k] = body(k, scratch)
+                except Exception as e:  # raised once every lane is done
+                    errors[k] = e
+                seconds[k] = time.perf_counter() - t0
+        finally:
+            if scratch is not None:
+                free.put(scratch)
+
+    futures = [pool.submit(contextvars.copy_context().run, lane) for _ in range(n - 1)]
+    lane()
+    for future in futures:
+        future.result()
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
+def _lane_scratch(free: queue.SimpleQueue) -> Workspace:
+    """A lane's scratch workspace: one not in use, or a new one."""
+    try:
+        return free.get_nowait()
+    except queue.Empty:  # one more lane than ever ran at once before
+        return Workspace()
+
+
+def in_chunks(ws: Optional[Workspace], size: int, body: Callable) -> list:
+    """[body(chunk, scratch) for each chunk], where the chunks are the
+    slices of range(size) TILE_SIZE elements long (the last may be
+    shorter), spread over the lanes of ``ws`` as in_lanes spreads
+    components; below LANE_MIN_SIZE elements in all they stay on the
+    calling thread. An elementwise body gives the same bits in any
+    chunking and on any lane."""
+    starts = range(0, size, TILE_SIZE)
+    return in_lanes(ws, len(starts), size, lambda i, scratch: body(
+        slice(starts[i], starts[i] + TILE_SIZE), scratch))
 
 
 def buffer(ws: Optional[Workspace], key, shape) -> np.ndarray:
@@ -716,5 +763,6 @@ def project_to_ball(W: np.ndarray) -> np.ndarray:
     limit = 1.0 - BALL_MARGIN
     over = norms > limit
     if over.any():
-        W[:, over] *= limit / norms[over]
+        # one dense pass: x * 1.0 is exact, and a zero column is not divided
+        W *= np.divide(limit, norms, out=np.ones_like(norms), where=over)[None, :]
     return W

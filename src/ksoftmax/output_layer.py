@@ -278,15 +278,16 @@ def loss(config: MixtureConfig, params: OutputParams, H: np.ndarray,
 
 
 def backward(config: MixtureConfig, params: OutputParams,
-             cache: ForwardCache) -> tuple:
+             cache: ForwardCache, dW: Optional[np.ndarray] = None) -> tuple:
     """Analytic gradients of loss() at the cached targets: (an OutputParams
     of the gradient of every output-layer tensor, dL/dH for the encoder).
 
     Each component's chain runs on a lane of the cache's workspace, and
-    the calling thread sums the terms in component order. It consumes
-    ``cache.lsm``: component k's logit cotangent is computed over lsm[k].
-    Its B x V scratch and the gradient of W come from the cache's
-    workspace.
+    the terms are summed in component order: those of W in chunks on the
+    lanes, into ``dW`` (C-contiguous, W's shape) when given and a fresh
+    array otherwise, the rest on the calling thread. It consumes ``cache.lsm``: component k's logit
+    cotangent is computed over lsm[k]. Its B x V scratch comes from the
+    cache's workspace.
     """
     H = cache.H
     B, d = H.shape
@@ -316,16 +317,23 @@ def backward(config: MixtureConfig, params: OutputParams,
 
     terms = kernels.in_lanes(cache.ws, K, B * config.V, chain)
 
-    dW = kernels.buffer(cache.ws, "out.dW", params.W.shape)
-    dW.fill(0.0)
+    dW = np.empty(params.W.shape) if dW is None else dW
+    total, parts = dW.reshape(-1), [term[0].reshape(-1) for term in terms]
+
+    def add(c, scratch):
+        chunk = total[c]
+        chunk.fill(0.0)
+        for part in parts:
+            chunk += part[c]
+
+    kernels.in_chunks(cache.ws, dW.size, add)
     dH = np.zeros((B, d))
     dM = None
     d_wlv = np.zeros_like(params.word_log_vars) if params.word_log_vars is not None else None
     d_clv = ([np.zeros_like(v) if v is not None else None
               for v in params.component_log_vars]
              if params.component_log_vars is not None else None)
-    for k, (dWk, dHk, dwlv_k, dclv_k) in enumerate(terms):
-        dW += dWk
+    for k, (_, dHk, dwlv_k, dclv_k) in enumerate(terms):
         if dwlv_k is not None:
             word, comp = _variances(d_wlv, d_clv, k)
             word += dwlv_k

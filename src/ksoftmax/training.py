@@ -83,19 +83,38 @@ class TrainConfig:
 
 @dataclass
 class TrainState:
+    """A model, its optimizer and its place in the batch stream. The
+    trainable tensors of ``enc`` and ``out`` are views into the vector
+    flat["params"], the Adam slots ``opt_m``/``opt_v`` views into
+    flat["adam.m"]/flat["adam.v"], each laid out as _views lays out
+    named_tensors. A deep copy binds its views to its own vectors."""
+
     config: TrainConfig
     mixture: MixtureConfig
     enc: encoder_mod.EncoderParams
     out: OutputParams
-    opt_m: dict
-    opt_v: dict
     epoch: int
     step: int
     step_in_epoch: int
     best_dev_ppl: float
+    flat: dict
     # scratch of train_step; never checkpointed, and a copy starts empty
     ws: kernels.Workspace = dataclasses.field(
         default_factory=kernels.Workspace, repr=False, compare=False)
+    opt_m: dict = dataclasses.field(init=False)
+    opt_v: dict = dataclasses.field(init=False)
+
+    def __post_init__(self):
+        views = {key: _views(vec, named_tensors(self)) for key, vec in self.flat.items()}
+        # copies of enc and out holding the views: a deep copy takes each
+        # array found in its memo from there
+        memo = {id(arr): views["params"][name] for name, arr in named_tensors(self)}
+        self.enc, self.out = copy.deepcopy((self.enc, self.out), memo)
+        self.opt_m, self.opt_v = (views.get(f"adam.{s}", {}) for s in "mv")
+
+    def __deepcopy__(self, memo):
+        return dataclasses.replace(self, ws=kernels.Workspace(), flat={
+            key: _laid_end_to_end([vec]) for key, vec in self.flat.items()})
 
 
 def _named(enc: encoder_mod.EncoderParams, out: OutputParams) -> list:
@@ -114,6 +133,20 @@ def named_tensors(state: TrainState) -> list:
     return _named(state.enc, state.out)
 
 
+def _laid_end_to_end(arrays: list) -> np.ndarray:
+    """A copy of the arrays laid end to end in one vector of kernels.mapped."""
+    out = kernels.mapped(sum(arr.size for arr in arrays))
+    return np.concatenate([arr.ravel() for arr in arrays], out=out)
+
+
+def _views(vec: np.ndarray, named: list) -> dict:
+    """{name: view into ``vec``}: the slice table that lays the (name,
+    array) pairs end to end in ``vec``, each view shaped as its array."""
+    ends = itertools.accumulate(arr.size for _, arr in named)
+    return {name: vec[end - arr.size:end].reshape(arr.shape)
+            for (name, arr), end in zip(named, ends)}
+
+
 def init_state(config: TrainConfig, V: int) -> TrainState:
     rng = np.random.default_rng(config.seed)
     mixture = MixtureConfig(components=config.components, d=config.d, V=V,
@@ -121,65 +154,78 @@ def init_state(config: TrainConfig, V: int) -> TrainState:
                             reg_across_data=config.reg_across_data)
     enc = encoder_mod.init_encoder_params(V, config.n, config.d, config.de, rng)
     out = output_layer.init_output_params(mixture, rng)
-    state = TrainState(config=config, mixture=mixture, enc=enc, out=out,
-                       opt_m={}, opt_v={}, epoch=0, step=0,
-                       step_in_epoch=0, best_dev_ppl=math.inf)
+    flat = {"params": _laid_end_to_end([arr for _, arr in _named(enc, out)])}
     if config.optimizer == "adam":
-        for name, arr in named_tensors(state):
-            state.opt_m[name] = np.zeros_like(arr)
-            state.opt_v[name] = np.zeros_like(arr)
-    return state
+        flat["adam.m"], flat["adam.v"] = (kernels.mapped(flat["params"].size)
+                                          for _ in "mv")
+    return TrainState(config=config, mixture=mixture, enc=enc, out=out, epoch=0,
+                      step=0, step_in_epoch=0, best_dev_ppl=math.inf, flat=flat)
 
 
 def clip_gradients(grads: dict, clip_norm: float,
                    ws: Optional[kernels.Workspace] = None) -> float:
     """Rescale grads in place so the global norm is <= clip_norm.
-    Returns the pre-clip global norm. The squares are taken in ``ws`` when
-    given, in the buffer that the update then takes for its temporaries."""
-    total = math.sqrt(sum(
-        float(np.sum(np.multiply(g, g, out=kernels.buffer(ws, "update.tmp", g.shape))))
-        for g in grads.values()))
+    Returns the pre-clip global norm, from one sum of squares per tensor
+    added in order. Given ``ws``, the tensors are squared on its lanes."""
+    tensors = list(grads.values())
+
+    def squares(i, scratch):
+        g = tensors[i]
+        return float(np.sum(np.multiply(g, g, out=kernels.buffer(scratch, "s0", g.shape))))
+
+    total = math.sqrt(sum(kernels.in_lanes(ws, len(tensors),
+                                           sum(g.size for g in tensors), squares)))
     if total > clip_norm:
         scale = clip_norm / total
-        for g in grads.values():
+        for g in tensors:
             g *= scale
     return total
 
 
-def _apply_update(state: TrainState, grads: dict):
+def _apply_update(state: TrainState, grad: np.ndarray):
+    """One optimizer step over the flat vectors given the flat gradient,
+    in chunks on the lanes of ``state.ws``: each element gets the ops, in
+    the order, of an update tensor by tensor."""
     cfg = state.config
     lr = cfg.learning_rate
-    if cfg.optimizer == "sgd":
-        for name, arr in named_tensors(state):
-            arr -= lr * grads[name]
-    else:
-        b1, b2, eps = 0.9, 0.999, 1e-8
-        t = state.step + 1
-        c1, c2 = 1 - b1 ** t, 1 - b2 ** t
-        for name, arr in named_tensors(state):
-            g = grads[name]
-            m = state.opt_m[name]
-            v = state.opt_v[name]
-            # out= keeps a 0-d tensor an array; a plain product is a scalar
-            tmp = state.ws.take("update.tmp", g.shape)
-            den = state.ws.take("adam.den", g.shape)
-            m *= b1
-            m += np.multiply(1 - b1, g, out=tmp)
-            v *= b2
-            v += np.multiply(np.multiply(1 - b2, g, out=tmp), g, out=tmp)
-            mhat = np.divide(m, c1, out=tmp)
-            vhat = np.divide(v, c2, out=den)
-            update = np.multiply(lr, mhat, out=tmp)
-            update /= np.add(np.sqrt(vhat, out=den), eps, out=den)
-            arr -= update
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    t = state.step + 1
+    c1, c2 = 1 - b1 ** t, 1 - b2 ** t
+
+    def update(c, scratch):
+        g, arr = grad[c], state.flat["params"][c]
+        tmp = kernels.buffer(scratch, "s0", g.shape)
+        if cfg.optimizer == "sgd":
+            arr -= np.multiply(lr, g, out=tmp)
+            return
+        den = kernels.buffer(scratch, "s1", g.shape)
+        m, v = state.flat["adam.m"][c], state.flat["adam.v"][c]
+        m *= b1
+        m += np.multiply(1 - b1, g, out=tmp)
+        v *= b2
+        v += np.multiply(np.multiply(1 - b2, g, out=tmp), g, out=tmp)
+        mhat = np.divide(m, c1, out=tmp)
+        vhat = np.divide(v, c2, out=den)
+        update = np.multiply(lr, mhat, out=tmp)
+        update /= np.add(np.sqrt(vhat, out=den), eps, out=den)
+        arr -= update
+
+    kernels.in_chunks(state.ws, grad.size, update)
     if state.mixture.uses_ball:
         kernels.project_to_ball(state.out.W)
+
+
+def _flat_grad(state: TrainState) -> np.ndarray:
+    """The gradient vector in ``state.ws``, laid out as flat["params"]."""
+    return state.ws.take("grad", state.flat["params"].shape)
 
 
 def loss_and_grads(state: TrainState, windows: np.ndarray,
                    targets: np.ndarray):
     """Loss of one batch and its gradient with respect to every trainable
-    tensor: (loss, reg_term, {name: gradient} in named_tensors order).
+    tensor: (loss, reg_term, {name: gradient} in named_tensors order). The
+    gradients are views into one vector of ``state.ws``, laid out as the
+    parameters and valid until the next step.
 
     Raises DivergenceDetected if the loss or any gradient is non-finite.
     """
@@ -194,14 +240,19 @@ def loss_and_grads(state: TrainState, windows: np.ndarray,
     if not math.isfinite(loss_val):
         raise DivergenceDetected(
             f"non-finite loss at step {state.step}", step=state.step)
-    out_grads, dH = output_layer.backward(state.mixture, state.out, cache)
+    grad = _flat_grad(state)
+    grads = _views(grad, named_tensors(state))
+    out_grads, dH = output_layer.backward(state.mixture, state.out, cache,
+                                          grads["out.W"])
     enc_grads = encoder_mod.encode_backward(state.enc, enc_cache, dH)
-    grads = dict(_named(enc_grads, out_grads))
-    for name, g in grads.items():
-        if not np.isfinite(g).all():
-            raise DivergenceDetected(
-                f"non-finite gradient in {name} at step {state.step}",
-                step=state.step, component=name)
+    for name, g in _named(enc_grads, out_grads):
+        if g is not grads[name]:
+            grads[name][...] = g
+    if not np.isfinite(grad).all():
+        name = next(name for name, g in grads.items() if not np.isfinite(g).all())
+        raise DivergenceDetected(
+            f"non-finite gradient in {name} at step {state.step}",
+            step=state.step, component=name)
     return loss_val, cache.reg_term, grads
 
 
@@ -214,7 +265,7 @@ def train_step(state: TrainState, windows: np.ndarray, targets: np.ndarray):
     """
     loss_val, reg_term, grads = loss_and_grads(state, windows, targets)
     clip_gradients(grads, state.config.clip_norm, state.ws)
-    _apply_update(state, grads)
+    _apply_update(state, _flat_grad(state))
     state.step += 1
     state.step_in_epoch += 1
     return loss_val, reg_term
@@ -355,14 +406,11 @@ def train(config: TrainConfig, split: data_mod.CorpusSplit, V: int,
 
 def _checkpoint_tensors(state: TrainState) -> list:
     """Every tensor a checkpoint stores, in file order: the trainable
-    tensors, then the Adam slots."""
+    tensors, then the two Adam slots of each in turn."""
     tensors = named_tensors(state)
-    slot_tensors = []
-    for name, _ in tensors:
-        if name in state.opt_m:
-            slot_tensors.append((f"adam.m.{name}", state.opt_m[name]))
-            slot_tensors.append((f"adam.v.{name}", state.opt_v[name]))
-    return tensors + slot_tensors
+    return tensors + [(f"adam.{s}.{name}", slots[name]) for name, _ in tensors
+                      for s, slots in (("m", state.opt_m), ("v", state.opt_v))
+                      if name in slots]
 
 
 def _adam_t(state: TrainState) -> int:
@@ -420,7 +468,7 @@ def _parse_checkpoint(blob: bytes) -> TrainState:
     end_marker = b"\nend\n"
     split_at = blob.index(end_marker) + len(end_marker)
     header_lines = blob[:split_at].decode("utf-8").splitlines()
-    body = blob[split_at:]
+    body = memoryview(blob)[split_at:]  # no copy of the tensors
     if header_lines[0].split() != [CHECKPOINT_MAGIC, str(CHECKPOINT_VERSION)]:
         raise CorruptCheckpoint(f"bad checkpoint header: {header_lines[0]!r}")
     fields = {}
@@ -443,12 +491,9 @@ def _parse_checkpoint(blob: bytes) -> TrainState:
     size = sum(8 * math.prod(shape) for _, shape in expected)
     if len(body) != size:
         raise CorruptCheckpoint(f"body is {len(body)} bytes, expected {size}")
-    offset = 0
-    for _, arr in tensors:
-        count = arr.size
-        arr[...] = np.frombuffer(body, dtype="<f8", count=count,
-                                 offset=offset).reshape(arr.shape)
-        offset += count * 8
+    values = _views(np.frombuffer(body, dtype="<f8"), tensors)
+    for name, arr in tensors:
+        arr[...] = values[name]
     for name in ("epoch", "step", "step_in_epoch"):
         setattr(state, name, int(fields[name]))
         if getattr(state, name) < 0:

@@ -34,6 +34,7 @@ def test_two_runs_print_the_same_fingerprint():
     lines = first.splitlines()
     assert len(lines) > 40 and all(len(line.split()) >= 2 for line in lines)
     assert "cli.diverge exit 2 stdout" in first and "lib.lanes.dev_ppl" in first
+    assert "lib.chunks/adam.copied.ckpt" in first and "lib.chunks/sgd.resumed.ckpt" in first
 
 
 SNIPPET = '''"""A module docstring

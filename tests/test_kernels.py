@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import math
 import time
+import warnings
 import weakref
 
 import numpy as np
@@ -398,6 +399,25 @@ class TestProjectToBall:
         kernels.project_to_ball(W)
         assert np.linalg.norm(W[:, 0]) == pytest.approx(1 - 1e-5)
         assert W[0, 1] == 0.1
+
+    def test_one_dense_pass_gives_the_bits_of_scaling_the_columns_over(self):
+        limit = 1 - kernels.BALL_MARGIN
+        rng = np.random.default_rng(7)
+        W = rng.normal(size=(5, 40))
+        W *= rng.uniform(0.2, 3.0, size=40) / np.sqrt(np.einsum("dv,dv->v", W, W))
+        W[:, 3] = 0.0
+        W[:, 4] = [limit, 0.0, 0.0, 0.0, 0.0]  # a norm of exactly the limit
+        W[:, 5] = [-limit, 1e-3, 0.0, 0.0, 0.0]  # just over it
+        norms = np.sqrt(np.einsum("dv,dv->v", W, W))
+        over = norms > limit
+        assert norms[4] == limit and over[5] and 0 < over.sum() < 38
+        gathered = W.copy()
+        gathered[:, over] *= limit / norms[over]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kernels.project_to_ball(W)
+        assert np.array_equal(W, gathered)
+        assert not W[:, 3].any()
 
 
 class TestWorkspace:

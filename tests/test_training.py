@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from ksoftmax import data, kernels, output_layer, training
+from ksoftmax import encoder as encoder_mod
 from ksoftmax import eval as eval_mod
 from ksoftmax.errors import DivergenceDetected, KsoftmaxError
 from ksoftmax.kernels import KernelSpec, Workspace
@@ -122,17 +123,23 @@ class TestClipping:
         assert reported == pytest.approx(pre, rel=1e-12)
         assert post == pytest.approx(5.0, rel=1e-12)
 
-    def test_squares_in_a_stale_workspace_give_the_same_norm(self):
+    def test_squares_in_a_stale_workspace_give_the_same_norm(self, monkeypatch):
         rng = np.random.default_rng(1)
-        grads = {"a": rng.normal(size=(6, 4)), "b": rng.normal(size=9),
-                 "c": np.array(2.5)}
-        ws = Workspace()
-        ws.take("update.tmp", (30,)).fill(np.nan)
-        copies = {k: g.copy() for k, g in grads.items()}
-        assert (clip_gradients(grads, clip_norm=1.0, ws=ws)
-                == clip_gradients(copies, clip_norm=1.0))
-        for name in grads:
-            assert np.array_equal(grads[name], copies[name]), name
+        for lanes in (1, 2):
+            grads = {"a": rng.normal(size=(6, 4)), "b": rng.normal(size=9),
+                     "c": np.array(2.5)}
+            use_lanes(monkeypatch, lanes)
+            ws = Workspace()
+            clip_gradients({k: g.copy() for k, g in grads.items()}, clip_norm=1.0, ws=ws)
+            for lane in lane_scratch(ws):
+                for buf in lane._buffers.values():
+                    buf.fill(np.nan)
+            copies = {k: g.copy() for k, g in grads.items()}
+            assert (clip_gradients(grads, clip_norm=1.0, ws=ws)
+                    == clip_gradients(copies, clip_norm=1.0))
+            assert (ws._pool is not None) == (lanes > 1)
+            for name in grads:
+                assert np.array_equal(grads[name], copies[name]), name
 
     def test_small_gradients_untouched(self):
         grads = {"a": np.array([0.1, -0.2])}
@@ -152,7 +159,8 @@ class TestWorkspace:
         train_steps(state, split, 2)
         fresh = copy.deepcopy(state)
         assert state.ws._buffers and not fresh.ws._buffers
-        assert (state.ws._pool is not None) == (len(components) > 1)
+        # K = 1 too: clipping squares the tensors on the lanes
+        assert state.ws._pool is not None
         lanes = lane_scratch(state.ws)
         assert lanes and all(lane._buffers for lane in lanes)
         for ws in [state.ws] + lanes:
@@ -227,6 +235,19 @@ class TestLanes:
                 output_layer._forward(config, params, H, np.arange(5), ws, True)
             assert (ws._pool is not None) == (n > 1)
 
+    def test_passes_that_want_fewer_lanes_keep_the_pool(self, monkeypatch):
+        # the K = 2 components want 2 lanes, the update's many chunks 4
+        use_lanes(monkeypatch, 4)
+        monkeypatch.setattr(kernels, "TILE_SIZE", 7)
+        split = toy_split()
+        state = init_state(make_config(components=(KernelSpec("lin"),
+                                                   KernelSpec("pow"))), V)
+        train_steps(state, split, 1)
+        pool = state.ws._pool
+        assert pool[0] == 4
+        train_steps(state, split, 2)
+        assert state.ws._pool is pool
+
     def test_divergence_names_the_lowest_component_and_leaves_no_trace(
             self, monkeypatch):
         config = make_config(components=(KernelSpec("lin"), KernelSpec("ssg"),
@@ -254,6 +275,146 @@ class TestLanes:
         use_lanes(monkeypatch, 3)
         assert train_step(state, *batch) == train_step(copied, *batch)
         assert_same_state(state, copied)
+
+
+def assert_flat_layout(state):
+    """Each trainable tensor and Adam slot is its own slice of the state's
+    flat vectors, laid end to end in named_tensors order. Overwrites them."""
+    named = dict(named_tensors(state))
+    slots = {"params": named, "adam.m": state.opt_m, "adam.v": state.opt_v}
+    adam = state.config.optimizer == "adam"
+    assert list(state.flat) == ["params", "adam.m", "adam.v"][:3 if adam else 1]
+    for key, vec in state.flat.items():
+        assert list(slots[key]) == list(named), key
+        # distinct values written to the vector show up in the tensors in order
+        vec[...] = np.arange(vec.size)
+        laid_out = np.concatenate([arr.ravel() for arr in slots[key].values()])
+        assert np.array_equal(laid_out, np.arange(vec.size)), key
+
+
+def assert_same_flat(a: dict, b: dict):
+    """Two states' flat vectors are bit-identical."""
+    assert list(a) == list(b)
+    for key in a:
+        assert np.array_equal(a[key], b[key]), key
+
+
+FLAT_KINDS = (KernelSpec("lin"), KernelSpec("ssg"), KernelSpec("mog"), KernelSpec("hpb"))
+
+
+class TestFlatLayout:
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    def test_tensors_and_slots_are_views_into_the_flat_vectors(self, tmp_path, optimizer):
+        state = init_state(make_config(components=FLAT_KINDS, optimizer=optimizer), V)
+        train_steps(state, toy_split(), 3)
+        save_checkpoint(state, tmp_path / "a.ckpt")
+        copied = copy.deepcopy(state)
+        loaded = load_checkpoint(tmp_path / "a.ckpt")
+        for each in (copied, loaded, state):
+            assert_flat_layout(each)
+
+    def test_a_write_to_a_deep_copy_leaves_the_original_unchanged(self):
+        split = toy_split()
+        state = init_state(make_config(components=FLAT_KINDS), V)
+        train_steps(state, split, 2)
+        before = copy.deepcopy(state.flat)
+        copied = copy.deepcopy(state)
+        copied.out.W[...] = 0.1
+        copied.opt_v["out.comp_log_vars.1"][...] = 2.0
+        train_steps(copied, split, 2)
+        assert copied.step == 4 and state.step == 2
+        assert_same_flat(state.flat, before)
+
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    def test_save_load_save_gives_identical_bytes(self, tmp_path, optimizer):
+        state = init_state(make_config(components=FLAT_KINDS, optimizer=optimizer), V)
+        train_steps(state, toy_split(), 3)
+        save_checkpoint(state, tmp_path / "a.ckpt")
+        save_checkpoint(load_checkpoint(tmp_path / "a.ckpt"), tmp_path / "b.ckpt")
+        assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    def test_steps_give_the_same_bits_in_any_chunking(self, monkeypatch, optimizer):
+        # a clip norm that every step exceeds, and hpb's projection to the ball
+        config = make_config(components=(KernelSpec("lin"), KernelSpec("pow"),
+                                         KernelSpec("ssg"), KernelSpec("hpb")),
+                             optimizer=optimizer, clip_norm=1e-3, rho=0.1)
+        split = toy_split()
+        norms = []
+        real = training.clip_gradients
+        monkeypatch.setattr(training, "clip_gradients",
+                            lambda *args: norms.append(real(*args)) or norms[-1])
+        use_lanes(monkeypatch, 1)
+        whole = init_state(config, V)
+        train_steps(whole, split, 5)
+        assert len(norms) == 5 and min(norms) > config.clip_norm
+        monkeypatch.setattr(kernels, "TILE_SIZE", 7)
+        for n in (1, 2):
+            use_lanes(monkeypatch, n)
+            chunked = init_state(config, V)
+            train_steps(chunked, split, 5)
+            assert (chunked.ws._pool is not None) == (n > 1)
+            assert_same_flat(chunked.flat, whole.flat)
+
+
+class TestDivergence:
+    @staticmethod
+    def poison(monkeypatch, value, names):
+        """Put ``value`` into one element of each named gradient, as
+        encode_backward or backward return it."""
+        def wrap(module, attr):
+            real = getattr(module, attr)
+
+            def poisoned(*args, **kwargs):
+                result = real(*args, **kwargs)
+                grads = result[0] if isinstance(result, tuple) else result
+                for name in names:
+                    part, field, *k = name.split(".")
+                    if (part == "enc") == (module is encoder_mod):
+                        arr = (grads.component_log_vars[int(k[0])] if k
+                               else getattr(grads, field))
+                        arr.reshape(-1)[arr.size // 2] = value
+                return result
+            monkeypatch.setattr(module, attr, poisoned)
+        wrap(encoder_mod, "encode_backward")
+        wrap(output_layer, "backward")
+
+    @pytest.mark.parametrize("lanes", [1, 2])
+    @pytest.mark.parametrize("names, first", [
+        (["enc.F"], "enc.F"), (["out.W"], "out.W"), (["out.C"], "out.C"),
+        (["out.comp_log_vars.2"], "out.comp_log_vars.2"),
+        (["out.M", "enc.bias"], "enc.bias"),
+        (["out.word_log_vars", "out.W", "enc.E"], "enc.E"),
+    ])
+    def test_a_non_finite_gradient_names_the_first_bad_tensor(
+            self, monkeypatch, lanes, names, first):
+        config = make_config(components=(KernelSpec("lin"), KernelSpec("ssg"),
+                                         KernelSpec("ssg")), rho=0.1)
+        split = toy_split()
+        state = init_state(config, V)
+        train_steps(state, split, 2)
+        before = copy.deepcopy(state)
+        use_lanes(monkeypatch, lanes)
+        monkeypatch.setattr(kernels, "TILE_SIZE", 5)
+        self.poison(monkeypatch, np.nan, names)
+        windows, targets = next(data.batch_windows(split.train, config.n, 8, seed=0))
+        with pytest.raises(DivergenceDetected) as info:
+            train_step(state, windows, targets)
+        assert str(info.value) == f"non-finite gradient in {first} at step 2"
+        assert info.value.component == first
+        assert (state.step, state.step_in_epoch) == (before.step, before.step_in_epoch)
+        assert_same_flat(state.flat, before.flat)
+
+    def test_finite_gradients_whose_squares_overflow_do_not_diverge(self, monkeypatch):
+        config = make_config(components=(KernelSpec("lin"), KernelSpec("pow")))
+        split = toy_split()
+        state = init_state(config, V)
+        self.poison(monkeypatch, 1e200, ["enc.E", "out.W"])
+        windows, targets = next(data.batch_windows(split.train, config.n, 8, seed=0))
+        with np.errstate(over="ignore"):
+            train_step(state, windows, targets)
+        assert state.step == 1
+        assert all(np.isfinite(vec).all() for vec in state.flat.values())
 
 
 class TestCheckpoint:

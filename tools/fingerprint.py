@@ -2,8 +2,9 @@
 
 Runs library training (with resumes), a mid-epoch `train_steps`
 checkpoint, a mixture large enough for the kernels to run its components
-on parallel lanes and to score in row tiles, and a handful of CLI calls in
-a temporary directory, then prints one `name digest` line per artifact.
+on parallel lanes and to score in row tiles, a model large enough for
+the update to run in several chunks on the lanes, and a handful of CLI
+calls in a temporary directory, then prints one `name digest` line per artifact.
 Each CLI call also prints its exit code, a digest of its stdout and its
 first stderr line. The timestamped `# started` line of `run.log` is
 dropped and the temporary root is replaced by `<tmp>`, so two runs of the
@@ -18,6 +19,7 @@ Comparing two trees:
 from __future__ import annotations
 
 import contextlib
+import copy
 import hashlib
 import io
 import os
@@ -123,6 +125,33 @@ def lane_run(fp: Fingerprint):
     fp.lines.append(f"lib.lanes.dev_ppl {eval_mod.perplexity(state, split.dev).hex()}")
 
 
+def chunk_run(fp: Fingerprint):
+    """K=4 steps of a model with 136,851 parameters (V = 4,098 and d = 16,
+    so E and W hold 65,568 elements each): the update runs over three
+    chunks, clipping squares the tensors on the lanes, and every step
+    clips. Under Adam and SGD, each then resumed from its checkpoint, with
+    a deep copy of the resumed state trained alongside it. The lines must
+    not change when the process is pinned to one CPU, which leaves one
+    lane."""
+    vocab, split = data.prepare_corpus(data.generate_zipf(8000, 60000, seed=2),
+                                       max_size=4098, seed=0)
+    out = os.path.join(fp.root, "lib.chunks")
+    os.makedirs(out)
+    for optimizer in ("adam", "sgd"):
+        config = training.TrainConfig(components=parse_kernel_list("lin pow ssg hpb"),
+                                      n=2, d=16, clip_norm=0.05, optimizer=optimizer,
+                                      rho=0.1, seed=4)
+        state = training.init_state(config, vocab.V)
+        training.train_steps(state, split, 4)
+        path = os.path.join(out, f"{optimizer}.ckpt")
+        training.save_checkpoint(state, path)
+        resumed = training.load_checkpoint(path)
+        for name, run in (("resumed", resumed), ("copied", copy.deepcopy(resumed))):
+            training.train_steps(run, split, 3)
+            training.save_checkpoint(run, os.path.join(out, f"{optimizer}.{name}.ckpt"))
+    fp.files("lib.chunks", out)
+
+
 def cli_runs(fp: Fingerprint):
     os.environ["COLUMNS"] = "80"  # argparse wraps --help to the terminal
     fp.cli("train-help", ["train", "--help"])
@@ -169,6 +198,7 @@ def main() -> int:
             with np.errstate(over="ignore", invalid="ignore"):
                 library_runs(fp, split, vocab.V)
                 lane_run(fp)
+                chunk_run(fp)
                 cli_runs(fp)
         finally:
             os.chdir(cwd)
