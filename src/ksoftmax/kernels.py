@@ -430,6 +430,24 @@ def _hpb_vjp(spec, st, dL, kink):
             "hn": np.divide(u, Bn, out=t).sum(axis=1, keepdims=True)}
 
 
+def _wav_score(spec, st):
+    x, c, e = st["x"], _kept(st, "cos", st["x"].shape), _kept(st, "exp", st["x"].shape)
+    st["cos"] = np.cos(np.divide(x, spec.a, out=c), out=c)
+    # x / -b has the bits of -x / b: IEEE division is symmetric in sign
+    st["exp"] = np.exp(np.divide(x, -spec.b, out=e), out=e)
+    return np.multiply(c, e, out=st["out"])
+
+
+def _wav_vjp(spec, st, dL, kink):
+    # dx = -exp(-x / b) (sin(x / a) / a + cos(x / a) / b), from the kept cos, exp
+    dx = np.divide(st["x"], spec.a, out=_scratch(st, "s0"))
+    np.sin(dx, out=dx)
+    dx /= spec.a
+    dx += np.divide(st["cos"], spec.b, out=_scratch(st, "s1"))
+    np.multiply(np.negative(st["exp"], out=_scratch(st, "s1")), dx, out=dx)
+    return {"x": np.multiply(dL, dx, out=dL)}
+
+
 def _gauss_ell(d, x, s, out=None):
     """log of the integral of two spherical Gaussians in d dimensions with
     squared mean distance x and summed variance s."""
@@ -534,13 +552,7 @@ KERNELS = {
                   fields=("num_gauss", "mog_log_of_sum")),
     "hpb": Kernel("x", _hpb_score, _hpb_vjp,
                   kink=lambda spec, st: st["z"] <= 1.0, in_ball=True),
-    "wav": _radial(
-        lambda spec, x, d, out: np.multiply(np.cos(x / spec.a), np.exp(-x / spec.b),
-                                            out=out),
-        lambda spec, x, d, out: np.multiply(
-            -np.exp(-x / spec.b),
-            np.sin(x / spec.a) / spec.a + np.cos(x / spec.a) / spec.b, out=out),
-        ("a", "b")),
+    "wav": Kernel("x", _wav_score, _wav_vjp, fields=("a", "b")),
 }
 
 KINDS = tuple(KERNELS)
@@ -553,10 +565,11 @@ def variance_shape(spec: KernelSpec):
     return var_shape(spec) if var_shape is not None else None
 
 
-def context_scale(spec: KernelSpec, d: int) -> float:
-    """Constant rescale of tanh-bounded contexts (norm <= sqrt(d)) that keeps
-    them strictly inside the unit ball for kinds that need it; 1 otherwise."""
-    return (1.0 - BALL_MARGIN) / math.sqrt(d) if KERNELS[spec.kind].in_ball else 1.0
+def scale_context(spec: KernelSpec, d: int, a: np.ndarray) -> np.ndarray:
+    """``a`` times the constant that keeps tanh-bounded contexts (norm <=
+    sqrt(d)) strictly inside the unit ball, for kinds that need it; ``a``
+    itself otherwise, the bits of ``a * 1.0``."""
+    return a * ((1.0 - BALL_MARGIN) / math.sqrt(d)) if KERNELS[spec.kind].in_ball else a
 
 
 def radial_profile(spec: KernelSpec, x):

@@ -176,7 +176,7 @@ def component_logits(config: MixtureConfig, params: OutputParams, h_k, k: int,
     forward_logits."""
     spec = config.components[k]
     return kernels.forward_logits(
-        spec, params.W, h_k * kernels.context_scale(spec, config.d),
+        spec, params.W, kernels.scale_context(spec, config.d, h_k),
         *_variances(params.word_log_vars, params.component_log_vars, k),
         ws=ws, k=k, out=out, scratch=scratch, each=each)
 
@@ -210,11 +210,11 @@ def _forward(config: MixtureConfig, params: OutputParams, H: np.ndarray,
             raise TargetOutOfRange(f"target id {bad} outside [0, {config.V})")
     if K > 1:
         log_pi = _log_softmax(H @ params.M)
+        pi = np.exp(log_pi)
         h_tilde = transform_contexts(params.C, H)
-    else:
-        log_pi = np.zeros((B, 1))
+    else:  # log pi is 0, and pi exp(0) = 1
+        log_pi, pi = np.zeros((B, 1)), np.ones((B, 1))
         h_tilde = [H]
-    pi = np.exp(log_pi)
 
     at_targets = ws is not None and targets is not None and not for_backward
     lsm = None if at_targets else kernels.buffer(ws, "lsm", (K, B, config.V))
@@ -240,7 +240,8 @@ def _forward(config: MixtureConfig, params: OutputParams, H: np.ndarray,
     if targets is not None:
         if not at_targets:
             lsm_t = lsm[:, np.arange(B), targets]
-        log_post = _log_mix(log_pi.T, lsm_t)
+        # at K = 1 the mix is lsm_t exactly: lsm_t + 0, exp(0) = 1, log 1 = 0
+        log_post = _log_mix(log_pi.T, lsm_t) if K > 1 else lsm_t[0]
     return ForwardCache(H=H, pi=pi, log_pi=log_pi, lsm=lsm, targets=targets,
                         log_posterior=log_post, h_tilde=h_tilde,
                         kernel_caches=caches, ws=ws)
@@ -294,20 +295,23 @@ def backward(config: MixtureConfig, params: OutputParams,
     K = config.K
     rows = np.arange(B)
 
-    # responsibilities at the target: q[b,k] = pi_k p_k(t) / p(t)
-    lsm_t = cache.lsm[:, rows, cache.targets].T  # B x K
-    q = np.exp(cache.log_pi + lsm_t - cache.log_posterior[:, None])
+    # responsibilities at the target: q[b,k] = pi_k p_k(t) / p(t), which is
+    # exp(0 + lsm_t - lsm_t) = 1.0 at K = 1
+    if K > 1:
+        lsm_t = cache.lsm[:, rows, cache.targets].T  # B x K
+        q = np.exp(cache.log_pi + lsm_t - cache.log_posterior[:, None])
     dC = np.zeros_like(params.C) if params.C is not None else None
 
     def chain(k, scratch):
         """(dW_k, component k's dH term, its log-variance gradients); fills dC[k]."""
         spec = config.components[k]
+        qk = q[:, k] / B if K > 1 else 1.0 / max(B, 1)  # B = 0 scales nothing
         dL = np.exp(cache.lsm[k], out=cache.lsm[k])
-        np.multiply(q[:, k:k + 1] / B, dL, out=dL)
-        dL[rows, cache.targets] -= q[:, k] / B
+        np.multiply(qk[:, None] if K > 1 else qk, dL, out=dL)
+        dL[rows, cache.targets] -= qk
         dWk, dHk, dwlv_k, dclv_k = kernels.backward_logits(
             spec, cache.kernel_caches[k], dL, scratch)
-        dHk = dHk * kernels.context_scale(spec, d)
+        dHk = kernels.scale_context(spec, d, dHk)
         if K > 1:
             ht = cache.h_tilde[k]
             dpre = dHk * (1.0 - ht * ht)
@@ -321,13 +325,13 @@ def backward(config: MixtureConfig, params: OutputParams,
     total, parts = dW.reshape(-1), [term[0].reshape(-1) for term in terms]
 
     def add(c, scratch):
-        chunk = total[c]
-        chunk.fill(0.0)
-        for part in parts:
+        # 0.0 + the first term, as adding it to zeros gives (-0.0 -> +0.0)
+        chunk = np.add(0.0, parts[0][c], out=total[c])
+        for part in parts[1:]:
             chunk += part[c]
 
     kernels.in_chunks(cache.ws, dW.size, add)
-    dH = np.zeros((B, d))
+    dH = np.add(0.0, terms[0][1])
     dM = None
     d_wlv = np.zeros_like(params.word_log_vars) if params.word_log_vars is not None else None
     d_clv = ([np.zeros_like(v) if v is not None else None
@@ -338,7 +342,8 @@ def backward(config: MixtureConfig, params: OutputParams,
             word, comp = _variances(d_wlv, d_clv, k)
             word += dwlv_k
             comp += dclv_k
-        dH += dHk
+        if k:
+            dH += dHk
 
     if K > 1:
         dA = (cache.pi - q) / B  # d CE / d (H M)

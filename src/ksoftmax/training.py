@@ -103,6 +103,8 @@ class TrainState:
         default_factory=kernels.Workspace, repr=False, compare=False)
     opt_m: dict = dataclasses.field(init=False)
     opt_v: dict = dataclasses.field(init=False)
+    grads: Optional[tuple] = dataclasses.field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         views = {key: _views(vec, named_tensors(self)) for key, vec in self.flat.items()}
@@ -171,7 +173,8 @@ def clip_gradients(grads: dict, clip_norm: float,
 
     def squares(i, scratch):
         g = tensors[i]
-        return float(np.sum(np.multiply(g, g, out=kernels.buffer(scratch, "s0", g.shape))))
+        sq = np.multiply(g, g, out=kernels.buffer(scratch, "s0", g.shape))
+        return float(np.add.reduce(sq, axis=None))  # np.sum, without its wrapper
 
     total = math.sqrt(sum(kernels.in_lanes(ws, len(tensors),
                                            sum(g.size for g in tensors), squares)))
@@ -215,9 +218,13 @@ def _apply_update(state: TrainState, grad: np.ndarray):
         kernels.project_to_ball(state.out.W)
 
 
-def _flat_grad(state: TrainState) -> np.ndarray:
-    """The gradient vector in ``state.ws``, laid out as flat["params"]."""
-    return state.ws.take("grad", state.flat["params"].shape)
+def _flat_grad(state: TrainState) -> tuple:
+    """(the gradient vector in ``state.ws``, laid out as flat["params"], {name:
+    view into it}), bound on a state's first step: that buffer never moves."""
+    if state.grads is None:
+        grad = state.ws.take("grad", state.flat["params"].shape)
+        state.grads = grad, _views(grad, named_tensors(state))
+    return state.grads
 
 
 def loss_and_grads(state: TrainState, windows: np.ndarray,
@@ -240,8 +247,7 @@ def loss_and_grads(state: TrainState, windows: np.ndarray,
     if not math.isfinite(loss_val):
         raise DivergenceDetected(
             f"non-finite loss at step {state.step}", step=state.step)
-    grad = _flat_grad(state)
-    grads = _views(grad, named_tensors(state))
+    grad, grads = _flat_grad(state)
     out_grads, dH = output_layer.backward(state.mixture, state.out, cache,
                                           grads["out.W"])
     enc_grads = encoder_mod.encode_backward(state.enc, enc_cache, dH)
@@ -265,7 +271,7 @@ def train_step(state: TrainState, windows: np.ndarray, targets: np.ndarray):
     """
     loss_val, reg_term, grads = loss_and_grads(state, windows, targets)
     clip_gradients(grads, state.config.clip_norm, state.ws)
-    _apply_update(state, _flat_grad(state))
+    _apply_update(state, _flat_grad(state)[0])
     state.step += 1
     state.step_in_epoch += 1
     return loss_val, reg_term

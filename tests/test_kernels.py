@@ -567,3 +567,26 @@ class TestBatchedAgainstScalar:
         dL[b, v] = 1.0
         dW, dH, _, _ = kernels.backward_logits(spec, cache, dL)
         assert not dW.any() and not dH.any()
+
+
+def test_wav_keeping_pass_gives_the_bits_of_fresh_arrays():
+    # the score keeps cos(x / a) and exp(-x / b) in the workspace, and the
+    # VJP reads them there
+    spec = KernelSpec("wav", a=0.7, b=1.9)
+    rng = np.random.default_rng(60)
+    ws, lane = kernels.Workspace(), kernels.Workspace()
+    for B in (7, 5):  # the shorter batch reuses the longer one's buffers
+        W, H = rng.normal(size=(4, 9)), rng.normal(size=(B, 4))
+        dL = rng.normal(size=(B, 9))
+        kept_L, kept = kernels.forward_logits(spec, W, H, ws=ws, k=0, scratch=lane)
+        fresh_L, fresh = kernels.forward_logits(spec, W, H)
+        x = fresh["x"]
+        # the parent formula, from fresh arrays
+        assert np.array_equal(fresh_L, np.cos(x / 0.7) * np.exp(-x / 1.9))
+        assert kept_L.tobytes() == fresh_L.tobytes()
+        assert np.shares_memory(kept["cos"], ws.take(("cos", 0), (B, 9)))
+        assert np.shares_memory(kept["exp"], ws.take(("exp", 0), (B, 9)))
+        got = kernels.backward_logits(spec, kept, dL.copy(), lane)
+        want = kernels.backward_logits(spec, fresh, dL.copy())
+        for g, w in zip(got[:2], want[:2]):
+            assert g.tobytes() == w.tobytes()

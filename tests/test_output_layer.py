@@ -431,3 +431,144 @@ class TestBackward:
         _, cache0 = output_layer.loss(config0, params, H, targets)
         g_ce, _ = output_layer.backward(config0, params, cache0)
         assert np.allclose(g_reg.M, g_ce.M, atol=1e-14)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def whole_mass_batch(config, params):
+    """(H, targets) where every target's logit beats the rest of its row by
+    far more than exp underflows at, so the target holds the whole mass and
+    its log-softmax value is exactly 0.0 (lin and pow)."""
+    H = np.full((3, config.d), 20.0)
+    H[2] = -20.0
+    # pow: x = 0 at the target and >= 8,000 elsewhere; lin: logits of
+    # 40,000 at the target and <= 0 elsewhere
+    params.W[:] = 0.0 if config.components[0].kind == "lin" else 60.0
+    params.W[:, 2] = 20.0 if config.components[0].kind == "pow" else 400.0
+    params.W[:, 5] = -params.W[:, 2]
+    return H, np.array([2, 2, 5])
+
+
+class TestSingleComponent:
+    # at K = 1 the mixture computes exact identities: log pi = 0, the mix
+    # of lsm_t is lsm_t itself, and the responsibility q is 1.0
+
+    @staticmethod
+    def generic_backward(config, params, cache):
+        """The gradients by the general mixture rule, q = exp(log_pi + lsm_t -
+        log_post), each sum started from zeros; consumes cache.lsm."""
+        spec, (B, d) = config.components[0], cache.H.shape
+        rows = np.arange(B)
+        lsm_t = cache.lsm[:, rows, cache.targets].T
+        q = np.exp(cache.log_pi + lsm_t - cache.log_posterior[:, None])
+        dL = np.exp(cache.lsm[0])
+        dL = q[:, 0:1] / B * dL
+        dL[rows, cache.targets] -= q[:, 0] / B
+        dW, dH, dwlv, dclv = kernels.backward_logits(spec, cache.kernel_caches[0], dL)
+        if spec.kind == "hpb":
+            dH = dH * ((1.0 - kernels.BALL_MARGIN) / math.sqrt(d))
+        out = [np.zeros(dW.shape) + dW, np.zeros(dH.shape) + dH]
+        if dwlv is not None:
+            out += [np.zeros(dwlv.shape) + dwlv, np.zeros(np.shape(dclv)) + dclv]
+        return out
+
+    @staticmethod
+    def got(grads, dH):
+        out = [grads.W, dH]
+        if grads.word_log_vars is not None:
+            out += [grads.word_log_vars, grads.component_log_vars[0]]
+        return out
+
+    def check(self, config, params, H, targets):
+        B = len(targets)
+        reference = output_layer._forward(config, params, H, targets, for_backward=True)
+        lsm_t = reference.lsm[:, np.arange(B), targets]
+        mixed = output_layer._log_mix(np.zeros((1, B)), lsm_t)
+        expected = self.generic_backward(config, params, reference)
+        ws = Workspace()
+        for _ in range(2):  # the second pass reuses the workspace's buffers
+            scored = output_layer._forward(config, params, H, targets, ws)
+            assert scored.lsm is None and same_bits(scored.log_posterior, mixed)
+            _, kept = output_layer.loss(config, params, H, targets, ws)
+            assert same_bits(kept.log_posterior, mixed)
+            got = self.got(*output_layer.backward(config, params, kept))
+            assert len(got) == len(expected)
+            for g, e in zip(got, expected):
+                assert same_bits(g, e)
+        return lsm_t
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_the_mix_and_the_gradients_of_the_general_rule(self, kind):
+        config, params = make([KernelSpec(kind)], d=5, V=11, seed=50)
+        rng = np.random.default_rng(51)
+        H = np.tanh(rng.normal(size=(9, config.d)) * 2)
+        self.check(config, params, H, rng.integers(0, config.V, 9))
+
+    @pytest.mark.parametrize("kind", ["lin", "pow"])
+    def test_a_target_that_holds_the_whole_mass(self, kind):
+        config, params = make([KernelSpec(kind)], d=5, V=11, seed=52)
+        lsm_t = self.check(config, params, *whole_mass_batch(config, params))
+        assert not lsm_t.any() and not np.signbit(lsm_t).any()
+
+
+class TestFirstTermSums:
+    # backward starts each sum of terms from 0.0 + the first term: the bits
+    # of adding the terms in component order to zeros, -0.0 -> +0.0 included
+
+    @pytest.mark.parametrize("K", [1, 3])
+    def test_minus_zero_terms_sum_as_they_do_from_zeros(self, K, monkeypatch):
+        config, params = make([KernelSpec("lin")] * K, d=3, V=5, seed=53)
+        rng = np.random.default_rng(54)
+        H = np.tanh(rng.normal(size=(4, config.d)))
+        targets = rng.integers(0, config.V, 4)
+        # per component: -0.0 in the first row, then terms whose sum only
+        # the order k = 0, 1, 2 (or 1, 0, 2) rounds to 5e15 + 4
+        big = [1e16, 3.0, -5e15]
+        terms = []
+        for k in range(K):
+            dW = np.full((config.d, config.V), big[k] if K > 1 else 2.5)
+            dW[0] = -0.0
+            dH = np.full((4, config.d), -0.0)
+            dH[1:] = rng.normal(size=(3, config.d))
+            terms.append((dW, dH))
+        monkeypatch.setattr(kernels, "backward_logits",
+                            lambda spec, cache, dL, scratch=None: (
+                                terms[cache["k"]][0].copy(), terms[cache["k"]][1].copy(),
+                                None, None))
+        monkeypatch.setattr(kernels, "TILE_SIZE", 4)  # dW's sum in 4 chunks
+        _, cache = output_layer.loss(config, params, H, targets, Workspace())
+        grads, dH = output_layer.backward(config, params, cache)
+        expected = np.zeros(params.W.shape)
+        for dW, _ in terms:
+            expected += dW
+        assert same_bits(grads.W, expected)
+        assert not np.signbit(grads.W[0]).any()
+        if K > 1:
+            assert (grads.W[1:] == 5e15 + 4).all()
+        else:
+            assert same_bits(dH, np.zeros(dH.shape) + terms[0][1])
+            assert not np.signbit(dH[0]).any()
+
+
+class TestWavKeepsItsStatistics:
+    def test_a_scoring_pass_keeps_x_cos_and_exp_apart(self, monkeypatch):
+        config, params = make([KernelSpec("wav", a=0.7, b=1.9), KernelSpec("pow")],
+                              d=5, V=11, seed=55)
+        monkeypatch.setattr(kernels, "lane_count", lambda K, size: min(K, 2))
+        use_tiles(monkeypatch, 3, config.V)
+        rng = np.random.default_rng(56)
+        ws = Workspace()
+        for B in (7, 5):
+            H = np.tanh(rng.normal(size=(B, config.d)) * 2)
+            targets = rng.integers(0, config.V, B)
+            tiled = output_layer._forward(config, params, H, targets, ws)
+            whole = output_layer._forward(config, params, H, targets)
+            assert same_bits(tiled.log_posterior, whole.log_posterior)
+            wav = tiled.kernel_caches[0]
+            arrays = [wav["x"], wav["cos"], wav["exp"]]
+            for i, a in enumerate(arrays):
+                for b in arrays[i + 1:]:
+                    assert not np.shares_memory(a, b)

@@ -1,10 +1,11 @@
 """Identity fingerprint of a fixed set of small ksoftmax runs.
 
 Runs library training (with resumes), a mid-epoch `train_steps`
-checkpoint, a mixture large enough for the kernels to run its components
-on parallel lanes and to score in row tiles, a model large enough for
-the update to run in several chunks on the lanes, and a handful of CLI
-calls in a temporary directory, then prints one `name digest` line per artifact.
+checkpoint, K=1 steps of each kernel-ordering kind, a mixture large
+enough for the kernels to run its components on parallel lanes and to
+score in row tiles, a model large enough for the update to run in
+several chunks on the lanes, and a handful of CLI calls in a temporary
+directory, then prints one `name digest` line per artifact.
 Each CLI call also prints its exit code, a digest of its stdout and its
 first stderr line. The timestamped `# started` line of `run.log` is
 dropped and the temporary root is replaced by `<tmp>`, so two runs of the
@@ -107,6 +108,23 @@ def library_runs(fp: Fingerprint, split, V: int):
     fp.files("lib.train_steps", out)
 
 
+def k1_runs(fp: Fingerprint, split, V: int):
+    """Steps of each kind the kernel-ordering test trains as the only
+    softmax (K = 1), then a checkpoint and a dev perplexity, whose scoring
+    pass mixes at the targets."""
+    out = os.path.join(fp.root, "lib.k1")
+    os.makedirs(out)
+    for kind in ("pow", "log", "rbf", "wav"):
+        config = training.TrainConfig(components=parse_kernel_list(kind),
+                                      n=2, d=8, batch_size=16, seed=5)
+        state = training.init_state(config, V)
+        training.train_steps(state, split, 40)
+        training.save_checkpoint(state, os.path.join(out, f"{kind}.ckpt"))
+        fp.lines.append(f"lib.k1.{kind}.dev_ppl "
+                        f"{eval_mod.perplexity(state, split.dev).hex()}")
+    fp.files("lib.k1", out)
+
+
 def lane_run(fp: Fingerprint):
     """K=4 steps with B x V = 64 x 1,026 elements per component, enough for
     lanes, and a dev evaluation at B = 512, whose scoring pass runs each
@@ -197,6 +215,7 @@ def main() -> int:
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 library_runs(fp, split, vocab.V)
+                k1_runs(fp, split, vocab.V)
                 lane_run(fp)
                 chunk_run(fp)
                 cli_runs(fp)
