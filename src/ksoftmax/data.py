@@ -9,8 +9,10 @@ public-domain text at desk scale.
 
 from __future__ import annotations
 
+import array
 import itertools
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -70,15 +72,23 @@ def build_vocab(lines: Iterable[str], max_size: int, min_count: int = 1,
                 lowercase: bool = True) -> Vocabulary:
     """Most frequent tokens kept up to max_size - 2; ties break
     lexicographically."""
+    return _ranked_vocab((tokenize(line, lowercase) for line in lines),
+                         max_size, min_count)
+
+
+def _ranked_vocab(sentences: Iterable[list], max_size: int,
+                  min_count: int) -> Vocabulary:
+    """build_vocab over sentences already tokenized."""
     if max_size < 3:
         raise ValueError(f"vocabulary size {max_size} leaves no room beside <bos>, <unk>")
-    counts = Counter()
-    for line in lines:
-        counts.update(tokenize(line, lowercase))
+    counts = Counter(itertools.chain.from_iterable(sentences))
     if not counts:
         raise EmptyCorpus("no tokens found")
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    kept = [t for t, c in ranked if c >= min_count][: max_size - 2]
+    # by token, then stably by count: most frequent first, ties in token
+    # order, with no tuple per type
+    ranked = sorted(counts)
+    ranked.sort(key=counts.__getitem__, reverse=True)
+    kept = [t for t in ranked if counts[t] >= min_count][: max_size - 2]
     return Vocabulary([BOS_TOKEN, UNK_TOKEN] + kept)
 
 
@@ -99,22 +109,25 @@ def prepare_corpus(lines: Sequence[str], max_size: int, min_count: int = 1,
     if (len(fractions) != 3 or min(fractions) < 0
             or not math.isclose(sum(fractions), 1.0)):
         raise ValueError(f"split fractions {fractions} must be 3 numbers >= 0, sum 1")
-    lines = [l for l in lines if tokenize(l, lowercase)]
-    if not lines:
+    # tokenized once and interned, so that the sentences hold one string
+    # per type rather than one per token
+    sentences = [toks for toks in (list(map(sys.intern, tokenize(l, lowercase)))
+                                   for l in lines) if toks]
+    if not sentences:
         raise EmptyCorpus("no non-empty lines")
     rng = np.random.default_rng(seed)
-    order = rng.permutation(len(lines))
-    n_train = int(round(fractions[0] * len(lines)))
-    n_dev = int(round(fractions[1] * len(lines)))
-    train_idx = sorted(order[:n_train])
-    dev_idx = sorted(order[n_train:n_train + n_dev])
-    test_idx = sorted(order[n_train + n_dev:])
-    vocab = build_vocab((lines[i] for i in train_idx), max_size, min_count,
-                        lowercase)
-    enc = lambda ids: [[vocab.encode_token(t) for t in tokenize(lines[i], lowercase)]
-                       for i in ids]
-    return vocab, CorpusSplit(train=enc(train_idx), dev=enc(dev_idx),
-                              test=enc(test_idx))
+    order = rng.permutation(len(sentences))
+    n_train = int(round(fractions[0] * len(sentences)))
+    n_dev = int(round(fractions[1] * len(sentences)))
+    train_idx, dev_idx, test_idx = (
+        np.sort(part).tolist() for part in np.split(order, [n_train, n_train + n_dev]))
+    vocab = _ranked_vocab((sentences[i] for i in train_idx), max_size, min_count)
+    get, unk = vocab.token_to_id.get, itertools.repeat(UNK_ID)
+    for toks in sentences:  # encoded in place: the splits hold these lists
+        toks[:] = map(get, toks, unk)
+    pick = lambda ids: [sentences[i] for i in ids]
+    return vocab, CorpusSplit(train=pick(train_idx), dev=pick(dev_idx),
+                              test=pick(test_idx))
 
 
 def make_examples(sentences: Sequence[Sequence[int]], n: int):
@@ -173,13 +186,20 @@ def _zipf_probs(n: int, s: float) -> np.ndarray:
     return probs
 
 
+def _cdf(probs: np.ndarray) -> np.ndarray:
+    """The CDF numpy's ``choice`` searches: one double u draws the index
+    ``cdf.searchsorted(u, side="right")``."""
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
 def _categorical(rng: np.random.Generator, probs: np.ndarray):
     """A function that draws one index with probabilities ``probs``, as
     ``int(rng.choice(len(probs), p=probs))`` does: numpy's own algorithm
     (inverse CDF, one double per draw), with the CDF built once instead of
     on every call."""
-    cdf = probs.cumsum()
-    cdf /= cdf[-1]
+    cdf = _cdf(probs)
     return lambda: int(cdf.searchsorted(rng.random(), side="right"))
 
 
@@ -193,6 +213,13 @@ def generate_zipf(vocab_size: int, n_tokens: int, s: float = 1.1,
     The successor rule is what gives an n-gram model something to learn;
     the unigram marginal stays heavy-tailed. Sentences are 5 to 20 tokens
     long.
+
+    The stream is ``permutation(vocab_size)``, then per sentence one
+    ``integers(5, 21)`` for its length and one ``random()`` double for each
+    copy test (every token but the first) and each draw. The corpus is
+    built in two phases: the first walks that stream and keeps each draw's
+    double, the second turns all draws into types with one CDF search, as
+    ``rng.choice`` would one by one, then follows the copies.
     """
     if vocab_size < 1:
         raise ValueError(f"vocab_size must be >= 1, got {vocab_size}")
@@ -203,24 +230,48 @@ def generate_zipf(vocab_size: int, n_tokens: int, s: float = 1.1,
     if not 0 <= copy_prob <= 1:
         raise ValueError(f"copy_prob must be in [0, 1], got {copy_prob}")
     rng = np.random.default_rng(seed)
-    draw = _categorical(rng, _zipf_probs(vocab_size, s))
-    successor = rng.permutation(vocab_size).tolist()
-    lines = []
+    cdf = _cdf(_zipf_probs(vocab_size, s))
+    successor = rng.permutation(vocab_size)
+    # per token, its draw's double, or -1.0 where it copies
+    doubles = array.array("d")
+    lengths = []
     tokens_left = n_tokens
     while tokens_left > 0:
         length = min(int(rng.integers(5, 21)), tokens_left)
-        sent = []
-        prev = None
-        for _ in range(length):
-            if prev is not None and rng.random() < copy_prob:
-                tok = successor[prev]
-            else:
-                tok = draw()
-            sent.append(tok)
-            prev = tok
-        lines.append(" ".join(f"w{t:03d}" for t in sent))
+        lengths.append(length)
         tokens_left -= length
-    return lines
+        # every token left takes at least one double, so a block of that
+        # many reads no double past the sentence; a failed copy test leaves
+        # its token for the next block
+        drawing, need = True, length
+        while need:
+            block, need = rng.random(need).tolist(), 0
+            for u in block:
+                if drawing:
+                    doubles.append(u)
+                    drawing = False
+                elif u < copy_prob:
+                    doubles.append(-1.0)
+                else:
+                    drawing = True
+                    need += 1
+    doubles = np.frombuffer(doubles)
+    tok = cdf.searchsorted(doubles, side="right")
+    copied = np.append(doubles < 0.0, False)
+    del doubles  # freed before the lines are built
+    # a copy takes its predecessor's successor: resolve the copy runs one
+    # position at a time, from the token before each run (a sentence's
+    # first token never copies; the False appended ends the last run)
+    at = np.flatnonzero(copied[1:] & ~copied[:-1]) + 1
+    while at.size:
+        tok[at] = successor[tok[at - 1]]
+        at = at[copied[at + 1]] + 1
+    # one name per type that occurs, shared by all its tokens
+    names = [None] * vocab_size
+    for t in np.flatnonzero(np.bincount(tok, minlength=vocab_size)).tolist():
+        names[t] = f"w{t:03d}"
+    return [" ".join(map(names.__getitem__, tok[end - n:end].tolist()))
+            for n, end in zip(lengths, itertools.accumulate(lengths))]
 
 
 _DETS = ["the", "a", "this", "that", "every", "some", "no", "each"]

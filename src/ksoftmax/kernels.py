@@ -334,8 +334,8 @@ def _sq_dist(w_norm_sq, h_norm_sq, dot, out):
 class Kernel:
     """One kind's entry in the kernel table.
 
-    ``score(spec, st)`` maps a statistics dict to logits, in "out" or a
-    fresh array, and may add intermediates for the VJP, each taken with
+    ``score(spec, st)`` maps a statistics dict to logits, in "out" or in
+    another array, and may add intermediates for the VJP, each taken with
     ``_kept`` under its own name. ``st`` holds "d" (the dimension, None
     when unknown), the B x V arrays "out" and "dot" or "x", for hpb "wn"
     (1 x V) and "hn" (B x 1), and for ssg/mog the word and component
@@ -370,18 +370,51 @@ def _pol_vjp(spec, st, dL, kink):
     return {"dot": dL * (p * spec.resolved("alpha", st["d"]) * st["base"] ** (p - 1))}
 
 
-def _radial(phi, dphi, fields, kink=None) -> Kernel:
-    """A kernel that is a profile phi(spec, x, d, out) of the squared
-    distance; phi and its derivative dphi write their result into ``out``."""
+def _radial(score, dphi, fields, kink=None) -> Kernel:
+    """A kernel that is a profile of the squared distance x: ``score`` as
+    in Kernel, and ``dphi(spec, st, out)``, its derivative in x, written
+    into ``out`` from x and what the score kept."""
     def vjp(spec, st, dL, kink_mask):
         # at x = 0 with p < 2 dphi is non-finite; kink_mask replaces it
         with np.errstate(divide="ignore", invalid="ignore"):
-            dx = dphi(spec, st["x"], st["d"], _scratch(st, "s0"))
+            dx = dphi(spec, st, _scratch(st, "s0"))
         if kink_mask is not None:
             dx[kink_mask] = 0.0
         return {"x": np.multiply(dL, dx, out=dL)}
-    return Kernel("x", lambda spec, st: phi(spec, st["x"], st["d"], st["out"]),
-                  vjp, kink, fields=fields)
+    return Kernel("x", score, vjp, kink, fields=fields)
+
+
+def _pow_score(spec, st):
+    return np.negative(np.power(st["x"], 0.5 * spec.p, out=st["out"]), out=st["out"])
+
+
+def _pow_dphi(spec, st, out):
+    dx = np.power(st["x"], 0.5 * spec.p - 1.0, out=out)
+    return np.multiply(-0.5 * spec.p, dx, out=out)
+
+
+def _log_score(spec, st):
+    x = st["x"]
+    st["power"] = t = np.power(x, 0.5 * spec.p, out=_kept(st, "power", x.shape))
+    return np.negative(np.log1p(t, out=st["out"]), out=st["out"])
+
+
+def _log_dphi(spec, st, out):
+    # -log1p(x^(p/2)) has pow's derivative over the kept x^(p/2) + 1
+    return np.divide(_pow_dphi(spec, st, out),
+                     np.add(st["power"], 1.0, out=_scratch(st, "s1")), out=out)
+
+
+def _rbf_score(spec, st):
+    # exp(-gamma x) is both the logits and what the VJP reads
+    x = st["x"]
+    e = np.multiply(-spec.resolved("gamma", st["d"]), x, out=_kept(st, "exp", x.shape))
+    st["exp"] = np.exp(e, out=e)
+    return e
+
+
+def _rbf_dphi(spec, st, out):
+    return np.multiply(-spec.resolved("gamma", st["d"]), st["exp"], out=out)
 
 
 def _below_p2_kink(spec, st):
@@ -526,26 +559,10 @@ def _mog_vjp(spec, st, dL, kink):
 KERNELS = {
     "lin": Kernel("dot", lambda spec, st: st["dot"],
                   lambda spec, st, dL, kink: {"dot": dL}),
-    "log": _radial(
-        lambda spec, x, d, out: np.negative(
-            np.log1p(np.power(x, 0.5 * spec.p, out=out), out=out), out=out),
-        lambda spec, x, d, out: np.divide(
-            np.multiply(-0.5 * spec.p, np.power(x, 0.5 * spec.p - 1.0, out=out), out=out),
-            np.power(x, 0.5 * spec.p) + 1.0, out=out),
-        ("p",), _below_p2_kink),
-    "pow": _radial(
-        lambda spec, x, d, out: np.negative(np.power(x, 0.5 * spec.p, out=out), out=out),
-        lambda spec, x, d, out: np.multiply(
-            -0.5 * spec.p, np.power(x, 0.5 * spec.p - 1.0, out=out), out=out),
-        ("p",), _below_p2_kink),
+    "log": _radial(_log_score, _log_dphi, ("p",), _below_p2_kink),
+    "pow": _radial(_pow_score, _pow_dphi, ("p",), _below_p2_kink),
     "pol": Kernel("dot", _pol_score, _pol_vjp, fields=("p", "alpha", "c")),
-    "rbf": _radial(
-        lambda spec, x, d, out: np.exp(
-            np.multiply(-spec.resolved("gamma", d), x, out=out), out=out),
-        lambda spec, x, d, out: np.multiply(
-            -spec.resolved("gamma", d),
-            np.exp(np.multiply(-spec.resolved("gamma", d), x, out=out), out=out), out=out),
-        ("gamma",)),
+    "rbf": _radial(_rbf_score, _rbf_dphi, ("gamma",)),
     "ssg": Kernel("x", _ssg_score, _ssg_vjp, var_shape=lambda spec: ()),
     "mog": Kernel("x", _mog_score, _mog_vjp,
                   var_shape=lambda spec: (spec.num_gauss,),
@@ -723,7 +740,7 @@ def forward_logits(spec: KernelSpec, W: np.ndarray, H: np.ndarray,
         else:
             st["dot"] = tile
         scored = kernel.score(spec, st)
-        if scored is not tile:  # pol and mog's log-of-sum score into fresh arrays
+        if scored is not tile:  # pol, rbf and mog's log-of-sum score elsewhere
             tile[...] = scored
         for name in ("dot", "out", "scratch"):  # no VJP reads them
             st.pop(name, None)

@@ -82,17 +82,23 @@ class OutputParams:
     component_log_vars: Optional[list] = None
 
 
+def variance_shapes(components) -> tuple:
+    """(one word's log-variance shape, [each component's]); None where
+    there is no Gaussian component, or for a component that is not one."""
+    shapes = [kernels.variance_shape(s) for s in components]
+    # one word array serves every Gaussian component: (V,) for ssg alone,
+    # (V, G) once a mog is present
+    return max((s for s in shapes if s is not None), key=len, default=None), shapes
+
+
 def init_output_params(config: MixtureConfig, rng: np.random.Generator) -> OutputParams:
     d, V, K = config.d, config.V, config.K
     scale = 1.0 / math.sqrt(d)
     W = rng.uniform(-scale, scale, size=(d, V))
     M = rng.uniform(-scale, scale, size=(d, K)) if K > 1 else None
     C = rng.uniform(-scale, scale, size=(K, d, d)) if K > 1 else None
-    shapes = [kernels.variance_shape(s) for s in config.components]
+    word, shapes = variance_shapes(config.components)
     comp_lv = [np.zeros(s) if s is not None else None for s in shapes]
-    # one word array serves every Gaussian component: (V,) for ssg alone,
-    # (V, G) once a mog is present
-    word = max((s for s in shapes if s is not None), key=len, default=None)
     word_lv = np.zeros((V,) + word) if word is not None else None
     if config.uses_ball:
         kernels.project_to_ball(W)
@@ -125,7 +131,8 @@ class ForwardCache:
     targets: Optional[np.ndarray]        # B target ids; None without
     log_posterior: Optional[np.ndarray]  # B, at the targets; None without
     h_tilde: list             # K tanh outputs (or H itself when K = 1)
-    kernel_caches: list       # per component, what backward_logits reads
+    kernel_caches: Optional[list]  # per component, what backward_logits
+                                   # reads; None after a scoring pass
     ws: Optional[kernels.Workspace] = None  # the workspace lsm lives in
     reg_term: float = 0.0
 
@@ -190,8 +197,9 @@ def _forward(config: MixtureConfig, params: OutputParams, H: np.ndarray,
     A keeping pass (``for_backward``, or no workspace: loss, posterior and
     the probe) keeps what backward reads. A scoring pass (a workspace
     without ``for_backward``: evaluation) takes those arrays from the
-    lanes' scratch, and with targets keeps no log-softmax (``lsm`` is
-    None), only each row's value at its target, taken tile by tile. With
+    lanes' scratch, so it returns no kernel caches (``kernel_caches`` is
+    None), and with targets keeps no log-softmax (``lsm`` is None), only
+    each row's value at its target, taken tile by tile. With
     a workspace ``ws`` the K x B x V arrays live in it and the components
     are scored on its lanes; the cache stays valid until the next call
     given ``ws``. Without one every array is fresh: a buffer source, not a
@@ -216,7 +224,8 @@ def _forward(config: MixtureConfig, params: OutputParams, H: np.ndarray,
         log_pi, pi = np.zeros((B, 1)), np.ones((B, 1))
         h_tilde = [H]
 
-    at_targets = ws is not None and targets is not None and not for_backward
+    scoring = ws is not None and not for_backward
+    at_targets = scoring and targets is not None
     lsm = None if at_targets else kernels.buffer(ws, "lsm", (K, B, config.V))
     lsm_t = np.empty((K, B)) if at_targets else None
     kept = ws if for_backward else None
@@ -244,7 +253,7 @@ def _forward(config: MixtureConfig, params: OutputParams, H: np.ndarray,
         log_post = _log_mix(log_pi.T, lsm_t) if K > 1 else lsm_t[0]
     return ForwardCache(H=H, pi=pi, log_pi=log_pi, lsm=lsm, targets=targets,
                         log_posterior=log_post, h_tilde=h_tilde,
-                        kernel_caches=caches, ws=ws)
+                        kernel_caches=None if scoring else caches, ws=ws)
 
 
 def posterior(config: MixtureConfig, params: OutputParams, H: np.ndarray):

@@ -87,7 +87,7 @@ class TrainState:
     trainable tensors of ``enc`` and ``out`` are views into the vector
     flat["params"], the Adam slots ``opt_m``/``opt_v`` views into
     flat["adam.m"]/flat["adam.v"], each laid out as _views lays out
-    named_tensors. A deep copy binds its views to its own vectors."""
+    _tensor_shapes. A deep copy binds its views to its own vectors."""
 
     config: TrainConfig
     mixture: MixtureConfig
@@ -107,7 +107,8 @@ class TrainState:
         default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        views = {key: _views(vec, named_tensors(self)) for key, vec in self.flat.items()}
+        shapes = _tensor_shapes(self.config, self.mixture.V)
+        views = {key: _views(vec, shapes) for key, vec in self.flat.items()}
         # copies of enc and out holding the views: a deep copy takes each
         # array found in its memo from there
         memo = {id(arr): views["params"][name] for name, arr in named_tensors(self)}
@@ -141,12 +142,29 @@ def _laid_end_to_end(arrays: list) -> np.ndarray:
     return np.concatenate([arr.ravel() for arr in arrays], out=out)
 
 
-def _views(vec: np.ndarray, named: list) -> dict:
+def _tensor_shapes(config: TrainConfig, V: int) -> list:
+    """Ordered (name, shape) pairs over the trainable tensors of a model
+    with ``config`` and V words, as named_tensors orders them; computed
+    without allocating any."""
+    d, de, K = config.d, config.de, len(config.components)
+    shapes = [("enc.E", (V, de)), ("enc.F", (config.n * de, d)),
+              ("enc.bias", (d,)), ("out.W", (d, V))]
+    if K > 1:
+        shapes += [("out.M", (d, K)), ("out.C", (K, d, d))]
+    word, var = output_layer.variance_shapes(config.components)
+    if word is not None:
+        shapes.append(("out.word_log_vars", (V,) + word))
+    return shapes + [(f"out.comp_log_vars.{k}", s)
+                     for k, s in enumerate(var) if s is not None]
+
+
+def _views(vec: np.ndarray, shapes: list) -> dict:
     """{name: view into ``vec``}: the slice table that lays the (name,
-    array) pairs end to end in ``vec``, each view shaped as its array."""
-    ends = itertools.accumulate(arr.size for _, arr in named)
-    return {name: vec[end - arr.size:end].reshape(arr.shape)
-            for (name, arr), end in zip(named, ends)}
+    shape) pairs end to end in ``vec``, each view of its shape."""
+    sizes = [math.prod(shape) for _, shape in shapes]
+    ends = itertools.accumulate(sizes)
+    return {name: vec[end - size:end].reshape(shape)
+            for (name, shape), size, end in zip(shapes, sizes, ends)}
 
 
 def init_state(config: TrainConfig, V: int) -> TrainState:
@@ -223,7 +241,7 @@ def _flat_grad(state: TrainState) -> tuple:
     view into it}), bound on a state's first step: that buffer never moves."""
     if state.grads is None:
         grad = state.ws.take("grad", state.flat["params"].shape)
-        state.grads = grad, _views(grad, named_tensors(state))
+        state.grads = grad, _views(grad, _tensor_shapes(state.config, state.mixture.V))
     return state.grads
 
 
@@ -410,6 +428,14 @@ def train(config: TrainConfig, split: data_mod.CorpusSplit, V: int,
 # Checkpoints: text header + row-major little-endian float64 blobs
 # ---------------------------------------------------------------------------
 
+def _checkpoint_shapes(config: TrainConfig, V: int) -> list:
+    """(name, shape) of every tensor a checkpoint stores, in the order of
+    _checkpoint_tensors; computed without allocating any."""
+    shapes = _tensor_shapes(config, V)
+    slots = [(f"adam.{s}.{name}", shape) for name, shape in shapes for s in "mv"]
+    return shapes + (slots if config.optimizer == "adam" else [])
+
+
 def _checkpoint_tensors(state: TrainState) -> list:
     """Every tensor a checkpoint stores, in file order: the trainable
     tensors, then the two Adam slots of each in turn."""
@@ -487,9 +513,10 @@ def _parse_checkpoint(blob: bytes) -> TrainState:
         else:
             fields[key] = rest
     config = TrainConfig.from_dict(json.loads(fields["config"]))
-    state = init_state(config, int(fields["V"]))
-    tensors = _checkpoint_tensors(state)
-    expected = [(name, arr.shape) for name, arr in tensors]
+    V = int(fields["V"])
+    # the shapes and the body are checked before a header that promises
+    # more than the file holds can allocate
+    expected = _checkpoint_shapes(config, V)
     if tensor_specs != expected:
         got, want = next(pair for pair in itertools.zip_longest(tensor_specs, expected)
                          if pair[0] != pair[1])
@@ -497,8 +524,9 @@ def _parse_checkpoint(blob: bytes) -> TrainState:
     size = sum(8 * math.prod(shape) for _, shape in expected)
     if len(body) != size:
         raise CorruptCheckpoint(f"body is {len(body)} bytes, expected {size}")
-    values = _views(np.frombuffer(body, dtype="<f8"), tensors)
-    for name, arr in tensors:
+    state = init_state(config, V)
+    values = _views(np.frombuffer(body, dtype="<f8"), expected)
+    for name, arr in _checkpoint_tensors(state):
         arr[...] = values[name]
     for name in ("epoch", "step", "step_in_epoch"):
         setattr(state, name, int(fields[name]))

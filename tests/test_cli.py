@@ -1,4 +1,6 @@
+import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -224,6 +226,56 @@ class TestCorruptCheckpoint:
         if corruption in CORRUPT_FIELDS:
             message = captured.err.split(".ckpt: ", 1)[1]
             assert CORRUPT_FIELDS[corruption] in message
+
+
+# a child that caps its own address space, so that a load that allocates
+# what a header promises fails fast instead of paging the host
+CAPPED = ("import resource, runpy, sys\n"
+          "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n")
+
+
+class TestOversizedHeader:
+    # a header whose V or d promises gigabytes of tensors that the body
+    # does not hold
+    PROMISES = {"V": (rb"\nV \d+\n", b"\nV 10000000000\n"),
+                "d": (rb'"d": \d+,', b'"d": 100000000,')}
+
+    @pytest.fixture(params=[(f, s) for f in PROMISES for s in ("as-saved", "promised")],
+                    ids="-".join)
+    def oversized(self, request, trained, tmp_path):
+        """A copy of a trained checkpoint whose header promises more. Its
+        tensor lines are as saved, or the shapes the header promises, so
+        that only the body's length disagrees."""
+        field, shapes = request.param
+        head, body = (trained / "best.ckpt").read_bytes().split(b"\nend\n", 1)
+        head, count = re.subn(*self.PROMISES[field], head)
+        assert count == 1
+        lines = head.split(b"\n")
+        if shapes == "promised":
+            config = training.TrainConfig.from_dict(json.loads(lines[1].split(b" ", 1)[1]))
+            V = int(next(l for l in lines if l.startswith(b"V "))[2:])
+            lines = [l for l in lines if not l.startswith(b"tensor ")] + [
+                f"tensor {name} {' '.join(map(str, shape))}".encode()
+                for name, shape in training._checkpoint_shapes(config, V)]
+        path = tmp_path / "oversized.ckpt"
+        path.write_bytes(b"\n".join(lines) + b"\nend\n" + body)
+        return path
+
+    def test_load_raises_corrupt_checkpoint(self, oversized):
+        proc = run_python(["-c", CAPPED + (
+            "from ksoftmax import training\n"
+            "try:\n"
+            "    training.load_checkpoint(sys.argv[1])\n"
+            "except Exception as e:\n"
+            "    print(type(e).__name__)\n"), str(oversized)])
+        assert proc.stdout.strip() == "CorruptCheckpoint", proc.stderr
+
+    def test_eval_exits_1_without_a_traceback(self, oversized):
+        proc = run_python(["-c", CAPPED + (
+            "sys.argv[1:] = ['eval', '--checkpoint', sys.argv[1]]\n"
+            "runpy.run_module('ksoftmax', run_name='__main__')\n"), str(oversized)])
+        assert proc.returncode == 1, proc.stderr
+        assert "error:" in proc.stderr and "Traceback" not in proc.stderr
 
 
 class TestVocabularyMismatch:

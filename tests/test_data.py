@@ -232,3 +232,86 @@ class TestGenerators:
         tokens = [t for l in a for t in l.split()]
         assert len(tokens) >= 1000
         assert all(l.strip() for l in a)
+
+
+# ---------------------------------------------------------------------------
+# The corpus set-up as it was written first, one token at a time: the
+# references the faster forms must match line for line and id for id
+# ---------------------------------------------------------------------------
+
+def reference_zipf(vocab_size, n_tokens, s=1.1, seed=0, copy_prob=0.5):
+    """generate_zipf drawing each token as it goes: a copy test, then a
+    draw through _categorical unless it copies."""
+    rng = np.random.default_rng(seed)
+    draw = data._categorical(rng, data._zipf_probs(vocab_size, s))
+    successor = rng.permutation(vocab_size).tolist()
+    lines = []
+    tokens_left = n_tokens
+    while tokens_left > 0:
+        length = min(int(rng.integers(5, 21)), tokens_left)
+        sent = []
+        prev = None
+        for _ in range(length):
+            if prev is not None and rng.random() < copy_prob:
+                tok = successor[prev]
+            else:
+                tok = draw()
+            sent.append(tok)
+            prev = tok
+        lines.append(" ".join(f"w{t:03d}" for t in sent))
+        tokens_left -= length
+    return lines
+
+
+def reference_prepare(lines, max_size, min_count=1, fractions=(0.8, 0.1, 0.1),
+                      seed=0, lowercase=True):
+    """prepare_corpus tokenizing a line each time it reads it: to drop
+    empty lines, to count, and to encode."""
+    lines = [l for l in lines if data.tokenize(l, lowercase)]
+    order = np.random.default_rng(seed).permutation(len(lines))
+    n_train = int(round(fractions[0] * len(lines)))
+    n_dev = int(round(fractions[1] * len(lines)))
+    parts = (sorted(order[:n_train]), sorted(order[n_train:n_train + n_dev]),
+             sorted(order[n_train + n_dev:]))
+    counts = collections.Counter()
+    for i in parts[0]:
+        counts.update(data.tokenize(lines[i], lowercase))
+    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    vocab = data.Vocabulary([data.BOS_TOKEN, data.UNK_TOKEN]
+                            + [t for t, c in ranked if c >= min_count][: max_size - 2])
+    return vocab, [[[vocab.encode_token(t) for t in data.tokenize(lines[i], lowercase)]
+                    for i in ids] for ids in parts]
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("vocab_size, n_tokens, s, seed, copy_prob", [
+        *[(50, n, 1.1, 0, 0.5) for n in range(5)],
+        *[(200, 100_000, 1.1, seed, 0.5) for seed in (0, 11)],
+        (10_000, 100_000, 1.1, 12, 0.5),
+        *[(1, n, 1.1, 13, 0.5) for n in (1, 30)],
+        *[(40, 2000, 1.1, seed, p) for seed in (14, 15) for p in (0.0, 1.0)],
+        *[(40, 2000, s, 16, 0.5) for s in (-0.5, -3.0, 0.0)],
+        *[(7, 500, 2.0, seed, 0.9) for seed in (17, 18, 19)],
+    ])
+    def test_generate_zipf_is_the_per_token_draw(self, vocab_size, n_tokens, s, seed,
+                                                 copy_prob):
+        args = (vocab_size, n_tokens, s, seed, copy_prob)
+        assert data.generate_zipf(*args) == reference_zipf(*args)
+
+    # every token of the first block is counted alike, so a max_size that
+    # keeps some of them cuts through a tie; mixed case, empty lines
+    TIED = ["d c b a"] * 6 + ["A B c D", "", "  ", "b a e", "\t", "E"]
+    MIXED = TIED + reference_zipf(30, 2000, seed=2)
+
+    @pytest.mark.parametrize("lines", [TIED, MIXED], ids=["tied", "mixed"])
+    @pytest.mark.parametrize("kwargs", [
+        {}, {"lowercase": False}, {"min_count": 2}, {"max_size": 5},
+        {"max_size": 5, "lowercase": False}, {"max_size": 4, "min_count": 2},
+        {"fractions": (0.5, 0.25, 0.25), "seed": 4}, {"fractions": (1.0, 0.0, 0.0)},
+    ], ids=repr)
+    def test_prepare_corpus_tokenizes_as_the_reference(self, lines, kwargs):
+        kwargs = {"max_size": 100, **kwargs}
+        vocab, split = data.prepare_corpus(lines, **kwargs)
+        ref_vocab, ref_parts = reference_prepare(lines, **kwargs)
+        assert vocab.id_to_token == ref_vocab.id_to_token
+        assert [split.train, split.dev, split.test] == ref_parts

@@ -590,3 +590,35 @@ def test_wav_keeping_pass_gives_the_bits_of_fresh_arrays():
         want = kernels.backward_logits(spec, fresh, dL.copy())
         for g, w in zip(got[:2], want[:2]):
             assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("spec, name, score, dphi", [
+    (KernelSpec("rbf", gamma=0.8), "exp",
+     lambda x: np.exp(-0.8 * x),
+     lambda x: np.multiply(-0.8, np.exp(np.multiply(-0.8, x)))),
+    (KernelSpec("log", p=1.5), "power",
+     lambda x: -np.log1p(np.power(x, 0.75)),
+     lambda x: np.divide(np.multiply(-0.75, np.power(x, 0.75 - 1.0)),
+                         np.power(x, 0.75) + 1.0)),
+], ids=["rbf", "log"])
+def test_radial_keeping_pass_gives_the_bits_of_fresh_arrays(spec, name, score, dphi):
+    # rbf's score keeps exp(-gamma x) and log's x^(p/2) in the workspace,
+    # and the VJP reads it there instead of computing it again
+    rng = np.random.default_rng(61)
+    ws, lane = kernels.Workspace(), kernels.Workspace()
+    for B in (7, 5):  # the shorter batch reuses the longer one's buffers
+        W, H = rng.normal(size=(4, 9)), rng.normal(size=(B, 4))
+        dL = rng.normal(size=(B, 9))
+        kept_L, kept = kernels.forward_logits(spec, W, H, ws=ws, k=0, scratch=lane)
+        fresh_L, fresh = kernels.forward_logits(spec, W, H)
+        x = fresh["x"]
+        # the parent formulas, from fresh arrays
+        assert np.array_equal(fresh_L, score(x))
+        dx = kernels.KERNELS[spec.kind].vjp(spec, fresh, dL.copy(), None)["x"]
+        assert dx.tobytes() == (dL * dphi(x)).tobytes()
+        assert kept_L.tobytes() == fresh_L.tobytes()
+        assert np.shares_memory(kept[name], ws.take((name, 0), (B, 9)))
+        got = kernels.backward_logits(spec, kept, dL.copy(), lane)
+        want = kernels.backward_logits(spec, fresh, dL.copy())
+        for g, w in zip(got[:2], want[:2]):
+            assert g.tobytes() == w.tobytes()

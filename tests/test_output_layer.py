@@ -307,6 +307,20 @@ def use_tiles(monkeypatch, rows, V):
     monkeypatch.setattr(kernels, "TILE_SIZE", rows * V)
 
 
+def recorded_caches(monkeypatch) -> list:
+    """A list that collects the kernel cache of every component_logits
+    call, from any lane: a scoring pass returns none of them."""
+    caches = []
+    logits = output_layer.component_logits
+
+    def recording(*args, **kwargs):
+        L, cache = logits(*args, **kwargs)
+        caches.append(cache)
+        return L, cache
+    monkeypatch.setattr(output_layer, "component_logits", recording)
+    return caches
+
+
 class TestTiles:
     # a pass with a workspace and targets that keeps nothing for backward
     # scores each component over tiles of rows and keeps only the targets'
@@ -326,18 +340,21 @@ class TestTiles:
         at_targets = output_layer._log_softmax_at
         monkeypatch.setattr(output_layer, "_log_softmax_at",
                             lambda a, t: tiles.append(len(t)) or at_targets(a, t))
+        caches = recorded_caches(monkeypatch)
         rng = np.random.default_rng(41)
         ws = Workspace()
         for B in (7, 5):  # the shorter batch reuses the longer one's buffers
             H = np.tanh(rng.normal(size=(B, config.d)) * 2)
             targets = rng.integers(0, config.V, B)
             tiles.clear()
+            caches.clear()
             tiled = output_layer._forward(config, params, H, targets, ws)
+            scored = caches[:]
             whole = output_layer._forward(config, params, H, targets)
             assert tiled.lsm is None
             assert np.array_equal(tiled.log_posterior, whole.log_posterior)
             assert np.array_equal(tiled.pi, whole.pi)
-            for cache in tiled.kernel_caches:
+            for cache in scored:
                 if "z" in cache:  # hpb keeps x and z, each in a buffer of its own
                     assert not np.shares_memory(cache["x"], cache["z"])
             # the last tile is short unless rows divides B
@@ -359,6 +376,22 @@ class TestTiles:
         assert f"component 0 ({kind}): non-finite {kind} logit at (b=5, v=0)" == str(
             tiled.value)
         assert tiled.value.component == 0
+
+    def test_a_scoring_pass_returns_no_kernel_caches(self):
+        # its kept arrays are lane scratch, which the next component scored
+        # on the same lane overwrites
+        config, params = make([KernelSpec("hpb"), KernelSpec("pow", p=1.5)], d=4, V=7)
+        H = np.tanh(np.random.default_rng(46).normal(size=(5, config.d)))
+        targets = np.arange(5)
+        for ws, for_backward in ((Workspace(), False), (Workspace(), True),
+                                 (None, False), (None, True)):
+            cache = output_layer._forward(config, params, H, targets, ws, for_backward)
+            if ws is not None and not for_backward:
+                assert cache.kernel_caches is None
+            else:
+                assert [c["k"] for c in cache.kernel_caches] == [0, 1]
+        without_targets = output_layer._forward(config, params, H, None, Workspace())
+        assert without_targets.kernel_caches is None
 
     def test_an_empty_batch_is_one_empty_tile(self):
         config, params = make([KernelSpec("pow"), KernelSpec("lin")], d=4, V=7)
@@ -559,15 +592,17 @@ class TestWavKeepsItsStatistics:
                               d=5, V=11, seed=55)
         monkeypatch.setattr(kernels, "lane_count", lambda K, size: min(K, 2))
         use_tiles(monkeypatch, 3, config.V)
+        caches = recorded_caches(monkeypatch)
         rng = np.random.default_rng(56)
         ws = Workspace()
         for B in (7, 5):
             H = np.tanh(rng.normal(size=(B, config.d)) * 2)
             targets = rng.integers(0, config.V, B)
+            caches.clear()
             tiled = output_layer._forward(config, params, H, targets, ws)
+            (wav,) = [c for c in caches if c["k"] == 0]
             whole = output_layer._forward(config, params, H, targets)
             assert same_bits(tiled.log_posterior, whole.log_posterior)
-            wav = tiled.kernel_caches[0]
             arrays = [wav["x"], wav["cos"], wav["exp"]]
             for i, a in enumerate(arrays):
                 for b in arrays[i + 1:]:

@@ -1,6 +1,8 @@
 """Identity fingerprint of a fixed set of small ksoftmax runs.
 
-Runs library training (with resumes), a mid-epoch `train_steps`
+Digests the bundled corpus generators and `prepare_corpus`'s splits over
+a grid of parameters, then runs library training (with resumes), a
+mid-epoch `train_steps`
 checkpoint, K=1 steps of each kernel-ordering kind, a mixture large
 enough for the kernels to run its components on parallel lanes and to
 score in row tiles, a model large enough for the update to run in
@@ -37,6 +39,19 @@ from ksoftmax import eval as eval_mod
 from ksoftmax.cli import parse_kernel_list
 
 PLACEHOLDER = b"<tmp>"
+
+# (vocab_size, n_tokens, s, seed, copy_prob): the first few tokens, the
+# benchmark's 100k, one type, never and always copying, s < 0
+ZIPF_GRID = ([(200, n, 1.1, 0, 0.5) for n in range(5)]
+             + [(200, 100_000, 1.1, seed, 0.5) for seed in (0, 1, 2)]
+             + [(10_000, 100_000, 1.1, 0, 0.5), (1, 50, 1.1, 0, 0.5),
+                (50, 3000, 1.1, 3, 0.0), (50, 3000, 1.1, 3, 1.0),
+                (50, 3000, -0.5, 4, 0.5), (3, 20, -3.0, 5, 0.5)])
+# prepare_corpus keyword arguments: lowercase on and off, min_count 2, a
+# truncating max_size and other split fractions
+PREPARE_GRID = {"default": {}, "cased": {"lowercase": False},
+                "min-count-2": {"min_count": 2}, "max-size-8": {"max_size": 8},
+                "fractions": {"fractions": (0.5, 0.25, 0.25), "seed": 3}}
 
 LIB_KERNELS = ("lin", "lin pow ssg hpb", "mog rbf wav log pol")
 FAST = ["--n", "2", "--d", "4", "--batch-size", "16", "--max-epochs", "2",
@@ -78,6 +93,25 @@ class Fingerprint:
         self.lines.append(f"cli.{name} exit {code} stdout "
                           f"{_digest(self._clean(out.getvalue().encode()))}"
                           f" stderr {first}".rstrip())
+
+
+def corpus_runs(fp: Fingerprint):
+    """The corpus generators and prepare_corpus's vocabulary and splits,
+    through the same public functions in any tree."""
+    for V, n, s, seed, copy_prob in ZIPF_GRID:
+        text = "\n".join(data.generate_zipf(V, n, s=s, seed=seed, copy_prob=copy_prob))
+        fp.lines.append(f"lib.corpus.zipf.{V}.{n}.{s}.{seed}.{copy_prob} "
+                        f"{_digest(text.encode())}")
+    for n, seed in ((0, 0), (20_000, 0), (3000, 7)):
+        text = "\n".join(data.generate_english(n, seed=seed))
+        fp.lines.append(f"lib.corpus.english.{n}.{seed} {_digest(text.encode())}")
+    # mixed case, repeated and tied counts, and empty lines among the zipf
+    lines = (data.generate_zipf(40, 3000, seed=6)
+             + ["", "  ", "The the THE a A b", "x y z", "\t", "B b c C"])
+    for name, kwargs in PREPARE_GRID.items():
+        vocab, split = data.prepare_corpus(lines, **{"max_size": 100, **kwargs})
+        blob = repr((vocab.id_to_token, split.train, split.dev, split.test))
+        fp.lines.append(f"lib.corpus.prepare.{name} {_digest(blob.encode())}")
 
 
 def library_runs(fp: Fingerprint, split, V: int):
@@ -172,6 +206,12 @@ def chunk_run(fp: Fingerprint):
 
 def cli_runs(fp: Fingerprint):
     os.environ["COLUMNS"] = "80"  # argparse wraps --help to the terminal
+    os.makedirs("synth")
+    fp.cli("synth-zipf", ["synth", "--vocab", "300", "--tokens", "5000",
+                          "--copy-prob", "0.3", "--seed", "4", "--out", "synth/zipf.txt"])
+    fp.cli("synth-english", ["synth", "--kind", "english", "--tokens", "2000",
+                             "--seed", "4", "--out", "synth/english.txt"])
+    fp.files("cli.synth", os.path.join(fp.root, "synth"))
     fp.cli("train-help", ["train", "--help"])
     fp.cli("train", ["train", "--corpus", "corpus.txt", "--out", "run",
                      "--kernels", "lin pow"] + FAST)
@@ -214,6 +254,7 @@ def main() -> int:
         os.chdir(root)
         try:
             with np.errstate(over="ignore", invalid="ignore"):
+                corpus_runs(fp)
                 library_runs(fp, split, vocab.V)
                 k1_runs(fp, split, vocab.V)
                 lane_run(fp)
