@@ -105,8 +105,13 @@ _DEFAULTS = {key: entry[2] for key, entry in _CONFIG_KEYS.items()}
 
 
 def _read_config_file(path) -> dict:
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
+    """The values of a UTF-8 INI config file, each by its key's type; a
+    ``%`` is read as itself."""
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as e:
+        raise KsoftmaxError(f"{path}: bad config file: {e}") from None
     if not read:
         raise KsoftmaxError(f"config file not found: {path}")
     values = {}
@@ -155,7 +160,7 @@ def _resolve_seed(seed):
 
 
 def _echo_config(values: dict, path):
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     for key, (section, *_) in _CONFIG_KEYS.items():
         if values.get(key) is None:
             continue

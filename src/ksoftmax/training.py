@@ -83,41 +83,49 @@ class TrainConfig:
 
 @dataclass
 class TrainState:
-    """A model, its optimizer and its place in the batch stream. The
-    trainable tensors of ``enc`` and ``out`` are views into the vector
-    flat["params"], the Adam slots ``opt_m``/``opt_v`` views into
-    flat["adam.m"]/flat["adam.v"], each laid out as _views lays out
-    _tensor_shapes. A deep copy binds its views to its own vectors."""
+    """A model, its optimizer and its place in the batch stream, built from
+    its config, V and vectors alone. ``flat`` holds the vector "params"
+    and, under Adam, "adam.m" and "adam.v", each laying the tensors of
+    _tensor_shapes end to end as _views does. ``mixture`` follows from the
+    config and V; the arrays of ``enc`` and ``out`` and the slots
+    ``opt_m``/``opt_v`` are views into the vectors. A deep copy copies the
+    vectors and binds its own views."""
 
     config: TrainConfig
-    mixture: MixtureConfig
-    enc: encoder_mod.EncoderParams
-    out: OutputParams
-    epoch: int
-    step: int
-    step_in_epoch: int
-    best_dev_ppl: float
+    V: int
     flat: dict
+    epoch: int = 0
+    step: int = 0
+    step_in_epoch: int = 0
+    best_dev_ppl: float = math.inf
     # scratch of train_step; never checkpointed, and a copy starts empty
     ws: kernels.Workspace = dataclasses.field(
         default_factory=kernels.Workspace, repr=False, compare=False)
+    mixture: MixtureConfig = dataclasses.field(init=False)
+    enc: encoder_mod.EncoderParams = dataclasses.field(init=False)
+    out: OutputParams = dataclasses.field(init=False)
     opt_m: dict = dataclasses.field(init=False)
     opt_v: dict = dataclasses.field(init=False)
-    grads: Optional[tuple] = dataclasses.field(
-        default=None, init=False, repr=False, compare=False)
+    # (gradient vector, {name: view}), bound by _flat_grad on the first step
+    grads: Optional[tuple] = dataclasses.field(default=None, init=False)
 
     def __post_init__(self):
-        shapes = _tensor_shapes(self.config, self.mixture.V)
+        cfg, shapes = self.config, _tensor_shapes(self.config, self.V)
+        self.mixture = MixtureConfig(cfg.components, cfg.d, self.V, cfg.rho,
+                                     cfg.reg_across_data)
         views = {key: _views(vec, shapes) for key, vec in self.flat.items()}
-        # copies of enc and out holding the views: a deep copy takes each
-        # array found in its memo from there
-        memo = {id(arr): views["params"][name] for name, arr in named_tensors(self)}
-        self.enc, self.out = copy.deepcopy((self.enc, self.out), memo)
+        p = views["params"]
+        self.enc = encoder_mod.EncoderParams(p["enc.E"], p["enc.F"], p["enc.bias"],
+                                             cfg.n)
+        comp_lv = [p.get(f"out.comp_log_vars.{k}") for k in range(self.mixture.K)]
+        self.out = OutputParams(p["out.W"], p.get("out.M"), p.get("out.C"),
+                                p.get("out.word_log_vars"), comp_lv)
         self.opt_m, self.opt_v = (views.get(f"adam.{s}", {}) for s in "mv")
 
     def __deepcopy__(self, memo):
-        return dataclasses.replace(self, ws=kernels.Workspace(), flat={
-            key: _laid_end_to_end([vec]) for key, vec in self.flat.items()})
+        flat = {key: np.concatenate([vec], out=kernels.mapped(vec.size))
+                for key, vec in self.flat.items()}
+        return dataclasses.replace(self, ws=kernels.Workspace(), flat=flat)
 
 
 def _named(enc: encoder_mod.EncoderParams, out: OutputParams) -> list:
@@ -134,12 +142,6 @@ def _named(enc: encoder_mod.EncoderParams, out: OutputParams) -> list:
 def named_tensors(state: TrainState) -> list:
     """Ordered (name, array) pairs over every trainable tensor."""
     return _named(state.enc, state.out)
-
-
-def _laid_end_to_end(arrays: list) -> np.ndarray:
-    """A copy of the arrays laid end to end in one vector of kernels.mapped."""
-    out = kernels.mapped(sum(arr.size for arr in arrays))
-    return np.concatenate([arr.ravel() for arr in arrays], out=out)
 
 
 def _tensor_shapes(config: TrainConfig, V: int) -> list:
@@ -167,19 +169,21 @@ def _views(vec: np.ndarray, shapes: list) -> dict:
             for (name, shape), size, end in zip(shapes, sizes, ends)}
 
 
+def _vectors(config: TrainConfig, V: int) -> dict:
+    """Fresh zero vectors (kernels.mapped) for a TrainState's ``flat``: the
+    parameters and, under Adam, each slot."""
+    size = sum(math.prod(shape) for _, shape in _tensor_shapes(config, V))
+    keys = ("params", "adam.m", "adam.v") if config.optimizer == "adam" else ("params",)
+    return {key: kernels.mapped(size) for key in keys}
+
+
 def init_state(config: TrainConfig, V: int) -> TrainState:
     rng = np.random.default_rng(config.seed)
-    mixture = MixtureConfig(components=config.components, d=config.d, V=V,
-                            rho=config.rho,
-                            reg_across_data=config.reg_across_data)
+    state = TrainState(config, V, _vectors(config, V))
     enc = encoder_mod.init_encoder_params(V, config.n, config.d, config.de, rng)
-    out = output_layer.init_output_params(mixture, rng)
-    flat = {"params": _laid_end_to_end([arr for _, arr in _named(enc, out)])}
-    if config.optimizer == "adam":
-        flat["adam.m"], flat["adam.v"] = (kernels.mapped(flat["params"].size)
-                                          for _ in "mv")
-    return TrainState(config=config, mixture=mixture, enc=enc, out=out, epoch=0,
-                      step=0, step_in_epoch=0, best_dev_ppl=math.inf, flat=flat)
+    out = output_layer.init_output_params(state.mixture, rng)
+    np.concatenate([arr.ravel() for _, arr in _named(enc, out)], out=state.flat["params"])
+    return state
 
 
 def clip_gradients(grads: dict, clip_norm: float,
@@ -241,7 +245,7 @@ def _flat_grad(state: TrainState) -> tuple:
     view into it}), bound on a state's first step: that buffer never moves."""
     if state.grads is None:
         grad = state.ws.take("grad", state.flat["params"].shape)
-        state.grads = grad, _views(grad, _tensor_shapes(state.config, state.mixture.V))
+        state.grads = grad, _views(grad, _tensor_shapes(state.config, state.V))
     return state.grads
 
 
@@ -361,8 +365,7 @@ def train(config: TrainConfig, split: data_mod.CorpusSplit, V: int,
     cfg = state.config
     limit = max_epochs if max_epochs is not None else cfg.max_epochs
     metrics = []
-    metrics_file = None
-    writer = None
+    metrics_file = writer = None
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         path = os.path.join(out_dir, "metrics.csv")
@@ -401,9 +404,11 @@ def train(config: TrainConfig, split: data_mod.CorpusSplit, V: int,
             else:
                 bad_epochs += 1
             if out_dir is not None:
-                save_checkpoint(state, os.path.join(out_dir, "last.ckpt"))
+                # best first: a crash between the two leaves last.ckpt an
+                # epoch behind, and the resume writes best.ckpt again
                 if bad_epochs == 0:
                     save_checkpoint(best_state, os.path.join(out_dir, "best.ckpt"))
+                save_checkpoint(state, os.path.join(out_dir, "last.ckpt"))
             if bad_epochs >= cfg.patience:
                 break
         if not math.isfinite(state.best_dev_ppl):
@@ -457,15 +462,14 @@ def save_checkpoint(state: TrainState, path):
     header = io.StringIO()
     header.write(f"{CHECKPOINT_MAGIC} {CHECKPOINT_VERSION}\n")
     header.write("config " + json.dumps(state.config.to_dict(), sort_keys=True) + "\n")
-    header.write(f"V {state.mixture.V}\n")
+    header.write(f"V {state.V}\n")
     header.write(f"epoch {state.epoch}\n")
     header.write(f"step {state.step}\n")
     header.write(f"step_in_epoch {state.step_in_epoch}\n")
     header.write(f"adam_t {_adam_t(state)}\n")
     header.write(f"best_dev_ppl {state.best_dev_ppl!r}\n")
     for name, arr in all_tensors:
-        shape = " ".join(str(s) for s in np.asarray(arr).shape)
-        header.write(f"tensor {name} {shape}".rstrip() + "\n")
+        header.write(f"tensor {name} {' '.join(map(str, arr.shape))}".rstrip() + "\n")
     header.write("end\n")
     tmp = os.fspath(path) + ".tmp"
     try:
@@ -524,7 +528,7 @@ def _parse_checkpoint(blob: bytes) -> TrainState:
     size = sum(8 * math.prod(shape) for _, shape in expected)
     if len(body) != size:
         raise CorruptCheckpoint(f"body is {len(body)} bytes, expected {size}")
-    state = init_state(config, V)
+    state = TrainState(config, V, _vectors(config, V))
     values = _views(np.frombuffer(body, dtype="<f8"), expected)
     for name, arr in _checkpoint_tensors(state):
         arr[...] = values[name]

@@ -334,6 +334,23 @@ class TestValidationErrors:
         err = capsys.readouterr().err
         assert "error:" in err and "reg_across_data" in err
 
+    @pytest.mark.parametrize("text", [
+        "kernels = lin\n",
+        "[mixture]\nrho = 0.1\n[training]\nn = 2\n[mixture]\nkernels = lin\n",
+        "[mixture]\nkernels = pow(p=50%)\n",
+        "[data]\ncorpus = a\xff\n",
+    ], ids=["no-section-header", "section-twice", "percent", "not-utf-8"])
+    def test_bad_config_file_exits_1_without_a_traceback(self, tmp_path, corpus_file,
+                                                         capsys, text):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_bytes(text.encode("latin-1"))
+        assert cli.run(["train", "--config", str(cfg), "--corpus", corpus_file,
+                        "--out", str(tmp_path / "o")] + FAST) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert "50%" in err if "%" in text else str(cfg) in err
+        assert not (tmp_path / "o").exists()
+
     def test_bad_kernel_flag(self, tmp_path, corpus_file, capsys):
         code = cli.run(["train", "--corpus", corpus_file, "--out",
                         str(tmp_path / "o"), "--kernels", "nosuch"] + FAST)
@@ -469,6 +486,23 @@ class TestValidationErrors:
         monkeypatch.chdir(tmp_path / "b")
         assert cli.run(["eval", "--checkpoint", "../a/run/best.ckpt"]) == 0
         assert capsys.readouterr().out.splitlines() == [from_a]
+
+    def test_a_corpus_under_a_percent_directory_trains_and_evaluates(
+            self, tmp_path, corpus_file, capsys):
+        # a % in a config value is read as itself, in the given file and
+        # in the echoed one that eval reads
+        corpus = tmp_path / "p%x" / "corpus.txt"
+        corpus.parent.mkdir()
+        shutil.copy(corpus_file, corpus)
+        cfg = tmp_path / "p%x" / "run.ini"
+        cfg.write_text(f"[data]\ncorpus = {corpus}\n")
+        run = tmp_path / "p%x" / "run"
+        assert cli.run(["train", "--config", str(cfg), "--out", str(run)] + FAST) == 0, \
+            capsys.readouterr().err
+        assert f"corpus = {corpus}\n" in (run / "effective_config.ini").read_text()
+        assert cli.run(["eval", "--checkpoint", str(run / "best.ckpt")]) == 0, \
+            capsys.readouterr().err
+        assert capsys.readouterr().out.splitlines()[-1].startswith("test ppl ")
 
 
 class TestGrid:

@@ -35,6 +35,8 @@ def test_two_runs_print_the_same_fingerprint():
     assert len(lines) > 40 and all(len(line.split()) >= 2 for line in lines)
     assert "cli.diverge exit 2 stdout" in first and "lib.lanes.dev_ppl" in first
     assert "lib.chunks/adam.copied.ckpt" in first and "lib.chunks/sgd.resumed.ckpt" in first
+    assert "lib.ssg_mog/best.ckpt" in first and "lib.across_data/best.ckpt" in first
+    assert "cli.probe/probe.tsv" in first and "cli.curves/curve_wav.csv" in first
 
 
 SNIPPET = '''"""A module docstring

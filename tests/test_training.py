@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import json
 import math
+import os
 import sys
 import threading
 
@@ -278,17 +279,26 @@ class TestLanes:
 
 
 def assert_flat_layout(state):
-    """Each trainable tensor and Adam slot is its own slice of the state's
-    flat vectors, laid end to end in named_tensors order. Overwrites them."""
-    named = dict(named_tensors(state))
-    slots = {"params": named, "adam.m": state.opt_m, "adam.v": state.opt_v}
+    """Each trainable tensor, Adam slot and gradient view is its own slice
+    of its vector, with the name and shape _tensor_shapes gives it, laid end
+    to end in that order. Binds the gradient views and overwrites the
+    vectors."""
+    shapes = training._tensor_shapes(state.config, state.V)
     adam = state.config.optimizer == "adam"
     assert list(state.flat) == ["params", "adam.m", "adam.v"][:3 if adam else 1]
-    for key, vec in state.flat.items():
-        assert list(slots[key]) == list(named), key
+    if not adam:
+        assert state.opt_m == state.opt_v == {}
+    grad, grads = training._flat_grad(state)
+    tables = {"params": (state.flat["params"], dict(named_tensors(state))),
+              "grad": (grad, grads)}
+    if adam:
+        tables.update({f"adam.{s}": (state.flat[f"adam.{s}"], slots)
+                       for s, slots in (("m", state.opt_m), ("v", state.opt_v))})
+    for key, (vec, table) in tables.items():
+        assert [(name, arr.shape) for name, arr in table.items()] == shapes, key
         # distinct values written to the vector show up in the tensors in order
         vec[...] = np.arange(vec.size)
-        laid_out = np.concatenate([arr.ravel() for arr in slots[key].values()])
+        laid_out = np.concatenate([arr.ravel() for arr in table.values()])
         assert np.array_equal(laid_out, np.arange(vec.size)), key
 
 
@@ -300,6 +310,9 @@ def assert_same_flat(a: dict, b: dict):
 
 
 FLAT_KINDS = (KernelSpec("lin"), KernelSpec("ssg"), KernelSpec("mog"), KernelSpec("hpb"))
+# each kind alone (K = 1: no M, no C), and ssg beside mog, whose word
+# variances it shares
+LAYOUT_KINDS = [*kernels.KINDS, "ssg mog"]
 
 
 class TestFlatLayout:
@@ -312,6 +325,35 @@ class TestFlatLayout:
         loaded = load_checkpoint(tmp_path / "a.ckpt")
         for each in (copied, loaded, state):
             assert_flat_layout(each)
+
+    @pytest.mark.parametrize("kinds", LAYOUT_KINDS)
+    def test_every_kind_follows_the_tensor_shapes(self, tmp_path, kinds):
+        config = make_config(components=tuple(KernelSpec(k) for k in kinds.split()))
+        names = [name for name, _ in training._tensor_shapes(config, V)]
+        assert ("out.M" in names) == ("out.C" in names) == (" " in kinds)
+        state = init_state(config, V)
+        train_steps(state, toy_split(), 2)
+        save_checkpoint(state, tmp_path / "a.ckpt")
+        copied, loaded = copy.deepcopy(state), load_checkpoint(tmp_path / "a.ckpt")
+        assert copied.grads is None and loaded.grads is None
+        for each in (init_state(config, V), copied, loaded):
+            assert_flat_layout(each)
+
+    def test_a_load_runs_no_init_and_draws_no_random_number(self, tmp_path, monkeypatch):
+        state = init_state(make_config(components=FLAT_KINDS), V)
+        train_steps(state, toy_split(), 3)
+        save_checkpoint(state, tmp_path / "a.ckpt")
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a load builds no random model")
+        for module, name in ((training, "init_state"), (np.random, "default_rng"),
+                             (kernels, "project_to_ball")):
+            monkeypatch.setattr(module, name, forbidden)
+        loaded = load_checkpoint(tmp_path / "a.ckpt")
+        monkeypatch.undo()
+        assert_same_flat(loaded.flat, state.flat)
+        assert ((loaded.epoch, loaded.step, loaded.step_in_epoch, loaded.best_dev_ppl)
+                == (state.epoch, state.step, state.step_in_epoch, state.best_dev_ppl))
 
     def test_a_write_to_a_deep_copy_leaves_the_original_unchanged(self):
         split = toy_split()
@@ -646,6 +688,44 @@ class TestEpochRollover:
         state.step_in_epoch = data.num_batches(split.train, state.config.batch_size)
         with pytest.raises(KsoftmaxError, match="past the last"):
             train_steps(state, split, 1)
+
+
+class Crash(Exception):
+    pass
+
+
+class TestCrashAtEveryCheckpointWrite:
+    # a 3-epoch run that improves every epoch saves six checkpoints
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_a_resume_writes_the_files_of_an_uninterrupted_run(
+            self, tmp_path, monkeypatch, n):
+        split = toy_split()
+        config = make_config(max_epochs=3, patience=10)
+        real = training.save_checkpoint
+        saves = []
+
+        def save(state, path):
+            saves.append(os.path.basename(path))
+            if len(saves) == n:
+                raise Crash(f"crash at save {n}")
+            real(state, path)
+        monkeypatch.setattr(training, "save_checkpoint", save)
+        with pytest.raises(Crash):
+            train(config, split, V, out_dir=tmp_path / "crashed")
+        monkeypatch.undo()
+        last = tmp_path / "crashed" / "last.ckpt"
+        train(config, split, V, out_dir=tmp_path / "crashed",
+              state=load_checkpoint(last) if last.exists() else None)
+
+        saves.clear()
+        monkeypatch.setattr(training, "save_checkpoint",
+                            lambda state, path: saves.append(os.path.basename(path))
+                            or real(state, path))
+        train(config, split, V, out_dir=tmp_path / "whole")
+        assert saves.count("best.ckpt") == saves.count("last.ckpt") == 3
+        for name in ("metrics.csv", "best.ckpt", "last.ckpt"):
+            assert ((tmp_path / "crashed" / name).read_bytes()
+                    == (tmp_path / "whole" / name).read_bytes()), name
 
 
 class TestBestCheckpoint:

@@ -1,13 +1,14 @@
 """Identity fingerprint of a fixed set of small ksoftmax runs.
 
 Digests the bundled corpus generators and `prepare_corpus`'s splits over
-a grid of parameters, then runs library training (with resumes), a
-mid-epoch `train_steps`
+a grid of parameters, then runs library training (with resumes, an
+`ssg mog` mixture and `reg_across_data`), a mid-epoch `train_steps`
 checkpoint, K=1 steps of each kernel-ordering kind, a mixture large
 enough for the kernels to run its components on parallel lanes and to
 score in row tiles, a model large enough for the update to run in
-several chunks on the lanes, and a handful of CLI calls in a temporary
-directory, then prints one `name digest` line per artifact.
+several chunks on the lanes, and a handful of CLI calls (`probe` and
+`curves` over the nine kinds among them) in a temporary directory, then
+prints one `name digest` line per artifact.
 Each CLI call also prints its exit code, a digest of its stdout and its
 first stderr line. The timestamped `# started` line of `run.log` is
 dropped and the temporary root is replaced by `<tmp>`, so two runs of the
@@ -37,6 +38,7 @@ import numpy as np
 from ksoftmax import cli, data, training
 from ksoftmax import eval as eval_mod
 from ksoftmax.cli import parse_kernel_list
+from ksoftmax.kernels import KINDS
 
 PLACEHOLDER = b"<tmp>"
 
@@ -54,6 +56,10 @@ PREPARE_GRID = {"default": {}, "cased": {"lowercase": False},
                 "fractions": {"fractions": (0.5, 0.25, 0.25), "seed": 3}}
 
 LIB_KERNELS = ("lin", "lin pow ssg hpb", "mog rbf wav log pol")
+# ssg beside mog reads column 0 of the word variances they share
+MIXTURE_RUNS = {"ssg_mog": dict(components=parse_kernel_list("ssg mog")),
+                "across_data": dict(components=parse_kernel_list("lin pow ssg"),
+                                    reg_across_data=True)}
 FAST = ["--n", "2", "--d", "4", "--batch-size", "16", "--max-epochs", "2",
         "--vocab-size", "20", "--seed", "0"]
 
@@ -127,6 +133,12 @@ def library_runs(fp: Fingerprint, split, V: int):
             training.train(config, split, V, out_dir=out, state=state,
                            max_epochs=3)
             fp.files(name, out)
+
+    for name, fields in MIXTURE_RUNS.items():
+        config = training.TrainConfig(n=2, d=4, batch_size=16, max_epochs=2,
+                                      rho=0.1, seed=6, **fields)
+        training.train(config, split, V, out_dir=os.path.join(fp.root, f"lib.{name}"))
+        fp.files(f"lib.{name}", os.path.join(fp.root, f"lib.{name}"))
 
     config = training.TrainConfig(components=parse_kernel_list("lin pow"),
                                   n=2, d=4, batch_size=16, seed=1)
@@ -219,6 +231,15 @@ def cli_runs(fp: Fingerprint):
     fp.cli("eval-test", ["eval", "--checkpoint", "run/best.ckpt"])
     fp.cli("eval-dev", ["eval", "--checkpoint", "run/last.ckpt",
                         "--split", "dev"])
+    probe = ["probe", "--checkpoint", "run/best.ckpt", "--vocab", "run/vocab.txt",
+             "--tokens", "w000,w003,w011", "--contexts", "w000 w001;w005;w013 w002",
+             "--top-m", "4"]
+    fp.cli("probe-stdout", probe)
+    fp.cli("probe-out", probe + ["--out", "probe"])
+    fp.files("cli.probe", os.path.join(fp.root, "probe"))
+    fp.cli("curves", ["curves", "--kernels", ",".join(KINDS), "--xmax", "6",
+                      "--steps", "50", "--out", "curves"])
+    fp.files("cli.curves", os.path.join(fp.root, "curves"))
     fp.cli("grid", ["grid", "--corpus", "corpus.txt", "--out", "grid",
                     "--kernels", "lin pow", "--grid", "rho=0.01,0.1;d=4,6"]
            + FAST)
