@@ -16,6 +16,7 @@ import itertools
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -355,6 +356,8 @@ def train(config: TrainConfig, split: data_mod.CorpusSplit, V: int,
     Returns (best_state, metrics) where metrics is the list of per-epoch
     row dicts and best_state is the checkpoint with the lowest dev PPL.
     Writes metrics.csv, best.ckpt and last.ckpt under out_dir when given.
+    A resume in which no epoch improves returns out_dir's best.ckpt, or
+    the last state when there is no out_dir or no best.ckpt in it.
     A run that ends with no finite dev PPL has diverged too: on divergence
     last.ckpt is saved before DivergenceDetected propagates. An empty dev
     split raises KsoftmaxError before any step.
@@ -422,32 +425,39 @@ def train(config: TrainConfig, split: data_mod.CorpusSplit, V: int,
         if metrics_file is not None:
             metrics_file.close()
     if best_state is None:
-        # no epoch improved on the best so far; an earlier best.ckpt stays
+        # no epoch improved on the best so far: an earlier best.ckpt holds it
+        best_path = os.path.join(out_dir, "best.ckpt") if out_dir is not None else None
+        if best_path is not None and os.path.exists(best_path):
+            return load_checkpoint(best_path), metrics
         best_state = copy.deepcopy(state)
-        if out_dir is not None and not os.path.exists(os.path.join(out_dir, "best.ckpt")):
-            save_checkpoint(best_state, os.path.join(out_dir, "best.ckpt"))
+        if best_path is not None:
+            save_checkpoint(best_state, best_path)
     return best_state, metrics
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints: text header + row-major little-endian float64 blobs
+# Checkpoints: text header + row-major little-endian float64 body
 # ---------------------------------------------------------------------------
 
+# a load reads no more header than this: a longer one is not a checkpoint's
+HEADER_LIMIT = 1 << 20
+
+
 def _checkpoint_shapes(config: TrainConfig, V: int) -> list:
-    """(name, shape) of every tensor a checkpoint stores, in the order of
-    _checkpoint_tensors; computed without allocating any."""
+    """(name, shape) of every tensor a checkpoint stores, in file order:
+    the trainable tensors, then the two Adam slots of each in turn;
+    computed without allocating any."""
     shapes = _tensor_shapes(config, V)
     slots = [(f"adam.{s}.{name}", shape) for name, shape in shapes for s in "mv"]
     return shapes + (slots if config.optimizer == "adam" else [])
 
 
-def _checkpoint_tensors(state: TrainState) -> list:
-    """Every tensor a checkpoint stores, in file order: the trainable
-    tensors, then the two Adam slots of each in turn."""
-    tensors = named_tensors(state)
-    return tensors + [(f"adam.{s}.{name}", slots[name]) for name, _ in tensors
-                      for s, slots in (("m", state.opt_m), ("v", state.opt_v))
-                      if name in slots]
+def _body(state: TrainState) -> list:
+    """The arrays of a checkpoint's body, in file order: flat["params"]
+    whole, whose tensors lie end to end as _checkpoint_shapes lists them,
+    then each tensor's Adam slot views m and v."""
+    return [state.flat["params"]] + [
+        slots[name] for name in state.opt_m for slots in (state.opt_m, state.opt_v)]
 
 
 def _adam_t(state: TrainState) -> int:
@@ -458,7 +468,6 @@ def _adam_t(state: TrainState) -> int:
 def save_checkpoint(state: TrainState, path):
     """Write ``state`` to ``path`` atomically: a crash mid-write leaves any
     previous file at ``path`` intact."""
-    all_tensors = _checkpoint_tensors(state)
     header = io.StringIO()
     header.write(f"{CHECKPOINT_MAGIC} {CHECKPOINT_VERSION}\n")
     header.write("config " + json.dumps(state.config.to_dict(), sort_keys=True) + "\n")
@@ -468,15 +477,16 @@ def save_checkpoint(state: TrainState, path):
     header.write(f"step_in_epoch {state.step_in_epoch}\n")
     header.write(f"adam_t {_adam_t(state)}\n")
     header.write(f"best_dev_ppl {state.best_dev_ppl!r}\n")
-    for name, arr in all_tensors:
-        header.write(f"tensor {name} {' '.join(map(str, arr.shape))}".rstrip() + "\n")
+    for name, shape in _checkpoint_shapes(state.config, state.V):
+        header.write(f"tensor {name} {' '.join(map(str, shape))}".rstrip() + "\n")
     header.write("end\n")
     tmp = os.fspath(path) + ".tmp"
     try:
         with open(tmp, "wb") as f:
             f.write(header.getvalue().encode("utf-8"))
-            for _, arr in all_tensors:
-                f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            for arr in _body(state):
+                # from the array's own memory; a copy only on a big-endian host
+                f.write(np.ascontiguousarray(arr, dtype="<f8"))
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
@@ -487,29 +497,40 @@ def save_checkpoint(state: TrainState, path):
 
 
 def load_checkpoint(path) -> TrainState:
-    """Read a checkpoint written by save_checkpoint. Raises
-    CorruptCheckpoint when the file is malformed or its tensors do not
-    match the recorded configuration."""
+    """Read a checkpoint written by save_checkpoint, its body straight into
+    the new state's vectors. Raises CorruptCheckpoint when the file is
+    malformed or its tensors do not match the recorded configuration."""
     with open(path, "rb") as f:
-        blob = f.read()
-    try:
-        return _parse_checkpoint(blob)
-    except CorruptCheckpoint as e:
-        raise CorruptCheckpoint(f"{path}: {e}") from e
-    except (ValueError, TypeError, KeyError, IndexError) as e:
-        raise CorruptCheckpoint(f"{path}: malformed checkpoint: {e!r}") from e
+        try:
+            return _read_checkpoint(f)
+        except CorruptCheckpoint as e:
+            raise CorruptCheckpoint(f"{path}: {e}") from e
+        except (ValueError, TypeError, KeyError, IndexError) as e:
+            raise CorruptCheckpoint(f"{path}: malformed checkpoint: {e!r}") from e
 
 
-def _parse_checkpoint(blob: bytes) -> TrainState:
-    end_marker = b"\nend\n"
-    split_at = blob.index(end_marker) + len(end_marker)
-    header_lines = blob[:split_at].decode("utf-8").splitlines()
-    body = memoryview(blob)[split_at:]  # no copy of the tensors
-    if header_lines[0].split() != [CHECKPOINT_MAGIC, str(CHECKPOINT_VERSION)]:
-        raise CorruptCheckpoint(f"bad checkpoint header: {header_lines[0]!r}")
+def _header_lines(f) -> list:
+    """The header lines of the checkpoint open in ``f``, its ``end`` line
+    left out, leaving ``f`` at the body. The magic line is checked first,
+    and no more than HEADER_LIMIT bytes are read."""
+    line = f.readline(HEADER_LIMIT)
+    magic = line.decode("utf-8").splitlines()[0]
+    if magic.split() != [CHECKPOINT_MAGIC, str(CHECKPOINT_VERSION)]:
+        raise CorruptCheckpoint(f"bad checkpoint header: {magic!r}")
+    lines, read = [line], len(line)
+    while line != b"end\n":
+        line = f.readline(HEADER_LIMIT - read)
+        read += len(line)
+        if not line.endswith(b"\n"):
+            raise CorruptCheckpoint(f"no end line in the header's {read} bytes")
+        lines.append(line)
+    return b"".join(lines).decode("utf-8").splitlines()[1:-1]
+
+
+def _read_checkpoint(f) -> TrainState:
     fields = {}
     tensor_specs = []
-    for line in header_lines[1:-1]:
+    for line in _header_lines(f):
         key, _, rest = line.partition(" ")
         if key == "tensor":
             parts = rest.split()
@@ -526,12 +547,10 @@ def _parse_checkpoint(blob: bytes) -> TrainState:
                          if pair[0] != pair[1])
         raise CorruptCheckpoint(f"tensor {got} where the configuration has {want}")
     size = sum(8 * math.prod(shape) for _, shape in expected)
-    if len(body) != size:
-        raise CorruptCheckpoint(f"body is {len(body)} bytes, expected {size}")
+    body = os.fstat(f.fileno()).st_size - f.tell()
+    if body != size:
+        raise CorruptCheckpoint(f"body is {body} bytes, expected {size}")
     state = TrainState(config, V, _vectors(config, V))
-    values = _views(np.frombuffer(body, dtype="<f8"), expected)
-    for name, arr in _checkpoint_tensors(state):
-        arr[...] = values[name]
     for name in ("epoch", "step", "step_in_epoch"):
         setattr(state, name, int(fields[name]))
         if getattr(state, name) < 0:
@@ -542,6 +561,11 @@ def _parse_checkpoint(blob: bytes) -> TrainState:
     if int(fields["adam_t"]) != _adam_t(state):
         raise CorruptCheckpoint(f"adam_t {fields['adam_t']} where {config.optimizer} "
                                 f"at step {state.step} gives {_adam_t(state)}")
+    for arr in _body(state):
+        if f.readinto(arr) != arr.nbytes:
+            raise CorruptCheckpoint(f"body ends before its {size} bytes")
+        if sys.byteorder == "big":
+            arr.byteswap(inplace=True)
     return state
 
 

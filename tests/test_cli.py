@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import re
@@ -7,10 +9,12 @@ import sys
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ksoftmax import cli, data, training
 from ksoftmax.cli import parse_kernel_list
-from ksoftmax.errors import KsoftmaxError
+from ksoftmax.errors import CorruptCheckpoint, KsoftmaxError
 from ksoftmax.kernels import KernelSpec
 
 
@@ -276,6 +280,116 @@ class TestOversizedHeader:
             "runpy.run_module('ksoftmax', run_name='__main__')\n"), str(oversized)])
         assert proc.returncode == 1, proc.stderr
         assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2 ** 70, 2 ** 70) | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=6)
+
+
+def mutated_checkpoints_load_or_fail_cleanly(path, max_examples):
+    """Check copies of the checkpoint at ``path``, each truncated, with
+    bytes appended, with one header byte overwritten, or with one header
+    line's value or one config entry replaced: each loads or raises
+    CorruptCheckpoint (a truncated or extended one always raises), and
+    ``eval`` of it exits 1 with an error. Run in a capped child (see
+    CAPPED); the copies go beside ``path``, in a directory without a run's
+    config, so no copy evaluates."""
+    with open(path, "rb") as f:
+        blob = f.read()
+    header = blob[:blob.index(b"\nend\n") + len(b"\nend\n")]
+    lines = header.split(b"\n")[:-2]
+    config = json.loads(lines[1].split(b" ", 1)[1])
+
+    def with_line(i, value):
+        key = lines[i].split(b" ", 1)[0]
+        new = lines[:i] + [key + b" " + value] + lines[i + 1:]
+        return b"\n".join(new) + blob[len(b"\n".join(lines)):]
+
+    def with_config(key, value):
+        changed = dict(config, **{key: value})
+        return with_line(1, json.dumps(changed).encode())
+
+    # (copy, whether it must fail to load)
+    mutations = st.one_of(
+        st.integers(0, len(blob) - 1).map(lambda n: (blob[:n], True)),
+        st.binary(min_size=1, max_size=64).map(lambda extra: (blob + extra, True)),
+        st.tuples(st.builds(lambda i, b: blob[:i] + bytes([b]) + blob[i + 1:],
+                            st.integers(0, len(header) - 1), st.integers(0, 255)),
+                  st.just(False)),
+        st.tuples(st.builds(with_line, st.integers(1, len(lines) - 1),
+                            st.one_of(st.integers(-2 ** 70, 2 ** 70).map(str),
+                                      st.floats().map(repr), st.text()).map(
+                                lambda s: s.encode("utf-8", "surrogatepass"))),
+                  st.just(False)),
+        st.tuples(st.builds(with_config, st.sampled_from(sorted(config)), JSON_VALUES),
+                  st.just(False)))
+    target = os.path.join(os.path.dirname(path), "mutated.ckpt")
+
+    @settings(max_examples=max_examples, derandomize=True, database=None, deadline=None)
+    @given(mutations)
+    def check(case):
+        mutated, corrupt = case
+        with open(target, "wb") as f:
+            f.write(mutated)
+        try:
+            training.load_checkpoint(target)
+            assert not corrupt, "a truncated or extended copy loads"
+        except CorruptCheckpoint:
+            pass
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.run(["eval", "--checkpoint", target])
+        assert code == 1 and err.getvalue().startswith("error:"), err.getvalue()
+
+    check()
+
+
+class TestMutatedCheckpoint:
+    def test_every_mutation_loads_or_fails_cleanly(self, tmp_path):
+        vocab, split = data.prepare_corpus(data.generate_zipf(15, 800, seed=0),
+                                           max_size=20, seed=0)
+        config = training.TrainConfig(components=parse_kernel_list("ssg mog"), n=2, d=4,
+                                      batch_size=16, seed=0)
+        state = training.init_state(config, vocab.V)
+        training.train_steps(state, split, 3)
+        path = tmp_path / "fuzz" / "valid.ckpt"
+        path.parent.mkdir()
+        training.save_checkpoint(state, path)
+        tests = os.path.dirname(os.path.abspath(__file__))
+        proc = run_python(["-c", CAPPED + (
+            "sys.path.insert(0, sys.argv[2])\n"
+            "import test_cli\n"
+            "test_cli.mutated_checkpoints_load_or_fail_cleanly(sys.argv[1], 400)\n"
+            "print('ok')\n"), str(path), tests])
+        assert proc.stdout.strip() == "ok", proc.stderr
+
+
+class TestLoadMemory:
+    def test_a_load_holds_the_model_once(self, tmp_path):
+        # V = 8,000 and d = 32 under Adam: 1.5 million doubles, a 12 MB file
+        config = training.TrainConfig(components=parse_kernel_list("lin"), n=2, d=32)
+        path = tmp_path / "large.ckpt"
+        training.save_checkpoint(training.init_state(config, 8000), path)
+        size = path.stat().st_size
+        assert size >= 8 << 20
+        # a process's ru_maxrss starts at the resident size of the process
+        # that starts it, here the test's: the load runs in a grandchild,
+        # started by a bare interpreter
+        load = ("import resource, sys\n"
+                "from ksoftmax import training\n"
+                "def peak():\n"
+                "    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024\n"
+                "before = peak()\n"
+                "training.load_checkpoint(sys.argv[1])\n"
+                "print(peak() - before)\n")
+        proc = run_python(["-c", (
+            "import subprocess, sys\n"
+            "sys.exit(subprocess.run([sys.executable, '-c', *sys.argv[1:]]).returncode)\n"),
+            load, str(path)])
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) <= 1.25 * size, f"{int(proc.stdout)} for {size}"
 
 
 class TestVocabularyMismatch:

@@ -758,6 +758,21 @@ class TestBestCheckpoint:
         assert load_checkpoint(tmp_path / "last.ckpt").epoch == 2
         assert (tmp_path / "best.ckpt").read_bytes() == before
 
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    def test_resume_that_never_improves_returns_the_best_state(
+            self, tmp_path, optimizer):
+        # at learning rate 0 the second epoch's dev ppl ties the first's
+        split = toy_split()
+        config = make_config(learning_rate=0.0, optimizer=optimizer)
+        train(config, split, V, out_dir=tmp_path, max_epochs=1)
+        best, metrics = train(config, split, V, out_dir=tmp_path, max_epochs=2,
+                              state=load_checkpoint(tmp_path / "last.ckpt"))
+        assert metrics[0]["dev_ppl"] == best.best_dev_ppl
+        assert best.epoch == 1 and load_checkpoint(tmp_path / "last.ckpt").epoch == 2
+        save_checkpoint(best, tmp_path / "returned.ckpt")
+        assert ((tmp_path / "returned.ckpt").read_bytes()
+                == (tmp_path / "best.ckpt").read_bytes())
+
 
 class TestGridSearch:
     def test_singleton_grid(self, tmp_path):

@@ -8,7 +8,9 @@ enough for the kernels to run its components on parallel lanes and to
 score in row tiles, a model large enough for the update to run in
 several chunks on the lanes, and a handful of CLI calls (`probe` and
 `curves` over the nine kinds among them) in a temporary directory, then
-prints one `name digest` line per artifact.
+prints one `name digest` line per artifact, and for each checkpoint one
+`name save-of-load identical|differs` line: whether saving the loaded
+checkpoint reproduces its bytes.
 Each CLI call also prints its exit code, a digest of its stdout and its
 first stderr line. The timestamped `# started` line of `run.log` is
 dropped and the temporary root is replaced by `<tmp>`, so two runs of the
@@ -89,6 +91,18 @@ class Fingerprint:
                                     if not line.startswith(b"# started"))
                 rel = os.path.relpath(path, directory).replace(os.sep, "/")
                 self.lines.append(f"{name}/{rel} {_digest(self._clean(blob))}")
+                if fname.endswith(".ckpt"):
+                    self.lines.append(f"{name}/{rel} save-of-load "
+                                      f"{self._round_trip(path, blob)}")
+
+    def _round_trip(self, path: str, blob: bytes) -> str:
+        """Whether saving the loaded checkpoint at ``path`` gives its bytes."""
+        copy_path = os.path.join(self.root, "round-trip.ckpt")
+        training.save_checkpoint(training.load_checkpoint(path), copy_path)
+        with open(copy_path, "rb") as f:
+            same = f.read() == blob
+        os.remove(copy_path)
+        return "identical" if same else "differs"
 
     def cli(self, name: str, argv: list):
         out, err = io.StringIO(), io.StringIO()
