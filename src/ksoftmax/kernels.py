@@ -79,6 +79,10 @@ class KernelSpec:
                     and getattr(self, f.name) != f.default):
                 raise ValueError(f"{self.kind} does not read kernel field "
                                  f"{f.name!r}, set to {getattr(self, f.name)!r}")
+        for name in ("p", "alpha", "c", "gamma", "a", "b"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{self.kind}: {name} must be finite, got {value}")
         if self.kind in ("log", "pow", "pol"):
             if not self.p > 0:
                 raise ValueError(f"{self.kind}: p must be positive, got {self.p}")
@@ -155,6 +159,10 @@ class Workspace:
     next call given the same workspace. A copy is empty: copying an object
     that holds a workspace copies no buffers and no lanes.
 
+    The workspace also owns the lanes of ``in_lanes``: their threads and
+    ``scratch``, one workspace for each lane for its whole life, lane i's
+    at ``scratch[i]`` (lane 0 is the calling thread).
+
     Buffers are anonymous memory mappings (``mapped``) rather than heap
     arrays: one taken on a lane's thread would otherwise land in that
     thread's malloc arena, which keeps the memory after the buffer is gone.
@@ -162,8 +170,8 @@ class Workspace:
 
     def __init__(self):
         self._buffers = {}
-        self._free = None  # queue of lane scratch workspaces not in use
-        self._pool = None  # (n, executor of the n lane threads)
+        self.scratch = []  # the lanes' scratch workspaces, lane i's at [i]
+        self._pool = None  # (n, executor of the n - 1 lanes beside the caller)
         self._seconds = {}  # (lane body code, K) -> the last time of each call
 
     def take(self, key, shape) -> np.ndarray:
@@ -173,19 +181,17 @@ class Workspace:
             buf = self._buffers[key] = mapped(size)
         return buf[:size].reshape(shape)
 
-    def lanes(self, n: int) -> tuple:
-        """(executor that runs the lanes of an n-lane call besides the
-        calling thread, None for n = 1; the queue of lane scratch
-        workspaces not in use), made on first use and the executor again
-        only for a larger n, so passes that want different counts do not
-        replace it each time."""
-        if self._free is None:
-            self._free = queue.SimpleQueue()
+    def lanes(self, n: int):
+        """The executor of the n - 1 lanes of an n-lane call beside the
+        calling thread, None for n = 1, with ``scratch`` grown to n. Both
+        grow only for a larger n, so passes that want different counts do
+        not replace them each time."""
+        self.scratch += [Workspace() for _ in range(n - len(self.scratch))]
         if n > 1 and (self._pool is None or self._pool[0] < n):
             if self._pool is not None:
                 self._pool[1].shutdown(wait=False)
-            self._pool = (n, concurrent.futures.ThreadPoolExecutor(n, "ksoftmax-lane"))
-        return (self._pool[1] if n > 1 else None), self._free
+            self._pool = (n, concurrent.futures.ThreadPoolExecutor(n - 1, "ksoftmax-lane"))
+        return self._pool[1] if n > 1 else None
 
     def __deepcopy__(self, memo):
         return Workspace()
@@ -222,16 +228,17 @@ def lane_count(K: int, size: int) -> int:
 
 def in_lanes(ws: Optional[Workspace], K: int, size: int, body: Callable) -> list:
     """[body(k, scratch) for k in range(K)], the calls spread over the lanes
-    of ``ws`` (lane_count(K, size) of them); ``scratch`` is the workspace
-    of the lane running the call, None without ``ws``. A call may write
-    only to its lane's scratch, to buffers under keys tagged with its k and
-    to its own slices of shared arrays, so the results do not depend on
-    the lane count.
+    of ``ws`` (lane_count(K, size) of them); ``scratch`` is the scratch
+    workspace of the lane running the call, None without ``ws``. A call may
+    write only to its lane's scratch, to buffers under keys tagged with its
+    k and to its own slices of shared arrays, so the results do not depend
+    on the lane count.
 
     With one lane, or no workspace, the calls run in turn on the calling
-    thread. Otherwise the calling thread is one of the lanes, and the
-    others run in copies of the caller's context, so the caller's
-    ``np.errstate`` holds in every lane. Each lane takes the next call not
+    thread. Otherwise the calling thread is lane 0, and lanes 1 to n - 1
+    run on the executor of ``ws.lanes(n)`` in copies of the caller's
+    context, so the caller's ``np.errstate`` holds in every lane. Lane i
+    always runs on ``ws.scratch[i]``. Each lane takes the next call not
     yet taken until none is left. Every call finishes before an exception
     is raised, and the one raised is that of the lowest k, the call at
     which the serial loop stops.
@@ -239,13 +246,9 @@ def in_lanes(ws: Optional[Workspace], K: int, size: int, body: Callable) -> list
     if ws is None:
         return [body(k, None) for k in range(K)]
     n = lane_count(K, size)
-    pool, free = ws.lanes(n)
+    pool, scratch = ws.lanes(n), ws.scratch
     if pool is None:
-        scratch = _lane_scratch(free)
-        try:
-            return [body(k, scratch) for k in range(K)]
-        finally:
-            free.put(scratch)
+        return [body(k, scratch[0]) for k in range(K)]
     seconds = ws._seconds.setdefault((body.__code__, K), [0.0] * K)
     results, errors = [None] * K, {}
     todo = queue.SimpleQueue()
@@ -254,36 +257,22 @@ def in_lanes(ws: Optional[Workspace], K: int, size: int, body: Callable) -> list
     for k in sorted(range(K), key=lambda k: -seconds[k]) + [None] * n:
         todo.put(k)
 
-    def lane():
-        scratch = None
-        try:
-            for k in iter(todo.get, None):
-                scratch = scratch or _lane_scratch(free)
-                t0 = time.perf_counter()
-                try:
-                    results[k] = body(k, scratch)
-                except Exception as e:  # raised once every lane is done
-                    errors[k] = e
-                seconds[k] = time.perf_counter() - t0
-        finally:
-            if scratch is not None:
-                free.put(scratch)
+    def lane(i):
+        for k in iter(todo.get, None):
+            t0 = time.perf_counter()
+            try:
+                results[k] = body(k, scratch[i])
+            except Exception as e:  # raised once every lane is done
+                errors[k] = e
+            seconds[k] = time.perf_counter() - t0
 
-    futures = [pool.submit(contextvars.copy_context().run, lane) for _ in range(n - 1)]
-    lane()
+    futures = [pool.submit(contextvars.copy_context().run, lane, i) for i in range(1, n)]
+    lane(0)
     for future in futures:
         future.result()
     if errors:
         raise errors[min(errors)]
     return results
-
-
-def _lane_scratch(free: queue.SimpleQueue) -> Workspace:
-    """A lane's scratch workspace: one not in use, or a new one."""
-    try:
-        return free.get_nowait()
-    except queue.Empty:  # one more lane than ever ran at once before
-        return Workspace()
 
 
 def in_chunks(ws: Optional[Workspace], size: int, body: Callable) -> list:

@@ -89,8 +89,10 @@ class TrainState:
     and, under Adam, "adam.m" and "adam.v", each laying the tensors of
     _tensor_shapes end to end as _views does. ``mixture`` follows from the
     config and V; the arrays of ``enc`` and ``out`` and the slots
-    ``opt_m``/``opt_v`` are views into the vectors. A deep copy copies the
-    vectors and binds its own views."""
+    ``opt_m``/``opt_v`` are views into the vectors. ``grad``, a vector of
+    its own laid out as "params", holds a step's gradient, and ``grads``
+    its views; no page of it is resident until a step writes it. A deep
+    copy copies the vectors and binds its own views and gradient."""
 
     config: TrainConfig
     V: int
@@ -107,8 +109,8 @@ class TrainState:
     out: OutputParams = dataclasses.field(init=False)
     opt_m: dict = dataclasses.field(init=False)
     opt_v: dict = dataclasses.field(init=False)
-    # (gradient vector, {name: view}), bound by _flat_grad on the first step
-    grads: Optional[tuple] = dataclasses.field(default=None, init=False)
+    grad: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
+    grads: dict = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cfg, shapes = self.config, _tensor_shapes(self.config, self.V)
@@ -122,6 +124,8 @@ class TrainState:
         self.out = OutputParams(p["out.W"], p.get("out.M"), p.get("out.C"),
                                 p.get("out.word_log_vars"), comp_lv)
         self.opt_m, self.opt_v = (views.get(f"adam.{s}", {}) for s in "mv")
+        self.grad = kernels.mapped(self.flat["params"].size)
+        self.grads = _views(self.grad, shapes)
 
     def __deepcopy__(self, memo):
         flat = {key: np.concatenate([vec], out=kernels.mapped(vec.size))
@@ -208,10 +212,10 @@ def clip_gradients(grads: dict, clip_norm: float,
     return total
 
 
-def _apply_update(state: TrainState, grad: np.ndarray):
-    """One optimizer step over the flat vectors given the flat gradient,
-    in chunks on the lanes of ``state.ws``: each element gets the ops, in
-    the order, of an update tensor by tensor."""
+def _apply_update(state: TrainState):
+    """One optimizer step over the flat vectors given ``state.grad``, in
+    chunks on the lanes of ``state.ws``: each element gets the ops, in the
+    order, of an update tensor by tensor."""
     cfg = state.config
     lr = cfg.learning_rate
     b1, b2, eps = 0.9, 0.999, 1e-8
@@ -219,7 +223,7 @@ def _apply_update(state: TrainState, grad: np.ndarray):
     c1, c2 = 1 - b1 ** t, 1 - b2 ** t
 
     def update(c, scratch):
-        g, arr = grad[c], state.flat["params"][c]
+        g, arr = state.grad[c], state.flat["params"][c]
         tmp = kernels.buffer(scratch, "s0", g.shape)
         if cfg.optimizer == "sgd":
             arr -= np.multiply(lr, g, out=tmp)
@@ -236,26 +240,17 @@ def _apply_update(state: TrainState, grad: np.ndarray):
         update /= np.add(np.sqrt(vhat, out=den), eps, out=den)
         arr -= update
 
-    kernels.in_chunks(state.ws, grad.size, update)
+    kernels.in_chunks(state.ws, state.grad.size, update)
     if state.mixture.uses_ball:
         kernels.project_to_ball(state.out.W)
-
-
-def _flat_grad(state: TrainState) -> tuple:
-    """(the gradient vector in ``state.ws``, laid out as flat["params"], {name:
-    view into it}), bound on a state's first step: that buffer never moves."""
-    if state.grads is None:
-        grad = state.ws.take("grad", state.flat["params"].shape)
-        state.grads = grad, _views(grad, _tensor_shapes(state.config, state.V))
-    return state.grads
 
 
 def loss_and_grads(state: TrainState, windows: np.ndarray,
                    targets: np.ndarray):
     """Loss of one batch and its gradient with respect to every trainable
     tensor: (loss, reg_term, {name: gradient} in named_tensors order). The
-    gradients are views into one vector of ``state.ws``, laid out as the
-    parameters and valid until the next step.
+    gradients are the views ``state.grads`` into ``state.grad``, valid
+    until the next step.
 
     Raises DivergenceDetected if the loss or any gradient is non-finite.
     """
@@ -270,7 +265,7 @@ def loss_and_grads(state: TrainState, windows: np.ndarray,
     if not math.isfinite(loss_val):
         raise DivergenceDetected(
             f"non-finite loss at step {state.step}", step=state.step)
-    grad, grads = _flat_grad(state)
+    grad, grads = state.grad, state.grads
     out_grads, dH = output_layer.backward(state.mixture, state.out, cache,
                                           grads["out.W"])
     enc_grads = encoder_mod.encode_backward(state.enc, enc_cache, dH)
@@ -294,7 +289,7 @@ def train_step(state: TrainState, windows: np.ndarray, targets: np.ndarray):
     """
     loss_val, reg_term, grads = loss_and_grads(state, windows, targets)
     clip_gradients(grads, state.config.clip_norm, state.ws)
-    _apply_update(state, _flat_grad(state)[0])
+    _apply_update(state)
     state.step += 1
     state.step_in_epoch += 1
     return loss_val, reg_term

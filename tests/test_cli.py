@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from ksoftmax import cli, data, training
 from ksoftmax.cli import parse_kernel_list
 from ksoftmax.errors import CorruptCheckpoint, KsoftmaxError
-from ksoftmax.kernels import KernelSpec
+from ksoftmax.kernels import KERNELS, KINDS, KernelSpec
 
 
 @pytest.fixture(scope="module")
@@ -197,6 +197,13 @@ CHECKPOINT_CORRUPTIONS = {
     "adam-t-disagrees-with-step": _set_header(b"adam_t", b"0"),
     "unread-kernel-field": lambda lines, body: (
         [l.replace(b'"a": 1.0', b'"a": 2.0') for l in lines], body),
+    # lin's entry made pol's, whose p and c must be finite
+    "infinite-pol-p": lambda lines, body: (
+        [l.replace(b'"lin"', b'"pol"').replace(b'"p": 2.0', b'"p": Infinity')
+         for l in lines], body),
+    "nan-pol-c": lambda lines, body: (
+        [l.replace(b'"lin"', b'"pol"').replace(b'"c": 1.0', b'"c": NaN') for l in lines],
+        body),
 }
 # what a corruption's error must say about the field it broke
 CORRUPT_FIELDS = {
@@ -204,6 +211,7 @@ CORRUPT_FIELDS = {
     "negative-step-in-epoch": "step_in_epoch -3",
     "nan-best-dev-ppl": "best_dev_ppl nan", "zero-best-dev-ppl": "best_dev_ppl 0.0",
     "adam-t-disagrees-with-step": "adam_t 0", "unread-kernel-field": "kernel field",
+    "infinite-pol-p": "p must be finite, got inf", "nan-pol-c": "c must be finite, got nan",
 }
 
 
@@ -366,6 +374,120 @@ class TestMutatedCheckpoint:
         assert proc.stdout.strip() == "ok", proc.stderr
 
 
+# text for the CLI's parsers: kernel lists, --grid strings and INI config
+# files, made of their own parts, of each part's near misses and of any text
+FLOAT_TEXT = st.one_of(
+    st.sampled_from(["inf", "-inf", "nan", "1e400", "-1e400", "Infinity", "0", "-1"]),
+    st.floats().map(repr), st.integers(-3, 4).map(str), st.text(max_size=4))
+# mog's curve holds steps x G x G doubles: G stays small
+NUM_GAUSS_TEXT = st.integers(-1, 4).map(str) | st.sampled_from(["inf", "nan", "1e400", "2.0"])
+
+
+def kernel_item(kind):
+    """Text for one item of a kernel list of ``kind``, with or without
+    fields of its kind."""
+    field = st.sampled_from(KERNELS[kind].fields).flatmap(lambda name: (
+        NUM_GAUSS_TEXT if name == "num_gauss" else FLOAT_TEXT).map(f"{name}={{}}".format))
+    return st.builds(
+        lambda count, fields: count + kind + ("" if fields is None else f"({','.join(fields)})"),
+        st.sampled_from(["", "", "", "2*", "01*", "0*"]),
+        (st.none() | st.lists(field, min_size=1, max_size=2)) if KERNELS[kind].fields
+        else st.none())
+
+
+KERNEL_TEXT = (st.lists(st.sampled_from(KINDS).flatmap(kernel_item),
+                        min_size=1, max_size=3).map(" ".join) | st.text(max_size=12))
+
+
+def value_text(key):
+    """Text for the value of config key ``key``: mostly of its type."""
+    if key == "kernels":
+        return KERNEL_TEXT
+    typ = cli._CONFIG_KEYS[key][1] if key in cli._CONFIG_KEYS else float
+    return st.text(max_size=4) | {
+        int: st.integers(-1, 40).map(str), float: FLOAT_TEXT,
+        bool: st.sampled_from(["true", "no", "flase"]),
+        str: st.sampled_from(["adam", "sgd", "0.8,0.1,0.1"])}[typ]
+
+
+GRID_TEXT = st.lists(st.sampled_from(sorted(cli._TRAIN_FIELDS) + ["de"]).flatmap(
+    lambda name: (st.lists(KERNEL_TEXT, min_size=1, max_size=2).map("|".join)
+                  if name == "components" else
+                  st.lists(value_text(name), min_size=1, max_size=3).map(",".join)
+                  ).map(f"{name}={{}}".format)), min_size=1, max_size=3).map(";".join)
+
+
+def _config_text(entries) -> str:
+    """An INI file of the (section, key, value) entries, by section."""
+    sections = {}
+    for section, key, value in entries:
+        sections.setdefault(section, []).append(f"{key} = {value}\n")
+    return "".join(f"[{name}]\n" + "".join(lines) for name, lines in sections.items())
+
+
+CONFIG_TEXT = st.lists(st.sampled_from(sorted(set(cli._CONFIG_KEYS) - {"corpus"})).flatmap(
+    lambda key: st.tuples(
+        st.sampled_from([cli._CONFIG_KEYS[key][0]] * 4 + ["training", "DEFAULT", "x"]),
+        st.just(key), value_text(key))),
+    max_size=5).map(_config_text) | st.text(max_size=20)
+
+
+def cli_parser_exits_cleanly(parser, root, max_examples) -> int:
+    """Run the CLI on texts for one of its parsers, under ``root``:
+    ``kernels`` through ``curves --kernels``, ``grid`` through ``grid
+    --grid`` and ``config`` through ``train --config``, the last two
+    without a corpus, so that no run trains. Every run returns 0 (curves
+    only) or 1 with an error and no ``--out``, and raises nothing.
+    Returns how many texts parsed whole: curves that returned 0, and
+    grids and configs that failed only for want of a corpus."""
+    out, config = os.path.join(root, "out"), os.path.join(root, "run.ini")
+
+    def write_config(text):
+        with open(config, "wb") as f:
+            f.write(text.encode("utf-8", "surrogatepass"))
+        return ["train", "--config", config, "--out", out]
+
+    texts, argv = {
+        "kernels": (KERNEL_TEXT, lambda text: [
+            "curves", f"--kernels={text}", "--steps", "3", "--out", out]),
+        "grid": (GRID_TEXT, lambda text: ["grid", f"--grid={text}", "--out", out]),
+        "config": (CONFIG_TEXT, write_config),
+    }[parser]
+    parsed = []
+
+    @settings(max_examples=max_examples, derandomize=True, database=None, deadline=None)
+    @given(texts)
+    def check(text):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.run(argv(text))
+        assert code in ((0, 1) if parser == "kernels" else (1,)), (code, err.getvalue())
+        if code == 1:
+            assert err.getvalue().startswith("error:"), err.getvalue()
+            assert not os.path.exists(out)
+        parsed.append(code == 0 or "no corpus given" in err.getvalue())
+        shutil.rmtree(out, ignore_errors=True)
+
+    check()
+    return sum(parsed)
+
+
+class TestParserProperties:
+    def test_every_text_exits_0_or_1_without_a_traceback(self, tmp_path):
+        tests = os.path.dirname(os.path.abspath(__file__))
+        proc = run_python(["-c", CAPPED + (
+            "sys.path.insert(0, sys.argv[2])\n"
+            "import test_cli\n"
+            "for parser in ('kernels', 'grid', 'config'):\n"
+            "    print(parser, test_cli.cli_parser_exits_cleanly(parser, sys.argv[1], 100))\n"),
+            str(tmp_path), tests])
+        assert proc.returncode == 0, proc.stderr
+        parsed = dict(line.split() for line in proc.stdout.splitlines())
+        # some texts of each parser reach its end
+        assert list(parsed) == ["kernels", "grid", "config"]
+        assert all(int(count) > 0 for count in parsed.values()), parsed
+
+
 class TestLoadMemory:
     def test_a_load_holds_the_model_once(self, tmp_path):
         # V = 8,000 and d = 32 under Adam: 1.5 million doubles, a 12 MB file
@@ -516,6 +638,15 @@ class TestValidationErrors:
         assert cli.run(["train", "--corpus", corpus_file, "--out", str(out),
                         "--kernels", "lin 0*pow"] + FAST) == 1
         assert "error: repeat count" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kernels", ["pol(p=inf)", "pow(p=nan)", "pol(alpha=-inf)",
+                                         "pol(c=1e400)", "rbf(gamma=inf)", "wav(b=inf)"])
+    def test_curves_non_finite_kernel_field_exits_1(self, tmp_path, capsys, kernels):
+        out = tmp_path / "c"
+        assert cli.run(["curves", "--kernels", kernels, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "must be finite" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("xmax", ["nan", "inf", "-inf"])

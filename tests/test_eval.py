@@ -88,6 +88,7 @@ class TestPerplexity:
         assert state.ws._buffers and not copied.ws._buffers
         for buf in state.ws._buffers.values():
             buf.fill(np.nan)
+        state.grad.fill(np.nan)
         sentences = [[9, 8, 7, 6], [5, 4, 3, 2, 2]]
         assert eval_mod.perplexity(state, sentences) == eval_mod.perplexity(
             copied, sentences)
@@ -103,9 +104,7 @@ class TestPerplexity:
         components = tuple(KernelSpec(k) for k in ("lin", "pow", "ssg", "hpb"))
         state = make_state(V=10, components=components, seed=8)
         eval_mod.mean_nll_and_pi(state, [[2, 3, 4, 5, 6, 7, 8, 9]] * 80)
-        lanes = []
-        while not state.ws._free.empty():
-            lanes.append(state.ws._free.get())
+        lanes = state.ws.scratch
         sizes = [buf.size for ws in [state.ws] + lanes for buf in ws._buffers.values()]
         assert lanes and sizes
         assert max(sizes) == eval_mod.EVAL_BATCH * 10  # a lane's logits, B x V

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import math
+import threading
 import time
 import warnings
 import weakref
@@ -52,6 +53,16 @@ class TestSpecValidation:
         {"kind": "wav", "a": 0.0},
         {"kind": "wav", "b": -1.0},
         {"kind": "mog", "num_gauss": 0},
+        {"kind": "pol", "p": math.inf},
+        {"kind": "pow", "p": math.nan},
+        {"kind": "log", "p": math.inf},
+        {"kind": "pol", "alpha": math.inf},
+        {"kind": "pol", "alpha": -math.inf},
+        {"kind": "pol", "c": math.nan},
+        {"kind": "pol", "c": -math.inf},
+        {"kind": "rbf", "gamma": math.inf},
+        {"kind": "wav", "a": math.inf},
+        {"kind": "wav", "b": math.nan},
     ])
     def test_rejects_bad_hyperparameters(self, kwargs):
         with pytest.raises(ValueError):
@@ -457,6 +468,24 @@ class TestWorkspace:
         assert info.value.args == (1,)
         # the serial loop stops at k = 1; lanes finish every other call first
         assert sorted(done) == ([0] if lanes == 1 else [0, 2])
+
+    @pytest.mark.parametrize("lanes", [2, 3])
+    def test_no_scratch_is_used_by_two_threads_in_one_call(self, monkeypatch, lanes):
+        monkeypatch.setattr(kernels, "lane_count", lambda K, size: min(K, lanes))
+        ws = kernels.Workspace()
+        for _ in range(3):
+            users, arrived = {}, threading.Barrier(lanes, timeout=10)
+
+            def body(k, scratch):
+                thread = threading.get_ident()
+                if not any(thread in threads for threads in users.values()):
+                    users.setdefault(id(scratch), set()).add(thread)
+                    arrived.wait()  # a lane's first call waits for every lane's
+                users[id(scratch)].add(thread)
+
+            kernels.in_lanes(ws, 4 * lanes, 0, body)
+            assert len(users) == lanes
+            assert all(len(threads) == 1 for threads in users.values()), users
 
 
 # ---------------------------------------------------------------------------

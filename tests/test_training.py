@@ -1,10 +1,12 @@
 import copy
 import dataclasses
+import gc
 import json
 import math
 import os
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -53,16 +55,6 @@ def use_lanes(monkeypatch, n):
     """Give every mixture pass in a workspace min(K, n) lanes, however
     small its arrays: n = 1 is the serial loop."""
     monkeypatch.setattr(kernels, "lane_count", lambda K, size: min(K, n))
-
-
-def lane_scratch(ws):
-    """The scratch workspaces of the lanes of ``ws``."""
-    lanes = []
-    while not ws._free.empty():
-        lanes.append(ws._free.get())
-    for lane in lanes:
-        ws._free.put(lane)
-    return lanes
 
 
 class TestTrainStep:
@@ -132,7 +124,7 @@ class TestClipping:
             use_lanes(monkeypatch, lanes)
             ws = Workspace()
             clip_gradients({k: g.copy() for k, g in grads.items()}, clip_norm=1.0, ws=ws)
-            for lane in lane_scratch(ws):
+            for lane in ws.scratch:
                 for buf in lane._buffers.values():
                     buf.fill(np.nan)
             copies = {k: g.copy() for k, g in grads.items()}
@@ -162,11 +154,12 @@ class TestWorkspace:
         assert state.ws._buffers and not fresh.ws._buffers
         # K = 1 too: clipping squares the tensors on the lanes
         assert state.ws._pool is not None
-        lanes = lane_scratch(state.ws)
+        lanes = state.ws.scratch
         assert lanes and all(lane._buffers for lane in lanes)
         for ws in [state.ws] + lanes:
             for buf in ws._buffers.values():
                 buf.fill(np.nan)
+        state.grad.fill(np.nan)
         train_steps(state, split, 3)
         train_steps(fresh, split, 3)
         for name, arr in named_tensors(state):
@@ -249,6 +242,24 @@ class TestLanes:
         train_steps(state, split, 2)
         assert state.ws._pool is pool
 
+    def test_no_lane_thread_outlives_a_train(self, monkeypatch):
+        def lane_threads():
+            return {t for t in threading.enumerate() if t.name.startswith("ksoftmax-lane")}
+
+        gc.collect()
+        before = lane_threads()
+        use_lanes(monkeypatch, 2)
+        config = make_config(components=(KernelSpec("lin"), KernelSpec("pow")))
+        state = init_state(config, V)
+        train(config, toy_split(), V, state=state)
+        assert state.ws._pool is not None and lane_threads() - before
+        del state
+        gc.collect()
+        deadline = time.monotonic() + 1.0
+        while lane_threads() - before and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not lane_threads() - before
+
     def test_divergence_names_the_lowest_component_and_leaves_no_trace(
             self, monkeypatch):
         config = make_config(components=(KernelSpec("lin"), KernelSpec("ssg"),
@@ -281,16 +292,14 @@ class TestLanes:
 def assert_flat_layout(state):
     """Each trainable tensor, Adam slot and gradient view is its own slice
     of its vector, with the name and shape _tensor_shapes gives it, laid end
-    to end in that order. Binds the gradient views and overwrites the
-    vectors."""
+    to end in that order. Overwrites the vectors."""
     shapes = training._tensor_shapes(state.config, state.V)
     adam = state.config.optimizer == "adam"
     assert list(state.flat) == ["params", "adam.m", "adam.v"][:3 if adam else 1]
     if not adam:
         assert state.opt_m == state.opt_v == {}
-    grad, grads = training._flat_grad(state)
     tables = {"params": (state.flat["params"], dict(named_tensors(state))),
-              "grad": (grad, grads)}
+              "grad": (state.grad, state.grads)}
     if adam:
         tables.update({f"adam.{s}": (state.flat[f"adam.{s}"], slots)
                        for s, slots in (("m", state.opt_m), ("v", state.opt_v))})
@@ -335,7 +344,8 @@ class TestFlatLayout:
         train_steps(state, toy_split(), 2)
         save_checkpoint(state, tmp_path / "a.ckpt")
         copied, loaded = copy.deepcopy(state), load_checkpoint(tmp_path / "a.ckpt")
-        assert copied.grads is None and loaded.grads is None
+        for each in (copied, loaded):  # its own gradient, and an empty workspace
+            assert not np.shares_memory(each.grad, state.grad) and not each.ws._buffers
         for each in (init_state(config, V), copied, loaded):
             assert_flat_layout(each)
 
