@@ -28,6 +28,8 @@ EXIT_VALIDATION = 1
 EXIT_DIVERGENCE = 2
 
 _SPEC_RE = re.compile(r"^(?:(\d+)\*)?([a-z]+)(?:\(([^)]*)\))?$")
+# whitespace or commas, unless a ")" follows before any "(": inside a field list
+_SPEC_SEP = re.compile(r"[\s,]+(?![^(]*\))")
 
 
 def _parse_bool(raw: str) -> bool:
@@ -45,9 +47,11 @@ _KERNEL_FIELD_TYPES = {
 
 
 def parse_kernel_list(text: str) -> tuple:
-    """Parse e.g. "lin 3*pow(p=2) rbf(gamma=0.5)" into KernelSpecs."""
+    """Parse e.g. "lin 3*pow(p=2) rbf(gamma=0.5)" or "rbf,wav(a=2, b=3)"
+    into KernelSpecs: items are separated by whitespace or by commas
+    outside parentheses, and the fields in parentheses by commas."""
     specs = []
-    for item in text.split():
+    for item in filter(None, _SPEC_SEP.split(text)):
         m = _SPEC_RE.match(item)
         if not m:
             raise KsoftmaxError(f"cannot parse kernel spec {item!r}")
@@ -139,8 +143,11 @@ def _parse_value(key: str, raw: str):
     return (_parse_bool if typ is bool else typ)(raw.strip())
 
 
-def _effective_config(args) -> dict:
-    values = dict(_DEFAULTS)
+def _effective_config(args, seed=None) -> dict:
+    """A command's settings: the defaults, then its config file, then its
+    flags. A seed none of them sets falls back to ``seed``, then to
+    $KSOFTMAX_SEED, then to 0."""
+    values = dict(_DEFAULTS, seed=seed)
     if getattr(args, "config", None):
         values.update(_read_config_file(args.config))
     for key in _CONFIG_KEYS:
@@ -185,31 +192,37 @@ def _load_corpus(values: dict):
         lowercase=values["lowercase"])
 
 
-def _start_run(args):
-    """(TrainConfig, vocabulary, split) of train's or grid's options, once
-    the effective config and the vocabulary are written to ``args.out``;
-    a split that cannot be trained on is rejected before anything is."""
+def _start_run(args, grid=None):
+    """(TrainConfig, vocabulary, split, initial state) of train's options,
+    or of grid's, given its ``grid``, with no state. The configs of the run
+    and of each grid point, the split (rejected if it cannot be trained on)
+    and train's initial state are built before the effective config and
+    the vocabulary are written to ``args.out``."""
     values = _effective_config(args)
     config = training.TrainConfig(
         components=parse_kernel_list(values["kernels"]),
         **{key: val for key, val in values.items() if key in _TRAIN_FIELDS})
+    if grid is not None:
+        training.grid_points(config, grid)
     vocab, split = _load_corpus(values)
     training.check_dev_split(split)
+    state = None if grid is not None else training.init_state(config, vocab.V)
     # eval finds the corpus from this file, from any working directory
     values["corpus"] = os.path.abspath(values["corpus"])
     os.makedirs(args.out, exist_ok=True)
     _echo_config(values, os.path.join(args.out, "effective_config.ini"))
     vocab.save(os.path.join(args.out, "vocab.txt"))
-    return config, vocab, split
+    return config, vocab, split, state
 
 
 def cmd_train(args) -> int:
-    config, vocab, split = _start_run(args)
+    config, vocab, split, state = _start_run(args)
     with open(os.path.join(args.out, "run.log"), "a", encoding="utf-8") as log:
         # the only timestamped line in any artifact
         log.write(f"# started {datetime.datetime.now().isoformat()}\n")
         try:
-            best, metrics = training.train(config, split, vocab.V, out_dir=args.out)
+            best, metrics = training.train(config, split, vocab.V, out_dir=args.out,
+                                           state=state)
         except DivergenceDetected as e:
             log.write(f"diverged: {e}\n")
             raise
@@ -227,15 +240,9 @@ def cmd_eval(args) -> int:
     # grid writes the run files once, in the directory above its points
     run_dir = next((d for d in (ckpt_dir, os.path.dirname(ckpt_dir))
                     if os.path.exists(os.path.join(d, "effective_config.ini"))), ckpt_dir)
-    config_path = args.config or os.path.join(run_dir, "effective_config.ini")
-    values = dict(_DEFAULTS)
-    values.update(_read_config_file(config_path))
-    if args.corpus:
-        values["corpus"] = args.corpus
-    if values["seed"] is None:
-        # the checkpoint records the seed its training split was drawn with
-        values["seed"] = state.config.seed
-    vocab, split = _load_corpus(values)
+    args.config = args.config or os.path.join(run_dir, "effective_config.ini")
+    # the checkpoint records the seed its training split was drawn with
+    vocab, split = _load_corpus(_effective_config(args, seed=state.config.seed))
     if vocab.V != state.mixture.V:
         raise KsoftmaxError(f"corpus vocabulary of {vocab.V} tokens for a model "
                             f"of V={state.mixture.V}")
@@ -267,7 +274,7 @@ def cmd_grid(args) -> int:
             grid[name] = [_parse_value(name, v) for v in vals.split(",")]
         except ValueError as e:
             raise KsoftmaxError(f"bad grid value for {name!r}: {e}")
-    base, vocab, split = _start_run(args)
+    base, vocab, split, _ = _start_run(args, grid)
     results = training.grid_search(base, grid, split, vocab.V,
                                    out_dir=args.out, jobs=args.jobs)
     for row in results:
@@ -293,7 +300,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_curves(args) -> int:
-    specs = parse_kernel_list(args.kernels.replace(",", " "))
+    specs = parse_kernel_list(args.kernels)
     paths = eval_mod.emit_kernel_curves(specs, args.xmax, args.steps, args.out)
     for p in paths:
         print(p)
@@ -413,7 +420,7 @@ def run(argv=None) -> int:
     except DivergenceDetected as e:
         print(f"diverged: {e}", file=sys.stderr)
         return EXIT_DIVERGENCE
-    except (KsoftmaxError, ValueError, OSError) as e:
+    except (KsoftmaxError, ValueError, OSError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
 

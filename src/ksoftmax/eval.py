@@ -72,7 +72,9 @@ def emit_kernel_curves(specs: Sequence[KernelSpec], x_max: float, steps: int,
 
     Distance-based kernels are profiled against the squared distance
     x = ||W_v - h||^2; lin and pol against the dot product (same column
-    name, noted in the README).
+    name, noted in the README). Every profile is computed before
+    ``out_dir`` is made: one that fails, on a bad value or a MemoryError,
+    leaves no file.
     """
     if steps < 2:
         raise ValueError("steps must be >= 2")
@@ -82,11 +84,11 @@ def emit_kernel_curves(specs: Sequence[KernelSpec], x_max: float, steps: int,
         if x_max < 0 and kernels.KERNELS[spec.kind].stat == "x":
             raise ValueError(f"{spec.kind}: x is a squared distance, so x_max "
                              f"must be >= 0, got {x_max}")
-    os.makedirs(out_dir, exist_ok=True)
     xs = np.linspace(0.0, x_max, steps)
+    profiles = [kernels.radial_profile(spec, xs) for spec in specs]
+    os.makedirs(out_dir, exist_ok=True)
     paths = []
-    for spec in specs:
-        s, ds = kernels.radial_profile(spec, xs)
+    for spec, (s, ds) in zip(specs, profiles):
         path = os.path.join(out_dir, f"curve_{spec.kind}.csv")
         with open(path, "w", encoding="utf-8") as f:
             f.write(CURVE_HEADER + "\n")

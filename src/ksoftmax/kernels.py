@@ -202,8 +202,15 @@ def mapped(size: int) -> np.ndarray:
     its own. A page costs memory only once written, and all of them go back
     to the system when the vector is freed: unlike a large heap array, it
     leaves no hole in the heap and does not raise malloc's threshold for
-    serving later arrays from the heap."""
-    return np.frombuffer(mmap.mmap(-1, 8 * max(size, 1)), dtype=np.float64)[:size]
+    serving later arrays from the heap. A mapping the system refuses
+    (OSError) or cannot represent (OverflowError) raises MemoryError
+    naming its bytes."""
+    nbytes = 8 * max(size, 1)
+    try:
+        buf = mmap.mmap(-1, nbytes)
+    except (OSError, OverflowError) as e:
+        raise MemoryError(f"cannot map {nbytes:,} bytes: {e}") from None
+    return np.frombuffer(buf, dtype=np.float64)[:size]
 
 
 # Below this many elements in a component's B x V arrays, lane threads

@@ -580,22 +580,27 @@ def _run_grid_point(args):
                 "diverged": True, "error": str(e)}
 
 
-def grid_search(base_config: TrainConfig, grid: dict,
-                split: data_mod.CorpusSplit, V: int, out_dir=None,
-                jobs: int = 1) -> list:
-    """Train every Cartesian point of ``grid`` (TrainConfig field name ->
-    list of values) and rank results by dev PPL. Diverging points are
-    recorded with infinite PPL, not fatal."""
+def grid_points(base_config: TrainConfig, grid: dict) -> tuple:
+    """(field names, value tuples, TrainConfigs) of every Cartesian point
+    of ``grid`` (TrainConfig field name -> list of values) over
+    ``base_config``, in grid_search's order. A value its field rejects
+    raises ValueError, as does an empty grid."""
     if not grid:
         raise ValueError("empty grid")
     names = sorted(grid)
     points = list(itertools.product(*(grid[n] for n in names)))
-    tasks = []
-    for i, values in enumerate(points):
-        config = dataclasses.replace(base_config,
-                                     **dict(zip(names, values)))
-        point_dir = os.path.join(out_dir, f"point_{i:03d}") if out_dir else None
-        tasks.append((config, split, V, point_dir))
+    return names, points, [dataclasses.replace(base_config, **dict(zip(names, values)))
+                           for values in points]
+
+
+def grid_search(base_config: TrainConfig, grid: dict,
+                split: data_mod.CorpusSplit, V: int, out_dir=None,
+                jobs: int = 1) -> list:
+    """Train every point of ``grid`` (see grid_points) and rank results by
+    dev PPL. Diverging points are recorded with infinite PPL, not fatal."""
+    names, points, configs = grid_points(base_config, grid)
+    tasks = [(config, split, V, os.path.join(out_dir, f"point_{i:03d}") if out_dir else None)
+             for i, config in enumerate(configs)]
     if jobs > 1:
         import concurrent.futures
         import multiprocessing

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ksoftmax import cli, data, training
+from ksoftmax import eval as eval_mod
 from ksoftmax.cli import parse_kernel_list
 from ksoftmax.errors import CorruptCheckpoint, KsoftmaxError
 from ksoftmax.kernels import KERNELS, KINDS, KernelSpec
@@ -87,6 +88,11 @@ class TestKernelListParsing:
         (spec,) = parse_kernel_list("wav(a=2,b=3)")
         assert spec.a == 2.0 and spec.b == 3.0
 
+    @pytest.mark.parametrize("text", ["rbf,wav(a=2, b=3)", "rbf,wav(a=2,b=3)",
+                                      " rbf ,\twav( a=2 , b=3 ) "])
+    def test_commas_outside_parentheses_separate_kernels(self, text):
+        assert parse_kernel_list(text) == (KernelSpec("rbf"), KernelSpec("wav", a=2.0, b=3.0))
+
     @pytest.mark.parametrize("bad", [
         "", "xyz", "pow(q=1)", "2*", "pow(p=oops)", "lin()extra",
         "ssg(learn_variances=false)", "rbf(a=2)", "ssg(num_gauss=4)",
@@ -116,6 +122,13 @@ class TestTrainEvalPipeline:
         assert len(lines) == 1
         assert lines[0].startswith("test ppl ")
         float(lines[0].rsplit(" ", 1)[1])  # parses as a number
+
+    def test_train_takes_a_kernel_list_with_commas(self, tmp_path, corpus_file, capsys):
+        out = tmp_path / "run"
+        assert cli.run(["train", "--corpus", corpus_file, "--out", str(out),
+                        "--kernels", "rbf,wav(a=2, b=3)"] + FAST) == 0, capsys.readouterr().err
+        config = training.load_checkpoint(out / "best.ckpt").config
+        assert config.components == (KernelSpec("rbf"), KernelSpec("wav", a=2.0, b=3.0))
 
     def test_config_file_with_flag_override(self, tmp_path, corpus_file,
                                             capsys):
@@ -288,6 +301,29 @@ class TestOversizedHeader:
             "runpy.run_module('ksoftmax', run_name='__main__')\n"), str(oversized)])
         assert proc.returncode == 1, proc.stderr
         assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+
+
+class TestOversizedRun:
+    # a model or profile asked for by flags that the capped child cannot
+    # hold, or whose size a mapping cannot represent
+    @pytest.mark.parametrize("argv, message", [
+        (["curves", "--kernels", "mog(num_gauss=100000)", "--steps", "3"],
+         "error: Unable to allocate"),
+        (["train", "--d", "100000000"], "error: cannot map "),
+        (["train", "--d", "10000000000"], "error: cannot map "),
+    ], ids=["curves-mog", "train-d-1e8", "train-d-1e10"])
+    def test_exits_1_before_writing(self, tmp_path, corpus_file, argv, message):
+        out = tmp_path / "o"
+        if argv[0] == "train":
+            argv = ["train", "--corpus", corpus_file] + FAST + argv[1:]
+        proc = run_python(["-c", CAPPED + "runpy.run_module('ksoftmax', run_name='__main__')\n",
+                           *argv, "--out", str(out)])
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith(message), proc.stderr
+        assert "Traceback" not in proc.stderr
+        if argv[0] == "train":
+            assert re.match(r"error: cannot map [\d,]+ bytes: ", proc.stderr), proc.stderr
+        assert not out.exists()
 
 
 JSON_VALUES = st.recursive(
@@ -486,6 +522,103 @@ class TestParserProperties:
         # some texts of each parser reach its end
         assert list(parsed) == ["kernels", "grid", "config"]
         assert all(int(count) > 0 for count in parsed.values()), parsed
+
+
+# text for the files a run reads, vocab.txt and a corpus: a run's own file
+# with a few lines replaced, dropped or added, lines of its own and of near
+# misses, or any bytes
+def line_text(lines):
+    return (st.sampled_from(lines) | st.text(max_size=6) | st.sampled_from(
+        ["", " ", "\t", "\r", "<bos>", "<unk>", lines[0].upper(), f"{lines[0]} {lines[-1]}"]))
+
+
+def file_bytes(lines):
+    def edit(changes):
+        edited = list(lines)
+        for at, new in changes:  # a line replaced by none, one or two lines
+            at %= len(edited) + 1
+            edited[at:at + 1] = new
+        return edited
+
+    text = st.one_of(
+        st.lists(st.tuples(st.integers(0, len(lines)),
+                           st.lists(line_text(lines), max_size=2)), max_size=3).map(edit),
+        st.lists(line_text(lines), max_size=12))
+    return text.map(lambda ls: "".join(l + "\n" for l in ls).encode(
+        "utf-8", "surrogatepass")) | st.binary(max_size=32)
+
+
+def run_files_exit_cleanly(run, root, max_examples) -> dict:
+    """Run the CLI on files like those the trained run ``run`` reads, under
+    ``root``: a vocab.txt through ``probe`` and ``eval`` of a copy of the
+    run, and a corpus through ``eval --corpus`` of that copy and through
+    ``train`` (one epoch, then ``eval`` of what it trained). Every run
+    returns 0, 1 or 2, and an exit 1 prints an error (and, of ``train``,
+    leaves no ``--out``). Returns how many runs of each command returned
+    0."""
+    copy = os.path.join(root, "run")
+    os.makedirs(copy)
+    for name in ("best.ckpt", "effective_config.ini", "vocab.txt"):
+        shutil.copy(os.path.join(run, name), copy)
+    ckpt, vocab_path = os.path.join(copy, "best.ckpt"), os.path.join(copy, "vocab.txt")
+    corpus, out = os.path.join(root, "corpus.txt"), os.path.join(root, "out")
+    vocab = data.Vocabulary.load(vocab_path)
+    token = vocab.id_to_token[2]
+    config = cli._read_config_file(os.path.join(run, "effective_config.ini"))
+    zeros = dict.fromkeys(["probe", "eval vocab", "eval corpus", "train", "eval trained"], 0)
+
+    def run_cli(name, argv):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.run(argv)
+        assert code in (0, 1, 2), (name, code, err.getvalue())
+        assert err.getvalue().startswith({0: "", 1: "error:", 2: "diverged:"}[code]), \
+            (name, err.getvalue())
+        zeros[name] += code == 0
+        return code
+
+    def write(path, blob):
+        with open(path, "wb") as f:
+            f.write(blob)
+
+    @settings(max_examples=max_examples, derandomize=True, database=None, deadline=None)
+    @given(file_bytes(vocab.id_to_token[2:]))
+    def check_vocab(blob):
+        write(vocab_path, blob)
+        run_cli("probe", ["probe", "--checkpoint", ckpt, "--vocab", vocab_path,
+                          "--tokens", token, "--contexts", f"{token};<unk> {token}"])
+        run_cli("eval vocab", ["eval", "--checkpoint", ckpt])
+
+    @settings(max_examples=max_examples, derandomize=True, database=None, deadline=None)
+    @given(file_bytes(data.load_lines(config["corpus"])))
+    def check_corpus(blob):
+        write(corpus, blob)
+        run_cli("eval corpus", ["eval", "--checkpoint", ckpt, "--corpus", corpus])
+        code = run_cli("train", ["train", "--corpus", corpus, "--out", out] + FAST
+                       + ["--max-epochs", "1"])
+        assert code != 1 or not os.path.exists(out)
+        if code == 0:
+            run_cli("eval trained", ["eval", "--checkpoint", os.path.join(out, "best.ckpt")])
+        shutil.rmtree(out, ignore_errors=True)
+
+    check_vocab()
+    shutil.copy(os.path.join(run, "vocab.txt"), copy)
+    check_corpus()
+    return zeros
+
+
+class TestRunFileProperties:
+    def test_every_file_exits_0_1_or_2_without_a_traceback(self, trained, tmp_path):
+        tests = os.path.dirname(os.path.abspath(__file__))
+        proc = run_python(["-c", CAPPED + (
+            "sys.path.insert(0, sys.argv[3])\n"
+            "import json, test_cli\n"
+            "print(json.dumps(test_cli.run_files_exit_cleanly(sys.argv[1], sys.argv[2], 100)))\n"),
+            str(trained), str(tmp_path), tests])
+        assert proc.returncode == 0, proc.stderr
+        zeros = json.loads(proc.stdout)
+        # some files of each command are read whole
+        assert all(zeros.values()), zeros
 
 
 class TestLoadMemory:
@@ -759,8 +892,10 @@ class TestGrid:
         ("de=3", 1, []),
         ("reg_across_data=flase", 1, []),
         ("rho=0.01,0.1;rho=0.5", 1, []),
+        ("rho=nan", 1, []),
+        ("d=0", 1, []),
     ], ids=["bool", "int-unset-in-base", "bad-float", "not-a-field", "bad-bool",
-            "field-twice"])
+            "field-twice", "out-of-range-float", "out-of-range-int"])
     def test_values_take_the_config_key_type(self, tmp_path, corpus_file,
                                              capsys, grid, code, points):
         out = tmp_path / "grid"
@@ -826,6 +961,13 @@ class TestOtherSubcommands:
                 rows = f.readlines()
             assert len(rows) == 201
             assert rows[0].strip() == "x,score,dscore_dx"
+
+    def test_curves_takes_a_kernel_with_two_fields(self, tmp_path, capsys):
+        out = tmp_path / "curves"
+        assert cli.run(["curves", "--kernels", "wav(a=2,b=3)", "--out", str(out)]) == 0
+        (path,) = eval_mod.emit_kernel_curves([KernelSpec("wav", a=2.0, b=3.0)], 10.0, 200,
+                                              tmp_path / "library")
+        assert (out / "curve_wav.csv").read_text() == open(path).read()
 
     def test_synth(self, tmp_path, capsys):
         out = str(tmp_path / "corpus.txt")

@@ -443,6 +443,12 @@ class TestWorkspace:
         assert not np.shares_memory(ws.take("b", (5, 5)), bigger)
         assert ws.take("c", ()).shape == ()
 
+    def test_a_mapping_too_large_to_represent_is_a_memory_error(self):
+        # 8 x 2**62 bytes overflows the mapping's size before any call to
+        # the system, so nothing is allocated
+        with pytest.raises(MemoryError, match=r"^cannot map 36,893,488,147,419,103,232 bytes: "):
+            kernels.mapped(1 << 62)
+
     def test_a_copy_is_empty(self):
         ws = kernels.Workspace()
         ws.take("a", (3,))
