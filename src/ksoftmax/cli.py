@@ -197,15 +197,17 @@ def _start_run(args, grid=None):
     or of grid's, given its ``grid``, with no state. The configs of the run
     and of each grid point, the split (rejected if it cannot be trained on)
     and train's initial state are built before the effective config and
-    the vocabulary are written to ``args.out``."""
+    the vocabulary are written to ``args.out``; so are each grid point's
+    vectors, mapped and released one point at a time, no page touched."""
     values = _effective_config(args)
     config = training.TrainConfig(
         components=parse_kernel_list(values["kernels"]),
         **{key: val for key, val in values.items() if key in _TRAIN_FIELDS})
-    if grid is not None:
-        training.grid_points(config, grid)
+    points = training.grid_points(config, grid)[2] if grid is not None else ()
     vocab, split = _load_corpus(values)
     training.check_dev_split(split)
+    for point in points:  # a point too large to map fails here
+        training._vectors(point, vocab.V)
     state = None if grid is not None else training.init_state(config, vocab.V)
     # eval finds the corpus from this file, from any working directory
     values["corpus"] = os.path.abspath(values["corpus"])

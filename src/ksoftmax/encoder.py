@@ -71,16 +71,19 @@ def encode(params: EncoderParams, windows: np.ndarray):
 
 
 def encode_backward(params: EncoderParams, cache: EncodeCache,
-                    dH: np.ndarray) -> EncoderParams:
+                    dH: np.ndarray, dE=None) -> EncoderParams:
     """Gradients of E, F and bias given dL/dH, in the parameters' own
-    structure."""
+    structure; dE is written into ``dE`` (C-contiguous, E's shape) when
+    given."""
     dpre = dH * (1.0 - cache.H * cache.H)
     dF = cache.X.T @ dpre
     dbias = dpre.sum(axis=0)
     dX = dpre @ params.F.T
-    # one bin per entry of E: each bin adds its terms from 0 in index order,
-    # as np.add.at(dE, windows, dX) does, so repeated ids give the same sums
-    V, d_e = params.E.shape
-    bins = cache.windows[..., None] * d_e + np.arange(d_e)
-    dE = np.bincount(bins.ravel(), weights=dX.ravel(), minlength=V * d_e)
-    return EncoderParams(E=dE.reshape(V, d_e), F=dF, bias=dbias, n=params.n)
+    # one flat index per entry of E: each entry adds its terms from 0 in
+    # index order, as np.bincount over these indices does, so repeated ids
+    # give the same sums; on flat indices np.add.at takes numpy's fast path
+    bins = cache.windows[..., None] * params.d_e + np.arange(params.d_e)
+    dE = np.empty(params.E.shape) if dE is None else dE
+    dE[...] = 0.0
+    np.add.at(dE.reshape(-1), bins.ravel(), dX.ravel())
+    return EncoderParams(E=dE, F=dF, bias=dbias, n=params.n)

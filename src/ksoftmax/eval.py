@@ -68,7 +68,9 @@ CURVE_HEADER = "x,score,dscore_dx"
 
 def emit_kernel_curves(specs: Sequence[KernelSpec], x_max: float, steps: int,
                        out_dir) -> list:
-    """One CSV per kernel tabulating the 1-D profile and its derivative.
+    """One CSV per kernel tabulating the 1-D profile and its derivative:
+    ``curve_<kind>.csv`` for the first spec of a kind, and
+    ``curve_<kind>_<n>.csv`` for its n-th (n >= 2).
 
     Distance-based kernels are profiled against the squared distance
     x = ||W_v - h||^2; lin and pol against the dot product (same column
@@ -88,8 +90,9 @@ def emit_kernel_curves(specs: Sequence[KernelSpec], x_max: float, steps: int,
     profiles = [kernels.radial_profile(spec, xs) for spec in specs]
     os.makedirs(out_dir, exist_ok=True)
     paths = []
-    for spec, (s, ds) in zip(specs, profiles):
-        path = os.path.join(out_dir, f"curve_{spec.kind}.csv")
+    for i, (spec, (s, ds)) in enumerate(zip(specs, profiles)):
+        n = sum(other.kind == spec.kind for other in specs[:i])  # earlier of its kind
+        path = os.path.join(out_dir, f"curve_{spec.kind}{f'_{n + 1}' if n else ''}.csv")
         with open(path, "w", encoding="utf-8") as f:
             f.write(CURVE_HEADER + "\n")
             for x, sv, dv in zip(xs, s, ds):

@@ -181,17 +181,17 @@ class Workspace:
             buf = self._buffers[key] = mapped(size)
         return buf[:size].reshape(shape)
 
-    def lanes(self, n: int):
-        """The executor of the n - 1 lanes of an n-lane call beside the
-        calling thread, None for n = 1, with ``scratch`` grown to n. Both
-        grow only for a larger n, so passes that want different counts do
-        not replace them each time."""
+    def lanes(self, n: int) -> tuple:
+        """(the executor of the n - 1 lanes of an n-lane call beside the
+        calling thread, None for n = 1; ``scratch``, grown to n). Both grow
+        only for a larger n, so passes that want different counts do not
+        replace them each time."""
         self.scratch += [Workspace() for _ in range(n - len(self.scratch))]
         if n > 1 and (self._pool is None or self._pool[0] < n):
             if self._pool is not None:
                 self._pool[1].shutdown(wait=False)
             self._pool = (n, concurrent.futures.ThreadPoolExecutor(n - 1, "ksoftmax-lane"))
-        return self._pool[1] if n > 1 else None
+        return (self._pool[1] if n > 1 else None), self.scratch
 
     def __deepcopy__(self, memo):
         return Workspace()
@@ -219,10 +219,10 @@ def mapped(size: int) -> np.ndarray:
 # even at B x V = 32,000 and gained 1.1x at 64,000 and 1.36x at 512,000.
 LANE_MIN_SIZE = 1 << 16
 
-# A pass that only scores runs everything after the GEMM over tiles of rows
-# of about this many elements (512 KB of float64), which stay in a core's
-# cache across the kernel's elementwise passes; a numpy call on a tile is
-# still long enough for the lanes.
+# A pass given a workspace runs everything after the GEMM, forward and
+# backward, over tiles of rows of about this many elements (512 KB of
+# float64), which stay in a core's cache across the kernel's elementwise
+# passes; a numpy call on a tile is still long enough for the lanes.
 TILE_SIZE = LANE_MIN_SIZE
 
 
@@ -243,7 +243,7 @@ def in_lanes(ws: Optional[Workspace], K: int, size: int, body: Callable) -> list
 
     With one lane, or no workspace, the calls run in turn on the calling
     thread. Otherwise the calling thread is lane 0, and lanes 1 to n - 1
-    run on the executor of ``ws.lanes(n)`` in copies of the caller's
+    run on the executor of ``ws.lanes(n)[0]`` in copies of the caller's
     context, so the caller's ``np.errstate`` holds in every lane. Lane i
     always runs on ``ws.scratch[i]``. Each lane takes the next call not
     yet taken until none is left. Every call finishes before an exception
@@ -253,7 +253,7 @@ def in_lanes(ws: Optional[Workspace], K: int, size: int, body: Callable) -> list
     if ws is None:
         return [body(k, None) for k in range(K)]
     n = lane_count(K, size)
-    pool, scratch = ws.lanes(n), ws.scratch
+    pool, scratch = ws.lanes(n)
     if pool is None:
         return [body(k, scratch[0]) for k in range(K)]
     seconds = ws._seconds.setdefault((body.__code__, K), [0.0] * K)
@@ -287,8 +287,10 @@ def in_chunks(ws: Optional[Workspace], size: int, body: Callable) -> list:
     slices of range(size) TILE_SIZE elements long (the last may be
     shorter), spread over the lanes of ``ws`` as in_lanes spreads
     components; below LANE_MIN_SIZE elements in all they stay on the
-    calling thread. An elementwise body gives the same bits in any
-    chunking and on any lane."""
+    calling thread, and a single chunk is one direct call. An elementwise
+    body gives the same bits in any chunking and on any lane."""
+    if size <= TILE_SIZE:  # one chunk: called directly, on lane 0's scratch
+        return [body(slice(0, size), ws and ws.lanes(1)[1][0])]
     starts = range(0, size, TILE_SIZE)
     return in_lanes(ws, len(starts), size, lambda i, scratch: body(
         slice(starts[i], starts[i] + TILE_SIZE), scratch))
@@ -299,22 +301,31 @@ def buffer(ws: Optional[Workspace], key, shape) -> np.ndarray:
     return np.empty(shape) if ws is None else ws.take(key, shape)
 
 
-def _kept(st, name, shape) -> np.ndarray:
-    """A buffer for the statistic ``name`` that this component's backward
-    reads: under (name, k) in the workspace "ws". Without "ws" the pass
-    only scores, and it is the lane's scratch under ``name``; without
-    either workspace it is fresh."""
+def _kept(st, name) -> np.ndarray:
+    """The tile's buffer for the statistic ``name`` that this component's
+    backward reads: its rows of the B x V buffer under (name, k) in the
+    workspace "ws". Without "ws" the pass only scores, and it is the lane's
+    scratch under ``name``; without either workspace it is fresh."""
     ws = st.get("ws")
     if ws is not None:
-        return ws.take((name, st["k"]), shape)
-    return buffer(st.get("scratch"), name, shape)
+        return ws.take((name, st["k"]), st["shape"])[st["rows"]]
+    return buffer(st.get("scratch"), name, st["out"].shape)
 
 
 def _scratch(st, name) -> np.ndarray:
     """The lane's scratch buffer ``name`` ("s0" or "s1"), shaped like the
-    statistic x and free for any use until the next take; fresh without a
-    lane."""
+    tile's statistic x and free for any use until the next take; fresh
+    without a lane."""
     return buffer(st.get("scratch"), name, st["x"].shape)
+
+
+def _add_rows(st, name, a):
+    """Add the rows of ``a`` in order to the per-word sum ``name`` among the
+    pass's cotangents st["g"]. Over the pass's tiles this gives the bits of
+    summing the whole batch along axis 0 at once: numpy adds axis 0 of a
+    C-contiguous array row by row."""
+    # sum(a, start) adds each row of a to start in turn
+    st["g"][name] = sum(a, st["g"][name]) if name in st["g"] else a.sum(axis=0)
 
 
 def _sq_dist(w_norm_sq, h_norm_sq, dot, out):
@@ -330,21 +341,25 @@ def _sq_dist(w_norm_sq, h_norm_sq, dot, out):
 class Kernel:
     """One kind's entry in the kernel table.
 
-    ``score(spec, st)`` maps a statistics dict to logits, in "out" or in
-    another array, and may add intermediates for the VJP, each taken with
-    ``_kept`` under its own name. ``st`` holds "d" (the dimension, None
-    when unknown), the B x V arrays "out" and "dot" or "x", for hpb "wn"
-    (1 x V) and "hn" (B x 1), and for ssg/mog the word and component
-    log-variances "wlv"/"clv". In the batched path it also holds the
-    workspace "ws" that keeps what backward reads under keys tagged with
-    the component index "k", and the lane's "scratch" workspace, whose
-    "s0" and "s1" hold only temporaries, each None when absent (fresh
-    arrays); and "b0", the batch row of the first of its rows (a tile's
-    rows start there).
-    ``vjp(spec, st, dL, kink)`` maps the cotangent of the logits to
+    Both run on one tile of rows at a time, ``st`` the tile's statistics.
+    ``score(spec, st)`` maps them to logits, in "out" or in another array,
+    and may add intermediates for the VJP, each taken with ``_kept`` under
+    its own name. ``st`` holds "d" (the dimension, None when unknown), the
+    tile's arrays "out" and "dot" or "x", for hpb "wn" (1 x V) and "hn"
+    (rows x 1), for ssg/mog the word and component log-variances
+    "wlv"/"clv", and "rows", the tile's slice of the batch (from row "b0"
+    on, 0 when absent). In the batched path it also holds the workspace
+    "ws" that keeps what backward reads, B x V under keys tagged with the
+    component index "k" ("shape" is (B, V)), and the lane's "scratch"
+    workspace, whose "s0" and "s1" hold only temporaries, each None when
+    absent (fresh arrays).
+    ``vjp(spec, st, dL, kink)`` maps the tile's cotangent of the logits to
     cotangents of those entries, with the zero subgradient where the
-    ``kink`` mask is set. It leaves ``st`` unchanged but may overwrite
-    ``dL``, and a returned cotangent may be ``dL`` itself.
+    ``kink`` mask is set; a per-word term is added to st["g"] with
+    ``_add_rows`` instead, and ``close(spec, st)`` maps the sums to the
+    word and component cotangents once the last tile is done. The VJP
+    leaves ``st`` unchanged but may overwrite ``dL``, and a returned
+    cotangent may be ``dL`` itself.
     """
 
     stat: str                             # "dot" or "x"
@@ -354,6 +369,7 @@ class Kernel:
     var_shape: Optional[Callable] = None  # spec -> component log-variance shape
     in_ball: bool = False                 # vectors must lie in the unit ball
     fields: tuple = ()                    # the KernelSpec fields the kind reads
+    close: Optional[Callable] = None      # (spec, st) -> cotangents from st["g"]
 
 
 def _pol_score(spec, st):
@@ -391,7 +407,7 @@ def _pow_dphi(spec, st, out):
 
 def _log_score(spec, st):
     x = st["x"]
-    st["power"] = t = np.power(x, 0.5 * spec.p, out=_kept(st, "power", x.shape))
+    st["power"] = t = np.power(x, 0.5 * spec.p, out=_kept(st, "power"))
     return np.negative(np.log1p(t, out=st["out"]), out=st["out"])
 
 
@@ -404,7 +420,7 @@ def _log_dphi(spec, st, out):
 def _rbf_score(spec, st):
     # exp(-gamma x) is both the logits and what the VJP reads
     x = st["x"]
-    e = np.multiply(-spec.resolved("gamma", st["d"]), x, out=_kept(st, "exp", x.shape))
+    e = np.multiply(-spec.resolved("gamma", st["d"]), x, out=_kept(st, "exp"))
     st["exp"] = np.exp(e, out=e)
     return e
 
@@ -426,7 +442,7 @@ def _hpb_score(spec, st):
     st["A"] = A = 1.0 - st["wn"]
     st["Bn"] = Bn = 1.0 - st["hn"]
     # z = max(1 + 2 x / (Bn A), 1)
-    st["z"] = z = np.multiply(2.0, st["x"], out=_kept(st, "z", st["x"].shape))
+    st["z"] = z = np.multiply(2.0, st["x"], out=_kept(st, "z"))
     L = np.multiply(Bn, A, out=st["out"])
     z /= L
     np.add(1.0, z, out=z)
@@ -454,13 +470,12 @@ def _hpb_vjp(spec, st, dL, kink):
     u *= inv_ab
     dx = np.multiply(dz, 2.0, out=dz)
     dx *= inv_ab
-    return {"x": dx,
-            "wn": np.divide(u, A, out=t).sum(axis=0, keepdims=True),
-            "hn": np.divide(u, Bn, out=t).sum(axis=1, keepdims=True)}
+    _add_rows(st, "wn", np.divide(u, A, out=t))
+    return {"x": dx, "hn": np.divide(u, Bn, out=t).sum(axis=1, keepdims=True)}
 
 
 def _wav_score(spec, st):
-    x, c, e = st["x"], _kept(st, "cos", st["x"].shape), _kept(st, "exp", st["x"].shape)
+    x, c, e = st["x"], _kept(st, "cos"), _kept(st, "exp")
     st["cos"] = np.cos(np.divide(x, spec.a, out=c), out=c)
     # x / -b has the bits of -x / b: IEEE division is symmetric in sign
     st["exp"] = np.exp(np.divide(x, -spec.b, out=e), out=e)
@@ -516,8 +531,13 @@ def _ssg_score(spec, st):
 
 def _ssg_vjp(spec, st, dL, kink):
     dx, ds = _gauss_ell_vjp(st["d"], st["x"], st["s"], dL, dL, _scratch(st, "s0"))
-    ds_v = ds.sum(axis=0)
-    return {"x": dx, "wlv": ds_v * np.exp(st["wlv"]),
+    _add_rows(st, "ds", ds)
+    return {"x": dx}
+
+
+def _ssg_close(spec, st):
+    ds_v = st["g"]["ds"]
+    return {"wlv": ds_v * np.exp(st["wlv"]),
             "clv": np.float64(ds_v.sum() * math.exp(float(st["clv"])))}
 
 
@@ -539,16 +559,22 @@ def _mog_score(spec, st):
 
 
 def _mog_vjp(spec, st, dL, kink):
-    d, x, s = st["d"], st["x"], st["s"]
     if spec.mog_log_of_sum:
         dell = dL[:, :, None, None] * _pair_posterior(st["ell"])
-        dx, ds = _gauss_ell_vjp(d, x[:, :, None, None], s, dell)
-        dx, ds = dx.sum(axis=(2, 3)), ds.sum(axis=0)
-    else:
-        dx = dL * (-st["c2"])[None, :]
-        ds = ((-0.5 * d / s) * dL.sum(axis=0)[:, None, None]
-              + (1.0 / (2.0 * s * s)) * (dL * x).sum(axis=0)[:, None, None])
-    return {"x": dx, "wlv": ds.sum(axis=2) * np.exp(st["wlv"]),
+        dx, ds = _gauss_ell_vjp(st["d"], st["x"][:, :, None, None], st["s"], dell)
+        _add_rows(st, "ds", ds)
+        return {"x": dx.sum(axis=(2, 3))}
+    # the sums over pairs need only the column sums of dL and of dL x
+    _add_rows(st, "dL", dL)
+    _add_rows(st, "dLx", dL * st["x"])
+    return {"x": np.multiply(dL, -st["c2"], out=dL)}
+
+
+def _mog_close(spec, st):
+    d, s, g = st["d"], st["s"], st["g"]
+    ds = g["ds"] if spec.mog_log_of_sum else (
+        (-0.5 * d / s) * g["dL"][:, None, None] + (1.0 / (2.0 * s * s)) * g["dLx"][:, None, None])
+    return {"wlv": ds.sum(axis=2) * np.exp(st["wlv"]),
             "clv": ds.sum(axis=(0, 1)) * np.exp(st["clv"])}
 
 
@@ -559,10 +585,10 @@ KERNELS = {
     "pow": _radial(_pow_score, _pow_dphi, ("p",), _below_p2_kink),
     "pol": Kernel("dot", _pol_score, _pol_vjp, fields=("p", "alpha", "c")),
     "rbf": _radial(_rbf_score, _rbf_dphi, ("gamma",)),
-    "ssg": Kernel("x", _ssg_score, _ssg_vjp, var_shape=lambda spec: ()),
+    "ssg": Kernel("x", _ssg_score, _ssg_vjp, var_shape=lambda spec: (), close=_ssg_close),
     "mog": Kernel("x", _mog_score, _mog_vjp,
                   var_shape=lambda spec: (spec.num_gauss,),
-                  fields=("num_gauss", "mog_log_of_sum")),
+                  fields=("num_gauss", "mog_log_of_sum"), close=_mog_close),
     "hpb": Kernel("x", _hpb_score, _hpb_vjp,
                   kink=lambda spec, st: st["z"] <= 1.0, in_ball=True),
     "wav": Kernel("x", _wav_score, _wav_vjp, fields=("a", "b")),
@@ -596,8 +622,8 @@ def radial_profile(spec: KernelSpec, x):
     x = np.asarray(x, dtype=np.float64)
     kernel = KERNELS[spec.kind]
     row = x.reshape(1, -1)
-    st = {"d": 1, kernel.stat: row, "out": np.empty(row.shape),
-          "wn": np.zeros((1, 1)), "hn": np.zeros((1, 1))}
+    st = {"d": 1, kernel.stat: row, "out": np.empty(row.shape), "rows": slice(0, 1),
+          "wn": np.zeros((1, 1)), "hn": np.zeros((1, 1)), "g": {}}
     if kernel.var_shape is not None:
         shape = kernel.var_shape(spec)
         st.update(wlv=np.zeros(row.shape[1:] + shape), clv=np.zeros(shape))
@@ -616,7 +642,7 @@ def _pair_stats(spec: KernelSpec, w, h, w_log_var, h_log_var) -> tuple:
     the explicit difference w - h. Log-variances must have variance_shape."""
     w, h = _check_pair(w, h)
     kernel = KERNELS[spec.kind]
-    st = {"d": w.shape[0], "out": np.empty((1, 1))}
+    st = {"d": w.shape[0], "out": np.empty((1, 1)), "rows": slice(0, 1)}
     if kernel.stat == "dot":
         st["dot"] = np.full((1, 1), np.dot(w, h))
     else:
@@ -654,7 +680,7 @@ def grad(spec: KernelSpec, w, h, w_log_var=None, h_log_var=None) -> KernelGrad:
     if kink is not None and kink.any():
         # documented zero subgradient at the w == h kink
         return KernelGrad(d_w=np.zeros_like(w), d_h=np.zeros_like(h), singular=True)
-    g = kernel.vjp(spec, st, np.ones((1, 1)), kink)
+    g = _vjp(spec, [st], np.ones((1, 1)))
     if kernel.stat == "dot":
         c = g["dot"][0, 0]
         d_w, d_h = c * h, c * w
@@ -662,7 +688,7 @@ def grad(spec: KernelSpec, w, h, w_log_var=None, h_log_var=None) -> KernelGrad:
         c = 2.0 * g["x"][0, 0]
         d_w, d_h = c * (w - h), c * (h - w)
     if "wn" in g:
-        d_w = d_w + 2.0 * g["wn"][0, 0] * w
+        d_w = d_w + 2.0 * g["wn"][0] * w
         d_h = d_h + 2.0 * g["hn"][0, 0] * h
     if "wlv" in g:
         return KernelGrad(d_w=d_w, d_h=d_h, d_w_log_var=g["wlv"][0], d_h_log_var=g["clv"])
@@ -686,22 +712,23 @@ def forward_logits(spec: KernelSpec, W: np.ndarray, H: np.ndarray,
     W is d x V (columns are word vectors), H is B x d. ssg expects
     ``word_log_vars`` of shape (V,) and a scalar ``comp_log_vars``; mog
     expects (V, G) and (G,). Returns (L, cache); the cache, all that
-    backward_logits reads, is W, H and the statistics the kind's VJP reads.
+    backward_logits reads, is one dict per tile: W, H and the statistics
+    of the tile's rows that the kind's VJP reads.
 
     A non-finite logit raises NonFiniteScore naming the mixture component
-    index ``k``. L is written to ``out`` when given. The B x V arrays the
-    cache keeps are taken from the workspace ``ws`` under keys tagged with
-    ``k``, valid until the next call given ``ws`` and the same ``k``; other
-    temporaries come from the lane workspace ``scratch``. Given ``scratch``
-    but no ``ws`` the pass only scores: the arrays the cache would keep
-    are taken from the scratch too, the cache is not valid for
-    backward_logits, and everything after the GEMM runs over tiles of rows
-    of about TILE_SIZE elements. Without either workspace every array is
-    fresh.
+    index ``k``. L is written to ``out`` when given. Given a workspace,
+    everything after the GEMM runs over tiles of rows of about TILE_SIZE
+    elements; without either workspace it runs on the whole batch, and
+    every array is fresh. The statistics the cache keeps are the tiles'
+    rows of B x V buffers taken from the workspace ``ws`` under keys tagged
+    with ``k``, valid until the next call given ``ws`` and the same ``k``;
+    the temporaries come from the lane workspace ``scratch``. Given
+    ``scratch`` but no ``ws`` the pass only scores: the statistics are
+    taken from the scratch too, each tile overwriting the last, and the
+    cache, only the last tile's dict, is not valid for backward_logits.
 
-    ``each(rows, L[rows])``, when given, is called on each tile (all B rows
-    at once unless the pass only scores) once its logits are checked; it
-    may overwrite them.
+    ``each(rows, L[rows])``, when given, is called on each tile once its
+    logits are checked; it may overwrite them.
     """
     W = np.asarray(W, dtype=np.float64)
     H = np.asarray(H, dtype=np.float64)
@@ -713,7 +740,7 @@ def forward_logits(spec: KernelSpec, W: np.ndarray, H: np.ndarray,
     B, V = H.shape[0], W.shape[1]
     # the GEMM runs on the whole batch: BLAS gets other bits for fewer rows
     L = np.matmul(H, W, out=np.empty((B, V)) if out is None else out)
-    base = {"d": W.shape[0], "W": W, "ws": ws, "k": k, "scratch": scratch}
+    base = {"d": W.shape[0], "W": W, "H": H, "ws": ws, "k": k, "shape": (B, V)}
     if kernel.stat == "x":
         base["wn"] = np.einsum("dv,dv->v", W, W)[None, :]
         hn = np.einsum("bd,bd->b", H, H)[:, None]
@@ -722,17 +749,17 @@ def forward_logits(spec: KernelSpec, W: np.ndarray, H: np.ndarray,
             raise DimensionMismatch(f"{spec.kind} needs word and component log-variances")
         base.update(wlv=np.asarray(word_log_vars, dtype=np.float64),
                     clv=np.asarray(comp_log_vars, dtype=np.float64))
-    step = max(1, TILE_SIZE // V if ws is None and scratch is not None else B)
-    st = base
+    step = max(1, B if ws is None and scratch is None else TILE_SIZE // V)
+    tiles, st = [], base
     for b0 in range(0, max(B, 1), step):  # an empty batch is one empty tile
         rows = slice(b0, b0 + step)
         # a tile's dict starts from the previous one's, so the terms a kind
         # computes per word are computed once per pass
-        st = dict(st, H=H[rows], b0=b0, out=L[rows], scratch=scratch)
+        st = dict(st, rows=rows, b0=b0, out=L[rows], scratch=scratch)
         tile = st["out"]  # the dot products, then the logits
         if kernel.stat == "x":
             st["hn"] = hn[rows]
-            st["x"] = _sq_dist(st["wn"], st["hn"], tile, _kept(st, "x", tile.shape))
+            st["x"] = _sq_dist(st["wn"], st["hn"], tile, _kept(st, "x"))
         else:
             st["dot"] = tile
         scored = kernel.score(spec, st)
@@ -746,26 +773,55 @@ def forward_logits(spec: KernelSpec, W: np.ndarray, H: np.ndarray,
                                  f"logit at (b={b0 + b}, v={v})", component=k)
         if each is not None:
             each(rows, tile)
-    return L, st
+        # a pass that only scores keeps just its last tile: the statistics
+        # of the others are the lane's scratch, overwritten by now
+        tiles = [*tiles, st] if ws is not None or scratch is None else [st]
+    return L, tiles
 
 
-def backward_logits(spec: KernelSpec, cache: dict, dL: np.ndarray,
-                    scratch: Optional[Workspace] = None):
+def _vjp(spec: KernelSpec, tiles: list, dL: np.ndarray,
+         scratch: Optional[Workspace] = None, each: Optional[Callable] = None) -> dict:
+    """The kind's VJP over the tiles of a pass in turn, given the cotangent
+    dL of the logits, which it overwrites (``each(rows, dL[rows])``, when
+    given, first writes the tile's): the cotangent of the kind's statistic
+    in dL itself, of any other entry per row in a B-row array; the per-word
+    sums under their names, and what the kind's closing step makes of
+    them."""
+    kernel = KERNELS[spec.kind]
+    g = {kernel.stat: dL}
+    for st in tiles:
+        rows = st["rows"]
+        if each is not None:
+            each(rows, dL[rows])
+        st = dict(st, scratch=scratch, g=g)
+        kink = kernel.kink(spec, st) if kernel.kink is not None else None
+        for name, v in kernel.vjp(spec, st, dL[rows], kink).items():
+            if name not in g:
+                g[name] = np.empty((len(dL),) + v.shape[1:])
+            g[name][rows] = v  # numpy skips the copy where v is dL[rows] itself
+    if kernel.close is not None:
+        g.update(kernel.close(spec, st))
+    return g
+
+
+def backward_logits(spec: KernelSpec, cache: list, dL: np.ndarray,
+                    scratch: Optional[Workspace] = None,
+                    each: Optional[Callable] = None):
     """Backpropagate dLoss/dL through forward_logits, given its cache.
 
     Returns (dW, dH, d_word_log_vars, d_comp_log_vars); the last two are
     None for kernels without Gaussian parameters. ``dL`` may be
-    overwritten. dW is taken from the cache's workspace under its
-    component's key, valid until the next call given that workspace and
-    component; the other temporaries come from the lane workspace
-    ``scratch``.
+    overwritten. The kind's VJP runs tile by tile over the cache's tiles,
+    ``each(rows, dL[rows])``, when given, writing each tile's cotangent
+    first; both GEMMs run on the whole batch. dW is taken from the cache's
+    workspace under its component's key, valid until the next call given
+    that workspace and component; the other temporaries come from the lane
+    workspace ``scratch``.
     """
-    W, H, ws = cache["W"], cache["H"], cache.get("ws")
+    W, H, ws, k = (cache[0][key] for key in ("W", "H", "ws", "k"))
     kernel = KERNELS[spec.kind]
-    st = dict(cache, scratch=scratch)
-    kink = kernel.kink(spec, st) if kernel.kink is not None else None
-    g = kernel.vjp(spec, st, dL, kink)
-    dW = buffer(ws, ("dW", cache.get("k")), W.shape)
+    g = _vjp(spec, cache, dL, scratch, each)
+    dW = buffer(ws, ("dW", k), W.shape)
     if kernel.stat == "dot":
         dW, dH = np.matmul(H.T, g["dot"], out=dW), g["dot"] @ W.T
     else:

@@ -14,10 +14,10 @@ log softmax_t(S_k)), K values per datum, so the forward pass mixes just
 those; posterior() is the one place the full B x V mixture is built.
 
 Given a workspace, the forward and backward passes run each component's
-B x V chain on the workspace's lanes (kernels.in_lanes) and combine the
-results in component order, so the bits do not depend on the lane count.
-A forward pass that only scores at the targets runs each chain over row
-tiles and keeps K x B values, not the K x B x V log-softmax.
+B x V chain on the workspace's lanes (kernels.in_lanes), over tiles of
+rows, and combine the results in component order, so the bits depend
+neither on the lane count nor on the tile size. A forward pass that only
+scores at the targets keeps K x B values, not the K x B x V log-softmax.
 """
 
 from __future__ import annotations
@@ -199,11 +199,11 @@ def _forward(config: MixtureConfig, params: OutputParams, H: np.ndarray,
     without ``for_backward``: evaluation) takes those arrays from the
     lanes' scratch, so it returns no kernel caches (``kernel_caches`` is
     None), and with targets keeps no log-softmax (``lsm`` is None), only
-    each row's value at its target, taken tile by tile. With
-    a workspace ``ws`` the K x B x V arrays live in it and the components
-    are scored on its lanes; the cache stays valid until the next call
-    given ``ws``. Without one every array is fresh: a buffer source, not a
-    third pass."""
+    each row's value at its target. With a workspace ``ws`` the K x B x V
+    arrays live in it, the components are scored on its lanes, and each
+    is scored tile by tile; the cache stays valid until the next call
+    given ``ws``. Without one every array is fresh and each component is
+    scored on the whole batch: a buffer source, not a third pass."""
     H = np.asarray(H, dtype=np.float64)
     if H.ndim != 2 or H.shape[1] != config.d:
         raise DimensionMismatch(f"H {H.shape} vs d={config.d}")
@@ -295,31 +295,36 @@ def backward(config: MixtureConfig, params: OutputParams,
     Each component's chain runs on a lane of the cache's workspace, and
     the terms are summed in component order: those of W in chunks on the
     lanes, into ``dW`` (C-contiguous, W's shape) when given and a fresh
-    array otherwise, the rest on the calling thread. It consumes ``cache.lsm``: component k's logit
-    cotangent is computed over lsm[k]. Its B x V scratch comes from the
-    cache's workspace.
+    array otherwise, the rest on the calling thread. It consumes
+    ``cache.lsm``: component k's logit cotangent is written over lsm[k],
+    one tile of rows at a time just before the kernel's VJP reads it. Its
+    temporaries are tiles of the lanes' scratch.
     """
     H = cache.H
     B, d = H.shape
     K = config.K
-    rows = np.arange(B)
 
     # responsibilities at the target: q[b,k] = pi_k p_k(t) / p(t), which is
-    # exp(0 + lsm_t - lsm_t) = 1.0 at K = 1
+    # exp(0 + lsm_t - lsm_t) = 1.0 = pi at K = 1
+    q = cache.pi
     if K > 1:
-        lsm_t = cache.lsm[:, rows, cache.targets].T  # B x K
+        lsm_t = cache.lsm[:, np.arange(B), cache.targets].T  # B x K
         q = np.exp(cache.log_pi + lsm_t - cache.log_posterior[:, None])
     dC = np.zeros_like(params.C) if params.C is not None else None
 
     def chain(k, scratch):
         """(dW_k, component k's dH term, its log-variance gradients); fills dC[k]."""
         spec = config.components[k]
-        qk = q[:, k] / B if K > 1 else 1.0 / max(B, 1)  # B = 0 scales nothing
-        dL = np.exp(cache.lsm[k], out=cache.lsm[k])
-        np.multiply(qk[:, None] if K > 1 else qk, dL, out=dL)
-        dL[rows, cache.targets] -= qk
+        qk = q[:, k] / B
+
+        def cotangent(rows, dL):
+            # component k's logit cotangent over the tile's rows, written
+            # over their lsm while they are in cache
+            np.multiply(qk[rows, None], np.exp(dL, out=dL), out=dL)
+            dL[np.arange(len(dL)), cache.targets[rows]] -= qk[rows]
+
         dWk, dHk, dwlv_k, dclv_k = kernels.backward_logits(
-            spec, cache.kernel_caches[k], dL, scratch)
+            spec, cache.kernel_caches[k], cache.lsm[k], scratch, cotangent)
         dHk = kernels.scale_context(spec, d, dHk)
         if K > 1:
             ht = cache.h_tilde[k]

@@ -268,7 +268,7 @@ def loss_and_grads(state: TrainState, windows: np.ndarray,
     grad, grads = state.grad, state.grads
     out_grads, dH = output_layer.backward(state.mixture, state.out, cache,
                                           grads["out.W"])
-    enc_grads = encoder_mod.encode_backward(state.enc, enc_cache, dH)
+    enc_grads = encoder_mod.encode_backward(state.enc, enc_cache, dH, grads["enc.E"])
     for name, g in _named(enc_grads, out_grads):
         if g is not grads[name]:
             grads[name][...] = g

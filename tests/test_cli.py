@@ -311,17 +311,18 @@ class TestOversizedRun:
          "error: Unable to allocate"),
         (["train", "--d", "100000000"], "error: cannot map "),
         (["train", "--d", "10000000000"], "error: cannot map "),
-    ], ids=["curves-mog", "train-d-1e8", "train-d-1e10"])
+        (["grid", "--grid", "d=100000000"], "error: cannot map "),
+    ], ids=["curves-mog", "train-d-1e8", "train-d-1e10", "grid-d-1e8"])
     def test_exits_1_before_writing(self, tmp_path, corpus_file, argv, message):
         out = tmp_path / "o"
-        if argv[0] == "train":
-            argv = ["train", "--corpus", corpus_file] + FAST + argv[1:]
+        if argv[0] in ("train", "grid"):
+            argv = [argv[0], "--corpus", corpus_file] + FAST + argv[1:]
         proc = run_python(["-c", CAPPED + "runpy.run_module('ksoftmax', run_name='__main__')\n",
                            *argv, "--out", str(out)])
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr.startswith(message), proc.stderr
         assert "Traceback" not in proc.stderr
-        if argv[0] == "train":
+        if argv[0] in ("train", "grid"):
             assert re.match(r"error: cannot map [\d,]+ bytes: ", proc.stderr), proc.stderr
         assert not out.exists()
 
@@ -968,6 +969,19 @@ class TestOtherSubcommands:
         (path,) = eval_mod.emit_kernel_curves([KernelSpec("wav", a=2.0, b=3.0)], 10.0, 200,
                                               tmp_path / "library")
         assert (out / "curve_wav.csv").read_text() == open(path).read()
+
+    def test_curves_keeps_each_spec_of_a_kind(self, tmp_path, capsys):
+        # a second spec of one kind gets a file of its own
+        out = tmp_path / "curves"
+        assert cli.run(["curves", "--kernels", "rbf rbf(gamma=2) wav", "--steps", "5",
+                        "--out", str(out)]) == 0
+        names = ["curve_rbf.csv", "curve_rbf_2.csv", "curve_wav.csv"]
+        assert capsys.readouterr().out.split() == [str(out / n) for n in names]
+        assert sorted(os.listdir(out)) == sorted(names)
+        for name, spec in zip(names, [KernelSpec("rbf"), KernelSpec("rbf", gamma=2.0),
+                                      KernelSpec("wav")]):
+            (path,) = eval_mod.emit_kernel_curves([spec], 10.0, 5, tmp_path / name)
+            assert (out / name).read_text() == open(path).read()
 
     def test_synth(self, tmp_path, capsys):
         out = str(tmp_path / "corpus.txt")

@@ -249,7 +249,7 @@ def cache_arrays(cache):
     """Every array a ForwardCache holds, its kernel caches' included."""
     out = [cache.pi, cache.log_pi, cache.lsm, cache.log_posterior, *cache.h_tilde]
     for kc in cache.kernel_caches:
-        out += [v for v in kc.values() if isinstance(v, np.ndarray)]
+        out += [v for tile in kc for v in tile.values() if isinstance(v, np.ndarray)]
     return [a for a in out if a is not None]
 
 
@@ -303,7 +303,7 @@ class TestTargetOnlyForward:
 
 
 def use_tiles(monkeypatch, rows, V):
-    """Run every pass that only scores over tiles of ``rows`` rows at V."""
+    """Run every pass given a workspace over tiles of ``rows`` rows at V."""
     monkeypatch.setattr(kernels, "TILE_SIZE", rows * V)
 
 
@@ -354,13 +354,45 @@ class TestTiles:
             assert tiled.lsm is None
             assert np.array_equal(tiled.log_posterior, whole.log_posterior)
             assert np.array_equal(tiled.pi, whole.pi)
-            for cache in scored:
-                if "z" in cache:  # hpb keeps x and z, each in a buffer of its own
-                    assert not np.shares_memory(cache["x"], cache["z"])
+            for tile in (tile for cache in scored for tile in cache):
+                if "z" in tile:  # hpb keeps x and z, each in a buffer of its own
+                    assert not np.shares_memory(tile["x"], tile["z"])
             # the last tile is short unless rows divides B
             expected = [rows] * (B // rows) + ([B % rows] if B % rows else [])
             assert sorted(tiles) == sorted(expected * config.K)
         assert (ws._pool is not None) == (lanes > 1)
+
+    @pytest.mark.parametrize("lanes", [1, 2])
+    @pytest.mark.parametrize("rows", [1, 3, 7])
+    @pytest.mark.parametrize("components",
+                             [(s,) for s in SPECS]
+                             + [(s, KernelSpec("pow", p=1.5)) for s in SPECS], ids=mixture_id)
+    def test_a_keeping_pass_and_backward_give_the_bits_of_the_whole_batch(
+            self, components, rows, lanes, monkeypatch):
+        # the loss and every gradient, against the whole-batch chain of the
+        # no-workspace path; 7 rows make one tile
+        config, params = make(components, d=5, V=11, rho=0.1, seed=47)
+        monkeypatch.setattr(kernels, "lane_count", lambda K, size: min(K, lanes))
+        use_tiles(monkeypatch, rows, config.V)
+        rng = np.random.default_rng(48)
+        ws = Workspace()
+        for B in (7, 5):  # the shorter batch reuses the longer one's buffers
+            H = np.tanh(rng.normal(size=(B, config.d)) * 2)
+            targets = rng.integers(0, config.V, B)
+            loss, kept = output_layer.loss(config, params, H, targets, ws)
+            assert [len(c) for c in kept.kernel_caches] == [-(-B // rows)] * config.K
+            got = output_layer.backward(config, params, kept)
+            want_loss, whole = output_layer.loss(config, params, H, targets)
+            want = output_layer.backward(config, params, whole)
+            assert same_bits(loss, want_loss)
+            assert same_bits(kept.log_posterior, whole.log_posterior)
+            assert same_bits(got[1], want[1])
+            for name in ("W", "M", "C", "word_log_vars"):
+                g, w = getattr(got[0], name), getattr(want[0], name)
+                assert (g is None) == (w is None) and (g is None or same_bits(g, w)), name
+            for g, w in zip(got[0].component_log_vars, want[0].component_log_vars):
+                assert (g is None) == (w is None) and (g is None or same_bits(g, w))
+        assert lanes > 1 or ws._pool is None
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_a_non_finite_logit_names_its_row_in_the_batch(self, kind, monkeypatch):
@@ -389,7 +421,7 @@ class TestTiles:
             if ws is not None and not for_backward:
                 assert cache.kernel_caches is None
             else:
-                assert [c["k"] for c in cache.kernel_caches] == [0, 1]
+                assert [c[0]["k"] for c in cache.kernel_caches] == [0, 1]
         without_targets = output_layer._forward(config, params, H, None, Workspace())
         assert without_targets.kernel_caches is None
 
@@ -568,9 +600,9 @@ class TestFirstTermSums:
             dH[1:] = rng.normal(size=(3, config.d))
             terms.append((dW, dH))
         monkeypatch.setattr(kernels, "backward_logits",
-                            lambda spec, cache, dL, scratch=None: (
-                                terms[cache["k"]][0].copy(), terms[cache["k"]][1].copy(),
-                                None, None))
+                            lambda spec, cache, dL, scratch=None, each=None: (
+                                terms[cache[0]["k"]][0].copy(),
+                                terms[cache[0]["k"]][1].copy(), None, None))
         monkeypatch.setattr(kernels, "TILE_SIZE", 4)  # dW's sum in 4 chunks
         _, cache = output_layer.loss(config, params, H, targets, Workspace())
         grads, dH = output_layer.backward(config, params, cache)
@@ -600,7 +632,7 @@ class TestWavKeepsItsStatistics:
             targets = rng.integers(0, config.V, B)
             caches.clear()
             tiled = output_layer._forward(config, params, H, targets, ws)
-            (wav,) = [c for c in caches if c["k"] == 0]
+            (wav,) = [c[-1] for c in caches if c[0]["k"] == 0]
             whole = output_layer._forward(config, params, H, targets)
             assert same_bits(tiled.log_posterior, whole.log_posterior)
             arrays = [wav["x"], wav["cos"], wav["exp"]]

@@ -166,6 +166,23 @@ class TestWorkspace:
             assert np.array_equal(arr, dict(named_tensors(fresh))[name]), name
             assert np.array_equal(state.opt_v[name], fresh.opt_v[name]), name
 
+    def test_a_train_step_keeps_no_batch_sized_lane_scratch(self, monkeypatch):
+        # the keeping pass and backward run over tiles, so a lane's scratch
+        # holds at most a tile, a d x V product or a whole tensor
+        components = tuple(KernelSpec(k) for k in ("lin", "pow", "ssg", "hpb"))
+        state = init_state(make_config(components=components, batch_size=16, rho=0.1), 50)
+        monkeypatch.setattr(kernels, "TILE_SIZE", 3 * 50)
+        use_lanes(monkeypatch, 2)
+        windows = np.random.default_rng(2).integers(0, 50, size=(16, 2))
+        train_step(state, windows, np.arange(16) % 50)
+        assert 16 * 50 > kernels.TILE_SIZE
+        largest = max(3 * 50, 4 * 50, max(g.size for g in state.grads.values()))
+        assert len(state.ws.scratch) == 2
+        for lane in state.ws.scratch:
+            assert lane._buffers
+            for key, buf in lane._buffers.items():
+                assert buf.size <= largest, key
+
     def test_a_loaded_state_starts_with_an_empty_workspace(self, tmp_path):
         state = init_state(make_config(), V)
         train_steps(state, toy_split(), 1)
