@@ -130,29 +130,38 @@ def prepare_corpus(lines: Sequence[str], max_size: int, min_count: int = 1,
                               test=pick(test_idx))
 
 
-def make_examples(sentences: Sequence[Sequence[int]], n: int):
-    """All (window, target) pairs: every token of every sentence is a target
-    exactly once, contexts left-padded with BOS."""
+def _padded(sentences: Sequence[Sequence[int]], n: int) -> tuple:
+    """(the ids of every sentence after n BOS ids, in one array; each
+    target's position in it). A target's window is the n ids before it."""
     lengths = [len(s) for s in sentences]
     targets = np.fromiter(itertools.chain.from_iterable(sentences), np.int64, sum(lengths))
-    # each sentence follows n BOS ids; a target's window is the n ids before it
     at = np.arange(len(targets)) + n * np.repeat(np.arange(1, len(lengths) + 1), lengths)
     padded = np.full(len(targets) + n * len(lengths), BOS_ID, dtype=np.int64)
     padded[at] = targets
-    return padded[at[:, None] + np.arange(-n, 0)], targets
+    return padded, at
+
+
+def make_examples(sentences: Sequence[Sequence[int]], n: int):
+    """All (window, target) pairs: every token of every sentence is a target
+    exactly once, contexts left-padded with BOS."""
+    padded, at = _padded(sentences, n)
+    return padded[at[:, None] + np.arange(-n, 0)], padded[at]
 
 
 def batch_windows(sentences: Sequence[Sequence[int]], n: int, batch_size: int,
                   seed: int, epoch: int = 0,
                   start_batch: int = 0) -> Iterator[tuple]:
     """Stream of (B x n windows, B targets); shuffle order is a pure
-    function of (seed, epoch)."""
-    windows, targets = make_examples(sentences, n)
+    function of (seed, epoch). The batches are make_examples' pairs in
+    that order, each gathered from the padded ids when it is due, so the
+    epoch's N x n window array is never held."""
+    padded, at = _padded(sentences, n)
+    offsets = np.arange(-n, 0)
     rng = np.random.default_rng([seed, epoch])
-    order = rng.permutation(len(targets))
-    for lo in range(start_batch * batch_size, len(targets), batch_size):
-        sel = order[lo:lo + batch_size]
-        yield windows[sel], targets[sel]
+    order = rng.permutation(len(at))
+    for lo in range(start_batch * batch_size, len(at), batch_size):
+        sel = at[order[lo:lo + batch_size]]
+        yield padded[sel[:, None] + offsets], padded[sel]
 
 
 def num_batches(sentences, batch_size: int) -> int:

@@ -193,6 +193,12 @@ class Workspace:
             self._pool = (n, concurrent.futures.ThreadPoolExecutor(n - 1, "ksoftmax-lane"))
         return (self._pool[1] if n > 1 else None), self.scratch
 
+    def release_scratch(self):
+        """Unmap the buffers of every lane's scratch; the lanes stay, and
+        their next takes map buffers of the sizes then asked for."""
+        for lane in self.scratch:
+            lane._buffers.clear()
+
     def __deepcopy__(self, memo):
         return Workspace()
 
@@ -345,14 +351,17 @@ class Kernel:
     ``score(spec, st)`` maps them to logits, in "out" or in another array,
     and may add intermediates for the VJP, each taken with ``_kept`` under
     its own name. ``st`` holds "d" (the dimension, None when unknown), the
-    tile's arrays "out" and "dot" or "x", for hpb "wn" (1 x V) and "hn"
-    (rows x 1), for ssg/mog the word and component log-variances
+    tile's arrays "out" and "dot" or "x", beside "x" the norms "wn"
+    (1 x V) and "hn" (rows x 1), for ssg/mog the word and component log-variances
     "wlv"/"clv", and "rows", the tile's slice of the batch (from row "b0"
     on, 0 when absent). In the batched path it also holds the workspace
     "ws" that keeps what backward reads, B x V under keys tagged with the
     component index "k" ("shape" is (B, V)), and the lane's "scratch"
     workspace, whose "s0" and "s1" hold only temporaries, each None when
-    absent (fresh arrays).
+    absent (fresh arrays). x is kept there only where ``reads_x(spec)``;
+    otherwise a tile's x is lane scratch, which the next tile overwrites.
+    ``kink(spec, st)``, run on a tile just before its VJP, returns the
+    mask of kinks; it may add to ``st`` what the VJP reads (hpb's z).
     ``vjp(spec, st, dL, kink)`` maps the tile's cotangent of the logits to
     cotangents of those entries, with the zero subgradient where the
     ``kink`` mask is set; a per-word term is added to st["g"] with
@@ -370,6 +379,7 @@ class Kernel:
     in_ball: bool = False                 # vectors must lie in the unit ball
     fields: tuple = ()                    # the KernelSpec fields the kind reads
     close: Optional[Callable] = None      # (spec, st) -> cotangents from st["g"]
+    reads_x: Callable = lambda spec: True  # spec -> whether the VJP reads x
 
 
 def _pol_score(spec, st):
@@ -382,10 +392,13 @@ def _pol_vjp(spec, st, dL, kink):
     return {"dot": dL * (p * spec.resolved("alpha", st["d"]) * st["base"] ** (p - 1))}
 
 
-def _radial(score, dphi, fields, kink=None) -> Kernel:
+def _radial(score, dphi, fields, kink=None,
+            reads_x=lambda spec: spec.p != 2.0) -> Kernel:
     """A kernel that is a profile of the squared distance x: ``score`` as
     in Kernel, and ``dphi(spec, st, out)``, its derivative in x, written
-    into ``out`` from x and what the score kept."""
+    into ``out`` from x and what the score kept. By default the VJP reads
+    x only off p = 2: there dphi is pow's x^0, 1.0 for every x (NaN and
+    inf too), and there is no kink."""
     def vjp(spec, st, dL, kink_mask):
         # at x = 0 with p < 2 dphi is non-finite; kink_mask replaces it
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -393,7 +406,7 @@ def _radial(score, dphi, fields, kink=None) -> Kernel:
         if kink_mask is not None:
             dx[kink_mask] = 0.0
         return {"x": np.multiply(dL, dx, out=dL)}
-    return Kernel("x", score, vjp, kink, fields=fields)
+    return Kernel("x", score, vjp, kink, fields=fields, reads_x=reads_x)
 
 
 def _pow_score(spec, st):
@@ -433,27 +446,40 @@ def _below_p2_kink(spec, st):
     return st["x"] == 0.0 if spec.p < 2.0 else None
 
 
+def _hpb_z(st, ab, z):
+    """z = max(1 + 2 x / (Bn A), 1) into ``z``, given the product Bn A in
+    ``ab``: the forward's ops, which the VJP repeats for the same bits."""
+    np.multiply(2.0, st["x"], out=z)
+    z /= ab
+    np.add(1.0, z, out=z)
+    return np.maximum(z, 1.0, out=z)
+
+
 def _hpb_score(spec, st):
     for side, norms, first in (("word column", st["wn"], 0),
                                ("context row", st["hn"], st.get("b0", 0))):
         if (norms >= 1.0).any():
             raise HpbOutsideBall(
                 f"{side} {first + int(np.argmax(norms >= 1.0))} has norm >= 1")
-    st["A"] = A = 1.0 - st["wn"]
+    if "A" not in st:  # the word term, once per pass
+        st["A"] = 1.0 - st["wn"]
     st["Bn"] = Bn = 1.0 - st["hn"]
-    # z = max(1 + 2 x / (Bn A), 1)
-    st["z"] = z = np.multiply(2.0, st["x"], out=_kept(st, "z"))
-    L = np.multiply(Bn, A, out=st["out"])
-    z /= L
-    np.add(1.0, z, out=z)
-    np.maximum(z, 1.0, out=z)
-    return np.negative(np.arccosh(z, out=L), out=L)
+    L = np.multiply(Bn, st["A"], out=st["out"])
+    return np.negative(np.arccosh(_hpb_z(st, L, _scratch(st, "s0")), out=L), out=L)
+
+
+def _hpb_kink(spec, st):
+    # z is not kept: it is recomputed here, and left in st with Bn A for
+    # the VJP, which runs next
+    st["ab"] = ab = np.multiply(st["Bn"], st["A"], out=_scratch(st, "s1"))
+    st["z"] = z = _hpb_z(st, ab, _scratch(st, "s0"))
+    return z <= 1.0
 
 
 def _hpb_vjp(spec, st, dL, kink):
     A, Bn, x, z = st["A"], st["Bn"], st["x"], st["z"]
     # dz = -dL / sqrt(z^2 - 1)
-    t = np.multiply(z, z, out=_scratch(st, "s0"))
+    t = np.multiply(z, z, out=z)
     t -= 1.0
     np.sqrt(t, out=t)
     dz = np.negative(dL, out=dL)
@@ -461,17 +487,16 @@ def _hpb_vjp(spec, st, dL, kink):
         dz /= t
     if kink is not None:
         dz[kink] = 0.0
-    inv_ab = np.multiply(Bn, A, out=t)
-    np.divide(1.0, inv_ab, out=inv_ab)
+    inv_ab = np.divide(1.0, st["ab"], out=st["ab"])
     # z depends on the norms through A = 1 - wn and Bn = 1 - hn, both via
     # u = dz (2 x) inv_ab
-    u = np.multiply(2.0, x, out=_scratch(st, "s1"))
+    u = np.multiply(2.0, x, out=t)
     np.multiply(dz, u, out=u)
     u *= inv_ab
     dx = np.multiply(dz, 2.0, out=dz)
     dx *= inv_ab
-    _add_rows(st, "wn", np.divide(u, A, out=t))
-    return {"x": dx, "hn": np.divide(u, Bn, out=t).sum(axis=1, keepdims=True)}
+    _add_rows(st, "wn", np.divide(u, A, out=inv_ab))
+    return {"x": dx, "hn": np.divide(u, Bn, out=inv_ab).sum(axis=1, keepdims=True)}
 
 
 def _wav_score(spec, st):
@@ -584,13 +609,12 @@ KERNELS = {
     "log": _radial(_log_score, _log_dphi, ("p",), _below_p2_kink),
     "pow": _radial(_pow_score, _pow_dphi, ("p",), _below_p2_kink),
     "pol": Kernel("dot", _pol_score, _pol_vjp, fields=("p", "alpha", "c")),
-    "rbf": _radial(_rbf_score, _rbf_dphi, ("gamma",)),
+    "rbf": _radial(_rbf_score, _rbf_dphi, ("gamma",), reads_x=lambda spec: False),
     "ssg": Kernel("x", _ssg_score, _ssg_vjp, var_shape=lambda spec: (), close=_ssg_close),
     "mog": Kernel("x", _mog_score, _mog_vjp,
                   var_shape=lambda spec: (spec.num_gauss,),
                   fields=("num_gauss", "mog_log_of_sum"), close=_mog_close),
-    "hpb": Kernel("x", _hpb_score, _hpb_vjp,
-                  kink=lambda spec, st: st["z"] <= 1.0, in_ball=True),
+    "hpb": Kernel("x", _hpb_score, _hpb_vjp, kink=_hpb_kink, in_ball=True),
     "wav": Kernel("x", _wav_score, _wav_vjp, fields=("a", "b")),
 }
 
@@ -629,6 +653,8 @@ def radial_profile(spec: KernelSpec, x):
         st.update(wlv=np.zeros(row.shape[1:] + shape), clv=np.zeros(shape))
     with np.errstate(divide="ignore", invalid="ignore"):
         s = kernel.score(spec, st)
+        if kernel.kink is not None:  # for what it adds to st; its mask is not applied
+            kernel.kink(spec, st)
         ds = kernel.vjp(spec, st, np.ones_like(row), None)[kernel.stat]
     return np.array(s).reshape(x.shape), ds.reshape(x.shape)
 
@@ -721,11 +747,13 @@ def forward_logits(spec: KernelSpec, W: np.ndarray, H: np.ndarray,
     elements; without either workspace it runs on the whole batch, and
     every array is fresh. The statistics the cache keeps are the tiles'
     rows of B x V buffers taken from the workspace ``ws`` under keys tagged
-    with ``k``, valid until the next call given ``ws`` and the same ``k``;
-    the temporaries come from the lane workspace ``scratch``. Given
-    ``scratch`` but no ``ws`` the pass only scores: the statistics are
-    taken from the scratch too, each tile overwriting the last, and the
-    cache, only the last tile's dict, is not valid for backward_logits.
+    with ``k``, valid until the next call given ``ws`` and the same ``k``:
+    those the kind's VJP reads, so x only where ``Kernel.reads_x`` holds,
+    and never hpb's z, which the VJP recomputes. The temporaries, and an
+    x the VJP does not read, come from the lane workspace ``scratch``.
+    Given ``scratch`` but no ``ws`` the pass only scores: the statistics
+    are taken from the scratch too, each tile overwriting the last, and
+    the cache, only the last tile's dict, is not valid for backward_logits.
 
     ``each(rows, L[rows])``, when given, is called on each tile once its
     logits are checked; it may overwrite them.
@@ -744,6 +772,7 @@ def forward_logits(spec: KernelSpec, W: np.ndarray, H: np.ndarray,
     if kernel.stat == "x":
         base["wn"] = np.einsum("dv,dv->v", W, W)[None, :]
         hn = np.einsum("bd,bd->b", H, H)[:, None]
+        keep_x = kernel.reads_x(spec)
     if kernel.var_shape is not None:
         if word_log_vars is None or comp_log_vars is None:
             raise DimensionMismatch(f"{spec.kind} needs word and component log-variances")
@@ -759,7 +788,8 @@ def forward_logits(spec: KernelSpec, W: np.ndarray, H: np.ndarray,
         tile = st["out"]  # the dot products, then the logits
         if kernel.stat == "x":
             st["hn"] = hn[rows]
-            st["x"] = _sq_dist(st["wn"], st["hn"], tile, _kept(st, "x"))
+            x = _kept(st, "x") if keep_x else buffer(scratch, "x", tile.shape)
+            st["x"] = _sq_dist(st["wn"], st["hn"], tile, x)
         else:
             st["dot"] = tile
         scored = kernel.score(spec, st)
@@ -806,22 +836,24 @@ def _vjp(spec: KernelSpec, tiles: list, dL: np.ndarray,
 
 def backward_logits(spec: KernelSpec, cache: list, dL: np.ndarray,
                     scratch: Optional[Workspace] = None,
-                    each: Optional[Callable] = None):
+                    each: Optional[Callable] = None,
+                    dW: Optional[np.ndarray] = None):
     """Backpropagate dLoss/dL through forward_logits, given its cache.
 
     Returns (dW, dH, d_word_log_vars, d_comp_log_vars); the last two are
     None for kernels without Gaussian parameters. ``dL`` may be
     overwritten. The kind's VJP runs tile by tile over the cache's tiles,
     ``each(rows, dL[rows])``, when given, writing each tile's cotangent
-    first; both GEMMs run on the whole batch. dW is taken from the cache's
-    workspace under its component's key, valid until the next call given
-    that workspace and component; the other temporaries come from the lane
-    workspace ``scratch``.
+    first; both GEMMs run on the whole batch. dW is written to ``dW``
+    (C-contiguous, W's shape) when given, and otherwise taken from the
+    cache's workspace under its component's key, valid until the next
+    call given that workspace and component; the other temporaries come
+    from the lane workspace ``scratch``.
     """
     W, H, ws, k = (cache[0][key] for key in ("W", "H", "ws", "k"))
     kernel = KERNELS[spec.kind]
     g = _vjp(spec, cache, dL, scratch, each)
-    dW = buffer(ws, ("dW", k), W.shape)
+    dW = buffer(ws, ("dW", k), W.shape) if dW is None else dW
     if kernel.stat == "dot":
         dW, dH = np.matmul(H.T, g["dot"], out=dW), g["dot"] @ W.T
     else:

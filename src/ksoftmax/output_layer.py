@@ -295,7 +295,8 @@ def backward(config: MixtureConfig, params: OutputParams,
     Each component's chain runs on a lane of the cache's workspace, and
     the terms are summed in component order: those of W in chunks on the
     lanes, into ``dW`` (C-contiguous, W's shape) when given and a fresh
-    array otherwise, the rest on the calling thread. It consumes
+    array otherwise, which holds component 0's term until the sum, the
+    rest on the calling thread. It consumes
     ``cache.lsm``: component k's logit cotangent is written over lsm[k],
     one tile of rows at a time just before the kernel's VJP reads it. Its
     temporaries are tiles of the lanes' scratch.
@@ -311,6 +312,7 @@ def backward(config: MixtureConfig, params: OutputParams,
         lsm_t = cache.lsm[:, np.arange(B), cache.targets].T  # B x K
         q = np.exp(cache.log_pi + lsm_t - cache.log_posterior[:, None])
     dC = np.zeros_like(params.C) if params.C is not None else None
+    dW = np.empty(params.W.shape) if dW is None else dW
 
     def chain(k, scratch):
         """(dW_k, component k's dH term, its log-variance gradients); fills dC[k]."""
@@ -324,7 +326,7 @@ def backward(config: MixtureConfig, params: OutputParams,
             dL[np.arange(len(dL)), cache.targets[rows]] -= qk[rows]
 
         dWk, dHk, dwlv_k, dclv_k = kernels.backward_logits(
-            spec, cache.kernel_caches[k], cache.lsm[k], scratch, cotangent)
+            spec, cache.kernel_caches[k], cache.lsm[k], scratch, cotangent, None if k else dW)
         dHk = kernels.scale_context(spec, d, dHk)
         if K > 1:
             ht = cache.h_tilde[k]
@@ -335,13 +337,13 @@ def backward(config: MixtureConfig, params: OutputParams,
 
     terms = kernels.in_lanes(cache.ws, K, B * config.V, chain)
 
-    dW = np.empty(params.W.shape) if dW is None else dW
-    total, parts = dW.reshape(-1), [term[0].reshape(-1) for term in terms]
+    total, parts = dW.reshape(-1), [term[0].reshape(-1) for term in terms[1:]]
 
     def add(c, scratch):
-        # 0.0 + the first term, as adding it to zeros gives (-0.0 -> +0.0)
-        chunk = np.add(0.0, parts[0][c], out=total[c])
-        for part in parts[1:]:
+        # 0.0 + the first term, already in dW, as adding it to zeros gives
+        # (-0.0 -> +0.0)
+        chunk = np.add(0.0, total[c], out=total[c])
+        for part in parts:
             chunk += part[c]
 
     kernels.in_chunks(cache.ws, dW.size, add)

@@ -385,6 +385,9 @@ def train(config: TrainConfig, split: data_mod.CorpusSplit, V: int,
         while state.epoch < limit:
             train_loss = float(np.mean([l for l, _ in _epoch_steps(state, split)]))
             nll, pi_mean, pi_var = eval_mod.mean_nll_and_pi(state, split.dev)
+            # its batches grew each lane's scratch to a whole-batch logits
+            # buffer, which no training step needs
+            state.ws.release_scratch()
             dev_ppl = eval_mod.ppl_of_nll(nll)
             reg_term = cfg.rho * pi_var
             row = {"epoch": state.epoch, "train_loss": train_loss,

@@ -157,6 +157,26 @@ class TestWindows:
         assert sum(len(t) for _, t in batches) == total
         assert len(batches) == data.num_batches(sentences, batch_size)
 
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.lists(st.integers(2, 9), max_size=6), max_size=5),
+           st.integers(1, 4), st.integers(1, 5), st.integers(0, 3), st.integers(0, 9))
+    def test_batches_are_make_examples_pairs_in_shuffle_order(self, sentences, n,
+                                                              batch_size, epoch,
+                                                              start_batch):
+        # batch_windows gathers each batch from the padded ids; it must
+        # give make_examples' arrays in the epoch's order, from any batch
+        windows, targets = data.make_examples(sentences, n)
+        order = np.random.default_rng([7, epoch]).permutation(len(targets))
+        starts = range(start_batch * batch_size, len(targets), batch_size)
+        batches = list(data.batch_windows(sentences, n, batch_size, seed=7, epoch=epoch,
+                                          start_batch=start_batch))
+        assert len(batches) == len(starts)
+        for lo, (got_w, got_t) in zip(starts, batches):
+            sel = order[lo:lo + batch_size]
+            assert got_w.dtype == windows.dtype and got_t.dtype == targets.dtype
+            assert np.array_equal(got_w, windows[sel]) and got_w.shape == (len(sel), n)
+            assert np.array_equal(got_t, targets[sel])
+
 
 class TestExampleArrays:
     """make_examples against arrays written out by hand."""

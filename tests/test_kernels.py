@@ -459,6 +459,17 @@ class TestWorkspace:
             total += row
         assert a.sum(axis=0).tobytes() == total.tobytes()
 
+    @pytest.mark.parametrize("n", [1, 7, 4096])
+    def test_x_to_the_power_0_is_1_for_every_x(self, n):
+        # pow and log at p = 2 do not keep x for their VJP, whose
+        # x^(p/2 - 1) then reads a stale tile: every float64 must give 1.0
+        tiny = np.finfo(np.float64).smallest_subnormal
+        special = np.array([0.0, -0.0, tiny, -tiny, 1e-310, 1e308, -1e308,
+                            np.inf, -np.inf, np.nan, -np.nan, 2.5])
+        x = np.resize(special, n * len(special))
+        got = np.power(x, 0.0, out=np.empty_like(x))
+        assert got.tobytes() == np.ones_like(x).tobytes()
+
     def test_a_mapping_too_large_to_represent_is_a_memory_error(self):
         # 8 x 2**62 bytes overflows the mapping's size before any call to
         # the system, so nothing is allocated

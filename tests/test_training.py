@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from ksoftmax import data, kernels, output_layer, training
+from ksoftmax import cli, data, kernels, output_layer, training
 from ksoftmax import encoder as encoder_mod
 from ksoftmax import eval as eval_mod
 from ksoftmax.errors import DivergenceDetected, KsoftmaxError
@@ -182,6 +182,43 @@ class TestWorkspace:
             assert lane._buffers
             for key, buf in lane._buffers.items():
                 assert buf.size <= largest, key
+
+    # what each kind keeps for its VJP: x only where the VJP reads it (not
+    # rbf's, nor pow's and log's at p = 2), and never hpb's z
+    KEPT = {"lin": (), "pol": (), "pow": (), "pow(p=1.5)": ("x",), "log": ("power",),
+            "log(p=3)": ("x", "power"), "rbf": ("exp",), "ssg": ("x",), "mog": ("x",),
+            "hpb": ("x",), "wav": ("x", "cos", "exp")}
+
+    @pytest.mark.parametrize("k", [0, 1])
+    @pytest.mark.parametrize("kind", list(KEPT))
+    def test_a_train_step_keeps_only_what_backward_reads(self, kind, k):
+        # component 0's gradient of W is written into the state's gradient
+        spec = cli.parse_kernel_list(kind)[0]
+        components = (spec, KernelSpec("lin")) if k == 0 else (KernelSpec("lin"), spec)
+        state = init_state(make_config(components=components, rho=0.1), V)
+        train_steps(state, toy_split(), 1)
+        expected = {"lsm", ("dW", 1)} | {(name, k) for name in self.KEPT[kind]}
+        assert set(state.ws._buffers) == expected
+
+    def test_train_releases_the_lanes_whole_batch_scoring_buffers(self, monkeypatch):
+        # a dev evaluation scores batches of EVAL_BATCH rows, each into a
+        # lane's B x V logits buffer; no later training step needs it
+        vocab, split = data.prepare_corpus(data.generate_zipf(1200, 12000, seed=1),
+                                           max_size=1026, seed=0)
+        assert vocab.V >= 1026 and sum(map(len, split.dev)) >= eval_mod.EVAL_BATCH
+        config = make_config(components=(KernelSpec("lin"), KernelSpec("pow")),
+                             batch_size=64)
+        state = init_state(config, vocab.V)
+        use_lanes(monkeypatch, 2)
+        train(config, split, vocab.V, state=state, max_epochs=1)
+        tile = kernels.TILE_SIZE // vocab.V * vocab.V
+        largest = max(config.d * vocab.V, tile, max(g.size for g in state.grads.values()))
+        for _ in range(2):  # as train returns, and after a further step
+            assert len(state.ws.scratch) == 2
+            for lane in state.ws.scratch:
+                for key, buf in lane._buffers.items():
+                    assert buf.size <= largest, key
+            train_steps(state, split, 1)
 
     def test_a_loaded_state_starts_with_an_empty_workspace(self, tmp_path):
         state = init_state(make_config(), V)
