@@ -318,11 +318,10 @@ def _kept(st, name) -> np.ndarray:
     return buffer(st.get("scratch"), name, st["out"].shape)
 
 
-def _scratch(st, name) -> np.ndarray:
-    """The lane's scratch buffer ``name`` ("s0" or "s1"), shaped like the
-    tile's statistic x and free for any use until the next take; fresh
-    without a lane."""
-    return buffer(st.get("scratch"), name, st["x"].shape)
+def _scratch(st, name, shape) -> np.ndarray:
+    """The lane's scratch buffer ``name`` ("s0" or "s1") of ``shape``, free
+    for any use until the next take; fresh without a lane."""
+    return buffer(st.get("scratch"), name, shape)
 
 
 def _add_rows(st, name, a):
@@ -348,18 +347,20 @@ class Kernel:
     """One kind's entry in the kernel table.
 
     Both run on one tile of rows at a time, ``st`` the tile's statistics.
-    ``score(spec, st)`` maps them to logits, in "out" or in another array,
-    and may add intermediates for the VJP, each taken with ``_kept`` under
-    its own name. ``st`` holds "d" (the dimension, None when unknown), the
-    tile's arrays "out" and "dot" or "x", beside "x" the norms "wn"
-    (1 x V) and "hn" (rows x 1), for ssg/mog the word and component log-variances
+    ``score(spec, st)`` maps them to logits, in "out" or in another array.
+    ``st`` holds "d" (the dimension, None when unknown), the tile's arrays
+    "out" and "dot" or "x", beside "x" the norms "wn" (1 x V) and "hn"
+    (rows x 1), for ssg/mog the word and component log-variances
     "wlv"/"clv", and "rows", the tile's slice of the batch (from row "b0"
     on, 0 when absent). In the batched path it also holds the workspace
     "ws" that keeps what backward reads, B x V under keys tagged with the
     component index "k" ("shape" is (B, V)), and the lane's "scratch"
     workspace, whose "s0" and "s1" hold only temporaries, each None when
-    absent (fresh arrays). x is kept there only where ``reads_x(spec)``;
-    otherwise a tile's x is lane scratch, which the next tile overwrites.
+    absent (fresh arrays). The keep rule: each B x V statistic the VJP
+    reads is taken with ``_kept`` under its own name, x only where
+    ``reads_x(spec)`` (else it is lane scratch, which the next tile
+    overwrites), and the VJP reads no other; what else it needs it
+    recomputes with the score's ops (hpb's z, mog's log-of-sum pair terms).
     ``kink(spec, st)``, run on a tile just before its VJP, returns the
     mask of kinks; it may add to ``st`` what the VJP reads (hpb's z).
     ``vjp(spec, st, dL, kink)`` maps the tile's cotangent of the logits to
@@ -371,19 +372,20 @@ class Kernel:
     cotangent may be ``dL`` itself.
     """
 
-    stat: str                             # "dot" or "x"
+    stat: str                                    # "dot" or "x"
     score: Callable
     vjp: Callable
-    kink: Optional[Callable] = None       # (spec, st) -> mask of kinks, or None
-    var_shape: Optional[Callable] = None  # spec -> component log-variance shape
-    in_ball: bool = False                 # vectors must lie in the unit ball
-    fields: tuple = ()                    # the KernelSpec fields the kind reads
-    close: Optional[Callable] = None      # (spec, st) -> cotangents from st["g"]
-    reads_x: Callable = lambda spec: True  # spec -> whether the VJP reads x
+    kink: Callable = lambda spec, st: None       # -> mask of kinks, or None
+    var_shape: Callable = lambda spec: None      # -> component log-variance shape
+    in_ball: bool = False                        # vectors must lie in the unit ball
+    fields: tuple = ()                           # the KernelSpec fields the kind reads
+    close: Callable = lambda spec, st: {}        # -> cotangents from st["g"]
+    reads_x: Callable = lambda spec: True        # -> whether the VJP reads x
 
 
 def _pol_score(spec, st):
-    st["base"] = base = spec.resolved("alpha", st["d"]) * st["dot"] + spec.c
+    base = np.multiply(spec.resolved("alpha", st["d"]), st["dot"], out=_kept(st, "base"))
+    st["base"] = np.add(base, spec.c, out=base)
     return base ** int(spec.p)
 
 
@@ -392,17 +394,17 @@ def _pol_vjp(spec, st, dL, kink):
     return {"dot": dL * (p * spec.resolved("alpha", st["d"]) * st["base"] ** (p - 1))}
 
 
-def _radial(score, dphi, fields, kink=None,
+def _radial(score, dphi, fields, kink=Kernel.kink,
             reads_x=lambda spec: spec.p != 2.0) -> Kernel:
     """A kernel that is a profile of the squared distance x: ``score`` as
     in Kernel, and ``dphi(spec, st, out)``, its derivative in x, written
-    into ``out`` from x and what the score kept. By default the VJP reads
-    x only off p = 2: there dphi is pow's x^0, 1.0 for every x (NaN and
-    inf too), and there is no kink."""
+    into ``out`` from x and what the score kept, or a constant. By default
+    the VJP reads x only off p = 2: there pow's dphi is the constant -1
+    and there is no kink."""
     def vjp(spec, st, dL, kink_mask):
         # at x = 0 with p < 2 dphi is non-finite; kink_mask replaces it
         with np.errstate(divide="ignore", invalid="ignore"):
-            dx = dphi(spec, st, _scratch(st, "s0"))
+            dx = dphi(spec, st, _scratch(st, "s0", dL.shape))
         if kink_mask is not None:
             dx[kink_mask] = 0.0
         return {"x": np.multiply(dL, dx, out=dL)}
@@ -414,6 +416,8 @@ def _pow_score(spec, st):
 
 
 def _pow_dphi(spec, st, out):
+    if spec.p == 2.0:  # -p/2 x^0: no x is read
+        return -1.0
     dx = np.power(st["x"], 0.5 * spec.p - 1.0, out=out)
     return np.multiply(-0.5 * spec.p, dx, out=out)
 
@@ -427,7 +431,7 @@ def _log_score(spec, st):
 def _log_dphi(spec, st, out):
     # -log1p(x^(p/2)) has pow's derivative over the kept x^(p/2) + 1
     return np.divide(_pow_dphi(spec, st, out),
-                     np.add(st["power"], 1.0, out=_scratch(st, "s1")), out=out)
+                     np.add(st["power"], 1.0, out=_scratch(st, "s1", out.shape)), out=out)
 
 
 def _rbf_score(spec, st):
@@ -465,14 +469,14 @@ def _hpb_score(spec, st):
         st["A"] = 1.0 - st["wn"]
     st["Bn"] = Bn = 1.0 - st["hn"]
     L = np.multiply(Bn, st["A"], out=st["out"])
-    return np.negative(np.arccosh(_hpb_z(st, L, _scratch(st, "s0")), out=L), out=L)
+    return np.negative(np.arccosh(_hpb_z(st, L, _scratch(st, "s0", L.shape)), out=L), out=L)
 
 
 def _hpb_kink(spec, st):
     # z is not kept: it is recomputed here, and left in st with Bn A for
     # the VJP, which runs next
-    st["ab"] = ab = np.multiply(st["Bn"], st["A"], out=_scratch(st, "s1"))
-    st["z"] = z = _hpb_z(st, ab, _scratch(st, "s0"))
+    st["ab"] = ab = np.multiply(st["Bn"], st["A"], out=_scratch(st, "s1", st["x"].shape))
+    st["z"] = z = _hpb_z(st, ab, _scratch(st, "s0", ab.shape))
     return z <= 1.0
 
 
@@ -509,11 +513,11 @@ def _wav_score(spec, st):
 
 def _wav_vjp(spec, st, dL, kink):
     # dx = -exp(-x / b) (sin(x / a) / a + cos(x / a) / b), from the kept cos, exp
-    dx = np.divide(st["x"], spec.a, out=_scratch(st, "s0"))
+    dx = np.divide(st["x"], spec.a, out=_scratch(st, "s0", dL.shape))
     np.sin(dx, out=dx)
     dx /= spec.a
-    dx += np.divide(st["cos"], spec.b, out=_scratch(st, "s1"))
-    np.multiply(np.negative(st["exp"], out=_scratch(st, "s1")), dx, out=dx)
+    dx += np.divide(st["cos"], spec.b, out=_scratch(st, "s1", dL.shape))
+    np.multiply(np.negative(st["exp"], out=_scratch(st, "s1", dL.shape)), dx, out=dx)
     return {"x": np.multiply(dL, dx, out=dL)}
 
 
@@ -555,7 +559,7 @@ def _ssg_score(spec, st):
 
 
 def _ssg_vjp(spec, st, dL, kink):
-    dx, ds = _gauss_ell_vjp(st["d"], st["x"], st["s"], dL, dL, _scratch(st, "s0"))
+    dx, ds = _gauss_ell_vjp(st["d"], st["x"], st["s"], dL, dL, _scratch(st, "s0", dL.shape))
     _add_rows(st, "ds", ds)
     return {"x": dx}
 
@@ -576,17 +580,17 @@ def _mog_score(spec, st):
             # the sum over pairs is affine in the shared x
             st["c2"] = (1.0 / (2.0 * s)).sum(axis=(1, 2))
             st["c0"] = -0.5 * d * (LOG_2PI + np.log(s)).sum(axis=(1, 2))[None, :]
-    if spec.mog_log_of_sum:
-        st["ell"] = ell = _gauss_ell(d, x[:, :, None, None], st["s"])
-        return _log_mean_exp(ell)
+    if spec.mog_log_of_sum:  # the VJP recomputes ell with this op
+        return _log_mean_exp(_gauss_ell(d, x[:, :, None, None], st["s"]))
     L = np.multiply(x, st["c2"][None, :], out=st["out"])
     return np.subtract(st["c0"], L, out=L)
 
 
 def _mog_vjp(spec, st, dL, kink):
     if spec.mog_log_of_sum:
-        dell = dL[:, :, None, None] * _pair_posterior(st["ell"])
-        dx, ds = _gauss_ell_vjp(st["d"], st["x"][:, :, None, None], st["s"], dell)
+        x, s = st["x"][:, :, None, None], st["s"]
+        dell = dL[:, :, None, None] * _pair_posterior(_gauss_ell(st["d"], x, s))
+        dx, ds = _gauss_ell_vjp(st["d"], x, s, dell)
         _add_rows(st, "ds", ds)
         return {"x": dx.sum(axis=(2, 3))}
     # the sums over pairs need only the column sums of dL and of dL x
@@ -624,8 +628,7 @@ KINDS = tuple(KERNELS)
 def variance_shape(spec: KernelSpec):
     """Shape of one component's log-variance parameter: () for ssg, (G,)
     for mog, None for kinds without Gaussian parameters."""
-    var_shape = KERNELS[spec.kind].var_shape
-    return var_shape(spec) if var_shape is not None else None
+    return KERNELS[spec.kind].var_shape(spec)
 
 
 def scale_context(spec: KernelSpec, d: int, a: np.ndarray) -> np.ndarray:
@@ -648,13 +651,12 @@ def radial_profile(spec: KernelSpec, x):
     row = x.reshape(1, -1)
     st = {"d": 1, kernel.stat: row, "out": np.empty(row.shape), "rows": slice(0, 1),
           "wn": np.zeros((1, 1)), "hn": np.zeros((1, 1)), "g": {}}
-    if kernel.var_shape is not None:
-        shape = kernel.var_shape(spec)
+    shape = kernel.var_shape(spec)
+    if shape is not None:
         st.update(wlv=np.zeros(row.shape[1:] + shape), clv=np.zeros(shape))
     with np.errstate(divide="ignore", invalid="ignore"):
         s = kernel.score(spec, st)
-        if kernel.kink is not None:  # for what it adds to st; its mask is not applied
-            kernel.kink(spec, st)
+        kernel.kink(spec, st)  # for what it adds to st; its mask is not applied
         ds = kernel.vjp(spec, st, np.ones_like(row), None)[kernel.stat]
     return np.array(s).reshape(x.shape), ds.reshape(x.shape)
 
@@ -702,7 +704,7 @@ def grad(spec: KernelSpec, w, h, w_log_var=None, h_log_var=None) -> KernelGrad:
     kernel = KERNELS[spec.kind]
     st, w, h = _pair_stats(spec, w, h, w_log_var, h_log_var)
     kernel.score(spec, st)  # checks the inputs and fills in what the VJP reads
-    kink = kernel.kink(spec, st) if kernel.kink is not None else None
+    kink = kernel.kink(spec, st)
     if kink is not None and kink.any():
         # documented zero subgradient at the w == h kink
         return KernelGrad(d_w=np.zeros_like(w), d_h=np.zeros_like(h), singular=True)
@@ -748,9 +750,9 @@ def forward_logits(spec: KernelSpec, W: np.ndarray, H: np.ndarray,
     every array is fresh. The statistics the cache keeps are the tiles'
     rows of B x V buffers taken from the workspace ``ws`` under keys tagged
     with ``k``, valid until the next call given ``ws`` and the same ``k``:
-    those the kind's VJP reads, so x only where ``Kernel.reads_x`` holds,
-    and never hpb's z, which the VJP recomputes. The temporaries, and an
-    x the VJP does not read, come from the lane workspace ``scratch``.
+    those the kind's VJP reads (``Kernel``'s keep rule), pol's base among
+    them, and no x the VJP does not read. The temporaries, and such an x,
+    come from the lane workspace ``scratch``.
     Given ``scratch`` but no ``ws`` the pass only scores: the statistics
     are taken from the scratch too, each tile overwriting the last, and
     the cache, only the last tile's dict, is not valid for backward_logits.
@@ -773,7 +775,7 @@ def forward_logits(spec: KernelSpec, W: np.ndarray, H: np.ndarray,
         base["wn"] = np.einsum("dv,dv->v", W, W)[None, :]
         hn = np.einsum("bd,bd->b", H, H)[:, None]
         keep_x = kernel.reads_x(spec)
-    if kernel.var_shape is not None:
+    if kernel.var_shape(spec) is not None:
         if word_log_vars is None or comp_log_vars is None:
             raise DimensionMismatch(f"{spec.kind} needs word and component log-variances")
         base.update(wlv=np.asarray(word_log_vars, dtype=np.float64),
@@ -824,13 +826,11 @@ def _vjp(spec: KernelSpec, tiles: list, dL: np.ndarray,
         if each is not None:
             each(rows, dL[rows])
         st = dict(st, scratch=scratch, g=g)
-        kink = kernel.kink(spec, st) if kernel.kink is not None else None
-        for name, v in kernel.vjp(spec, st, dL[rows], kink).items():
+        for name, v in kernel.vjp(spec, st, dL[rows], kernel.kink(spec, st)).items():
             if name not in g:
                 g[name] = np.empty((len(dL),) + v.shape[1:])
             g[name][rows] = v  # numpy skips the copy where v is dL[rows] itself
-    if kernel.close is not None:
-        g.update(kernel.close(spec, st))
+    g.update(kernel.close(spec, st))
     return g
 
 

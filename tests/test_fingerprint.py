@@ -67,3 +67,23 @@ def test_identity_counts_the_lines_that_hold_code():
     spec.loader.exec_module(identity)
     # import, def, the two lines of s, the two of the return, class, y
     assert identity.code_lines(SNIPPET) == 8
+
+
+def identity(*args) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, os.path.join(TOOLS, "identity.py"), *args],
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_identity_prints_its_usage_for_help():
+    for flag in ("-h", "--help"):
+        proc = identity(flag)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: ") and "Exit codes: 0" in proc.stdout
+
+
+def test_identity_reports_a_ref_git_cannot_archive_on_one_line():
+    # no traceback: git's message on one line, and exit code 2
+    proc = identity("no-such-ref-0c3f")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("identity.py: git archive no-such-ref-0c3f: ")
+    assert proc.stderr.count("\n") == 1, proc.stderr

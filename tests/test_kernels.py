@@ -461,8 +461,8 @@ class TestWorkspace:
 
     @pytest.mark.parametrize("n", [1, 7, 4096])
     def test_x_to_the_power_0_is_1_for_every_x(self, n):
-        # pow and log at p = 2 do not keep x for their VJP, whose
-        # x^(p/2 - 1) then reads a stale tile: every float64 must give 1.0
+        # at p = 2 pow's and log's VJP reads no x: it takes -p/2 x^0 as the
+        # constant -1.0, which has the bits of the power for every float64
         tiny = np.finfo(np.float64).smallest_subnormal
         special = np.array([0.0, -0.0, tiny, -tiny, 1e-310, 1e308, -1e308,
                             np.inf, -np.inf, np.nan, -np.nan, 2.5])

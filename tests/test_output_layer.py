@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -444,6 +445,52 @@ class TestTiles:
         with pytest.raises(HpbOutsideBall) as tiled:
             output_layer._forward(config, params, H, np.arange(7), Workspace())
         assert str(tiled.value) == str(whole.value) == "context row 4 has norm >= 1"
+
+
+class TestKeepRule:
+    # every batch-sized statistic a VJP reads is kept in the workspace, and
+    # a VJP reads nothing else
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: mixture_id((s,)))
+    def test_a_keeping_pass_holds_no_batch_sized_heap_array(self, spec):
+        # one B x V array is 4.1 MB here; what a warm workspace's second
+        # loss leaves on the heap is the cache's per-word and per-row terms
+        config, params = make([spec], d=32, V=7975, seed=60)
+        rng = np.random.default_rng(61)
+        H = np.tanh(rng.normal(size=(64, config.d)))
+        targets = rng.integers(0, config.V, 64)
+        ws = Workspace()
+        output_layer.loss(config, params, H, targets, ws)
+        tracemalloc.start()
+        try:
+            kept = output_layer.loss(config, params, H, targets, ws)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept[1].kernel_caches
+        assert held < 1 << 20, f"{held / 2**20:.2f} MiB held"
+
+    @pytest.mark.parametrize("spec", [KernelSpec("pow"), KernelSpec("log"), KernelSpec("rbf")],
+                             ids=lambda s: s.kind)
+    def test_a_vjp_that_keeps_no_x_reads_none(self, spec, monkeypatch):
+        # a tile's x is lane scratch there, which the next tile overwrites
+        config, params = make([spec, KernelSpec("lin")], d=5, V=11, rho=0.1, seed=62)
+        use_tiles(monkeypatch, 3, config.V)
+        rng = np.random.default_rng(63)
+        H = np.tanh(rng.normal(size=(7, config.d)) * 2)
+        targets = rng.integers(0, config.V, 7)
+        ws = Workspace()
+        grads = []
+        for drop_x in (False, True):
+            _, cache = output_layer.loss(config, params, H, targets, ws)
+            if drop_x:
+                for tile in cache.kernel_caches[0]:
+                    del tile["x"]
+            grads.append(output_layer.backward(config, params, cache))
+        (want, want_dH), (got, got_dH) = grads
+        assert same_bits(got_dH, want_dH)
+        for name in ("W", "M", "C"):
+            assert same_bits(getattr(got, name), getattr(want, name)), name
 
 
 class TestBackward:

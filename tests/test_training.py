@@ -184,10 +184,11 @@ class TestWorkspace:
                 assert buf.size <= largest, key
 
     # what each kind keeps for its VJP: x only where the VJP reads it (not
-    # rbf's, nor pow's and log's at p = 2), and never hpb's z
-    KEPT = {"lin": (), "pol": (), "pow": (), "pow(p=1.5)": ("x",), "log": ("power",),
+    # rbf's, nor pow's and log's at p = 2), and never hpb's z nor the pair
+    # terms of mog's log-of-sum
+    KEPT = {"lin": (), "pol": ("base",), "pow": (), "pow(p=1.5)": ("x",), "log": ("power",),
             "log(p=3)": ("x", "power"), "rbf": ("exp",), "ssg": ("x",), "mog": ("x",),
-            "hpb": ("x",), "wav": ("x", "cos", "exp")}
+            "mog(mog_log_of_sum=true)": ("x",), "hpb": ("x",), "wav": ("x", "cos", "exp")}
 
     @pytest.mark.parametrize("k", [0, 1])
     @pytest.mark.parametrize("kind", list(KEPT))

@@ -2,15 +2,16 @@
 
 Digests the bundled corpus generators and `prepare_corpus`'s splits over
 a grid of parameters, then runs library training (with resumes, `pow`
-and `log` off p = 2, an `ssg mog` mixture and `reg_across_data`), a
-mid-epoch `train_steps` checkpoint, K=1 steps of each kernel-ordering
-kind, a mixture large enough for the kernels to run its components on
-parallel lanes and to score in row tiles, a model large enough for the
-update to run in several chunks on the lanes, and a handful of CLI calls
-(`probe` and `curves` over the nine kinds among them) in a temporary
-directory, then prints one `name digest` line per artifact, and for each
-checkpoint one `name save-of-load identical|differs` line: whether
-saving the loaded checkpoint reproduces its bytes.
+and `log` off p = 2, mog's log-of-sum, an `ssg mog` mixture and
+`reg_across_data`), a mid-epoch `train_steps` checkpoint, K=1 steps of
+each kernel-ordering kind, a mixture large enough for the kernels to run
+its components on parallel lanes and to score in row tiles, a model large
+enough for the update to run in several chunks on the lanes, and a
+handful of CLI calls (`probe` and `curves` over the nine kinds among
+them) in a temporary directory, then prints one `name digest` line per
+artifact, and for each checkpoint one `name save-of-load
+identical|differs` line: whether saving the loaded checkpoint reproduces
+its bytes.
 Each CLI call also prints its exit code, a digest of its stdout and its
 first stderr line. The timestamped `# started` line of `run.log` is
 dropped and the temporary root is replaced by `<tmp>`, so two runs of the
@@ -57,8 +58,10 @@ PREPARE_GRID = {"default": {}, "cased": {"lowercase": False},
                 "min-count-2": {"min_count": 2}, "max-size-8": {"max_size": 8},
                 "fractions": {"fractions": (0.5, 0.25, 0.25), "seed": 3}}
 
-# pow and log off p = 2 keep x for their VJP; rbf and p = 2 do not
-LIB_KERNELS = ("lin", "lin pow ssg hpb", "mog rbf wav log pol", "pow(p=1.5) log(p=3) rbf")
+# pow and log off p = 2 keep x for their VJP; rbf and p = 2 do not; the
+# last run trains mog's log-of-sum, whose VJP recomputes its pair terms
+LIB_KERNELS = ("lin", "lin pow ssg hpb", "mog rbf wav log pol", "pow(p=1.5) log(p=3) rbf",
+               "mog(mog_log_of_sum=true) pol")
 # ssg beside mog reads column 0 of the word variances they share
 MIXTURE_RUNS = {"ssg_mog": dict(components=parse_kernel_list("ssg mog")),
                 "across_data": dict(components=parse_kernel_list("lin pow ssg"),

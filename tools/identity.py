@@ -8,11 +8,17 @@ plainly and once pinned to one CPU (which leaves one lane). Any difference
 is printed as a unified diff. Then prints, for each ``src/ksoftmax/*.py``
 of either tree, its line count (as ``wc -l``) and its code lines: lines
 that are not blank, not only a comment and not part of a docstring.
-Exits 1 when a fingerprint differs, 0 otherwise.
+
+Exit codes: 0 when the fingerprints are identical, 1 when they differ,
+and 2 when no comparison could be made: after a usage error (with the
+usage), a ref that ``git archive`` cannot extract (with one line on
+stderr carrying git's message) or a fingerprint run that fails (with
+its stderr). ``-h`` or ``--help`` prints this text and exits 0.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import difflib
 import glob
@@ -65,18 +71,26 @@ def fingerprint(src: str, preexec_fn=None) -> list:
                           text=True, env=dict(os.environ, PYTHONPATH=src),
                           preexec_fn=preexec_fn, check=False)
     if proc.returncode != 0:
-        sys.exit(f"fingerprint.py failed on {src}:\n{proc.stderr}")
+        fail(f"fingerprint.py failed on {src}:\n{proc.stderr}")
     return proc.stdout.splitlines(True)
 
 
+def fail(message: str):
+    print(f"identity.py: {message}", file=sys.stderr)
+    sys.exit(2)
+
+
 def main(argv: list) -> int:
-    if len(argv) != 1:
-        sys.exit(__doc__.split("\n\n")[1])
-    ref = argv[0]
+    parser = argparse.ArgumentParser(prog="tools/identity.py", description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("ref")
+    ref = parser.parse_args(argv).ref  # exits 0 after --help, 2 on a usage error
     with tempfile.TemporaryDirectory() as tmp:
-        blob = subprocess.run(["git", "-C", ROOT, "archive", "--format=tar", ref, "src"],
-                              capture_output=True, check=True).stdout
-        with tarfile.open(fileobj=io.BytesIO(blob)) as tar:
+        proc = subprocess.run(["git", "-C", ROOT, "archive", "--format=tar", ref, "src"],
+                              capture_output=True, check=False)
+        if proc.returncode != 0:  # git's message, on one line
+            fail(f"git archive {ref}: {' '.join(proc.stderr.decode().split())}")
+        with tarfile.open(fileobj=io.BytesIO(proc.stdout)) as tar:
             tar.extractall(tmp)
         trees = {ref: os.path.join(tmp, "src"), "this tree": os.path.join(ROOT, "src")}
         differs = False
