@@ -46,12 +46,22 @@ _KERNEL_FIELD_TYPES = {
 }
 
 
+def _list_items(text: str, what: str) -> list:
+    """The items of a list such as "2 8", "2,8" or "rbf, wav(a=2, b=3)":
+    separated by whitespace or by commas outside parentheses, empty items
+    dropped. A list of no item is an error naming ``what``."""
+    items = [item for item in _SPEC_SEP.split(text) if item]
+    if not items:
+        raise KsoftmaxError(f"empty {what} list")
+    return items
+
+
 def parse_kernel_list(text: str) -> tuple:
     """Parse e.g. "lin 3*pow(p=2) rbf(gamma=0.5)" or "rbf,wav(a=2, b=3)"
-    into KernelSpecs: items are separated by whitespace or by commas
-    outside parentheses, and the fields in parentheses by commas."""
+    into KernelSpecs: items as _list_items splits them, and the fields in
+    parentheses separated by commas."""
     specs = []
-    for item in filter(None, _SPEC_SEP.split(text)):
+    for item in _list_items(text, "kernel"):
         m = _SPEC_RE.match(item)
         if not m:
             raise KsoftmaxError(f"cannot parse kernel spec {item!r}")
@@ -77,8 +87,6 @@ def parse_kernel_list(text: str) -> tuple:
         except ValueError as e:
             raise KsoftmaxError(str(e))
         specs.extend([spec] * count)
-    if not specs:
-        raise KsoftmaxError("empty kernel list")
     return tuple(specs)
 
 
@@ -160,10 +168,7 @@ def _effective_config(args, seed=None) -> dict:
 
 def _resolve_seed(seed):
     """An unset seed falls back to $KSOFTMAX_SEED, then 0."""
-    if seed is None:
-        env = os.environ.get("KSOFTMAX_SEED")
-        seed = int(env) if env else 0
-    return seed
+    return seed if seed is not None else int(os.environ.get("KSOFTMAX_SEED") or 0)
 
 
 def _echo_config(values: dict, path):
@@ -185,7 +190,7 @@ def _load_corpus(values: dict):
     if not values.get("corpus"):
         raise KsoftmaxError("no corpus given (key 'corpus' / flag --corpus)")
     lines = data_mod.load_lines(values["corpus"])
-    fractions = tuple(float(x) for x in str(values["fractions"]).split(","))
+    fractions = tuple(map(float, _list_items(str(values["fractions"]), "fractions")))
     return data_mod.prepare_corpus(
         lines, max_size=values["vocab_size"], min_count=values["min_count"],
         fractions=fractions, seed=values["seed"],
@@ -273,24 +278,25 @@ def cmd_grid(args) -> int:
             grid[name] = [parse_kernel_list(v) for v in vals.split("|")]
             continue
         try:
-            grid[name] = [_parse_value(name, v) for v in vals.split(",")]
+            grid[name] = [_parse_value(name, v) for v in _list_items(vals, f"grid {name!r}")]
         except ValueError as e:
             raise KsoftmaxError(f"bad grid value for {name!r}: {e}")
     base, vocab, split, _ = _start_run(args, grid)
     results = training.grid_search(base, grid, split, vocab.V,
                                    out_dir=args.out, jobs=args.jobs)
     for row in results:
-        keys = [k for k in row if k not in ("rank", "dev_ppl", "pi_var_mean",
-                                            "diverged", "error")]
-        desc = " ".join(f"{k}={row[k]}" for k in keys)
+        desc = " ".join(f"{k}={v}" for k, v in row.items() if k not in (
+            "rank", "dev_ppl", "pi_var_mean", "diverged", "error"))
         print(f"rank {row['rank']}: {desc} dev_ppl {row['dev_ppl']:.6g} "
               f"diverged {row['diverged']}")
     return EXIT_OK
 
 
 def cmd_gradcheck(args) -> int:
-    kinds = args.kernel.split(",") if args.kernel != "all" else list(KINDS)
-    dims = tuple(int(x) for x in args.dims.split(","))
+    kinds = _list_items(args.kernel, "--kernel")
+    # an unknown kind fails before the first audit
+    kinds = list(KINDS) if kinds == ["all"] else [KernelSpec(kind).kind for kind in kinds]
+    dims = tuple(map(int, _list_items(args.dims, "--dims")))
     ok = True
     for kind in kinds:
         failures = gradcheck.check_kernel(kind, dims=dims, trials=args.trials,
@@ -312,11 +318,10 @@ def cmd_curves(args) -> int:
 def cmd_probe(args) -> int:
     state = training.load_checkpoint(args.checkpoint)
     vocab = data_mod.Vocabulary.load(args.vocab)
-    contexts = []
-    if args.contexts:
-        contexts = [c.split() for c in args.contexts.split(";") if c.strip()]
+    contexts = [c.split() for c in args.contexts.split(";") if c.strip()]
     report = eval_mod.disambiguation_probe(
-        state, vocab, args.tokens.split(","), contexts, top_m=args.top_m)
+        state, vocab, [t.strip() for t in args.tokens.split(",")], contexts,
+        top_m=args.top_m)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "probe.txt"), "w", encoding="utf-8") as f:
@@ -368,14 +373,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("grid", help="hyperparameter grid search")
     _add_config_flags(p)
     p.add_argument("--grid", required=True,
-                   help="e.g. 'rho=0.001,0.01,0.1,1' or 'rho=0.1;d=16,32'")
+                   help="e.g. 'rho=0.001,0.01,0.1,1' or 'rho=0.1;d=16 32'")
     p.add_argument("--out", required=True)
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient audit")
     p.add_argument("--kernel", default="all",
-                   help="comma list of kinds, or 'all'")
+                   help="list of kinds, e.g. 'pow wav' or 'pow,wav', or 'all'")
     p.add_argument("--dims", default="2,8,32")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int)

@@ -57,15 +57,12 @@ class Vocabulary:
 
     def save(self, path):
         # one token per line, line number = id - 2 (reserved ids implicit)
-        with open(path, "w", encoding="utf-8") as f:
-            for tok in self.id_to_token[2:]:
-                f.write(tok + "\n")
+        save_lines(self.id_to_token[2:], path)
 
     @staticmethod
     def load(path) -> "Vocabulary":
-        with open(path, encoding="utf-8") as f:
-            toks = [line.rstrip("\n") for line in f if line.rstrip("\n")]
-        return Vocabulary([BOS_TOKEN, UNK_TOKEN] + toks)
+        # blank lines are skipped
+        return Vocabulary([BOS_TOKEN, UNK_TOKEN] + list(filter(None, load_lines(path))))
 
 
 def build_vocab(lines: Iterable[str], max_size: int, min_count: int = 1,

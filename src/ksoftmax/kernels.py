@@ -83,7 +83,7 @@ class KernelSpec:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{self.kind}: {name} must be finite, got {value}")
-        if self.kind in ("log", "pow", "pol"):
+        if "p" in KERNELS[self.kind].fields:
             if not self.p > 0:
                 raise ValueError(f"{self.kind}: p must be positive, got {self.p}")
             if self.kind == "pol" and (self.p != int(self.p)):
@@ -412,7 +412,9 @@ def _radial(score, dphi, fields, kink=Kernel.kink,
 
 
 def _pow_score(spec, st):
-    return np.negative(np.power(st["x"], 0.5 * spec.p, out=st["out"]), out=st["out"])
+    # at p = 2 x ** 1.0 is x itself, for every value a squared distance holds
+    t = st["x"] if spec.p == 2.0 else np.power(st["x"], 0.5 * spec.p, out=st["out"])
+    return np.negative(t, out=st["out"])
 
 
 def _pow_dphi(spec, st, out):
@@ -423,8 +425,12 @@ def _pow_dphi(spec, st, out):
 
 
 def _log_score(spec, st):
-    x = st["x"]
-    st["power"] = t = np.power(x, 0.5 * spec.p, out=_kept(st, "power"))
+    x, t = st["x"], _kept(st, "power")
+    if spec.p == 2.0:  # x ** 1.0 is x, as in _pow_score
+        np.copyto(t, x)
+    else:
+        np.power(x, 0.5 * spec.p, out=t)
+    st["power"] = t
     return np.negative(np.log1p(t, out=st["out"]), out=st["out"])
 
 

@@ -622,6 +622,65 @@ class TestRunFileProperties:
         assert all(zeros.values()), zeros
 
 
+# synth's parameters: mostly in range, with their edges, and floats of any
+# value. Each is passed as --flag=value, so a negative one stays a value.
+SYNTH_ARGS = st.tuples(
+    st.sampled_from(["zipf", "zipf", "english"]),
+    st.integers(-1, 300) | st.sampled_from([1, 2, 1 << 31, 1 << 62]),
+    st.integers(-1, 2000) | st.sampled_from([0, 1, 4, 5]),
+    st.floats(-3.0, 3.0) | st.floats(),
+    st.floats(0.0, 1.0) | st.floats())
+
+
+def synth_runs_exit_cleanly(root, max_examples) -> dict:
+    """Run ``synth`` on parameters drawn from SYNTH_ARGS, under ``root``, and
+    ``train`` (one epoch) on what it wrote. Every run returns 0, 1 with an
+    error or 2 with a divergence, and a ``train`` that exits 1 leaves no
+    ``--out``. Returns how many runs of each command returned 0."""
+    corpus, out = os.path.join(root, "corpus.txt"), os.path.join(root, "out")
+    zeros = {"synth": 0, "train": 0}
+
+    def run_cli(name, argv):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.run(argv)
+        assert code in (0, 1, 2), (argv, code, err.getvalue())
+        assert err.getvalue().startswith({0: "", 1: "error:", 2: "diverged:"}[code]), \
+            (argv, err.getvalue())
+        zeros[name] += code == 0
+        return code
+
+    @settings(max_examples=max_examples, derandomize=True, database=None, deadline=None)
+    @given(SYNTH_ARGS)
+    def check(args):
+        kind, vocab, tokens, zipf_s, copy_prob = args
+        if run_cli("synth", ["synth", f"--kind={kind}", f"--vocab={vocab}",
+                             f"--tokens={tokens}", f"--zipf-s={zipf_s!r}",
+                             f"--copy-prob={copy_prob!r}", "--seed=0", f"--out={corpus}"]):
+            return
+        code = run_cli("train", ["train", "--corpus", corpus, "--out", out] + FAST
+                       + ["--max-epochs", "1"])
+        assert code != 1 or not os.path.exists(out)
+        shutil.rmtree(out, ignore_errors=True)
+
+    check()
+    return zeros
+
+
+class TestSynthProperties:
+    def test_every_corpus_synth_writes_trains_or_fails_cleanly(self, tmp_path):
+        tests = os.path.dirname(os.path.abspath(__file__))
+        proc = run_python(["-c", CAPPED + (
+            "sys.path.insert(0, sys.argv[2])\n"
+            "import json, test_cli\n"
+            "print(json.dumps(test_cli.synth_runs_exit_cleanly(sys.argv[1], 100)))\n"),
+            str(tmp_path), tests])
+        assert proc.returncode == 0, proc.stderr
+        zeros = json.loads(proc.stdout)
+        # some corpora are written, and some of them train
+        assert all(zeros.values()), zeros
+
+
 class TestLoadMemory:
     def test_a_load_holds_the_model_once(self, tmp_path):
         # V = 8,000 and d = 32 under Adam: 1.5 million doubles, a 12 MB file
@@ -1036,3 +1095,82 @@ class TestOtherSubcommands:
         monkeypatch.delenv("KSOFTMAX_SEED")
         assert cli.run(["eval", "--checkpoint", ckpt, "--config", str(cfg)]) == 0
         assert capsys.readouterr().out == with_echo
+
+
+def cli_output(capsys, argv):
+    """(exit code, stdout, stderr) of ``cli.run(argv)``."""
+    code = cli.run(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestListRule:
+    # every list a command reads in program syntax splits as a kernel list
+    # does: at whitespace or at commas outside parentheses
+    @pytest.mark.parametrize("kinds", ["pow wav", "pow, wav", " pow,,wav "])
+    def test_gradcheck_kinds(self, capsys, kinds):
+        argv = ["gradcheck", "--dims", "2", "--trials", "2", "--seed", "0", "--kernel"]
+        code, out, err = cli_output(capsys, argv + ["pow,wav"])
+        assert code == 0 and out == "gradcheck pow: pass\ngradcheck wav: pass\n", err
+        assert cli_output(capsys, argv + [kinds]) == (0, out, "")
+
+    def test_gradcheck_dims(self, capsys):
+        argv = ["gradcheck", "--kernel", "rbf", "--trials", "2", "--seed", "0", "--dims"]
+        code, out, err = cli_output(capsys, argv + ["2,8"])
+        assert code == 0 and out == "gradcheck rbf: pass\n", err
+        assert cli_output(capsys, argv + ["2 8"]) == (0, out, "")
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_train_fractions(self, tmp_path, corpus_file, capsys, source):
+        def train(fractions, out):
+            if source == "flag":
+                return cli.run(["train", "--corpus", corpus_file, "--out", str(out),
+                                "--fractions", fractions] + FAST)
+            cfg = tmp_path / f"{out.name}.ini"
+            cfg.write_text(f"[data]\nfractions = {fractions}\n")
+            return cli.run(["train", "--config", str(cfg), "--corpus", corpus_file,
+                            "--out", str(out)] + FAST)
+
+        assert train("0.8,0.1,0.1", tmp_path / "commas") == 0, capsys.readouterr().err
+        assert train("0.8 0.1 0.1", tmp_path / "spaces") == 0, capsys.readouterr().err
+        for name in ("metrics.csv", "best.ckpt", "last.ckpt"):
+            assert ((tmp_path / "commas" / name).read_bytes()
+                    == (tmp_path / "spaces" / name).read_bytes()), name
+
+    def test_grid_values(self, tmp_path, corpus_file, capsys):
+        def grid(spec):
+            return cli_output(capsys, ["grid", "--corpus", corpus_file, "--out",
+                                       str(tmp_path / spec), "--kernels", "lin pow",
+                                       "--grid", spec] + FAST)
+
+        code, out, err = grid("rho=0.1,1")
+        assert code == 0 and len(out.splitlines()) == 2, err
+        assert grid("rho=0.1 1") == (0, out, "")
+
+    def test_probe_tokens(self, trained, capsys):
+        tokens = data.Vocabulary.load(trained / "vocab.txt").id_to_token[2:4]
+        argv = ["probe", "--checkpoint", str(trained / "best.ckpt"),
+                "--vocab", str(trained / "vocab.txt"), "--tokens"]
+        code, out, err = cli_output(capsys, argv + [",".join(tokens)])
+        assert code == 0 and all(f"query: {t}" in out for t in tokens), err
+        assert cli_output(capsys, argv + [", ".join(tokens)]) == (0, out, "")
+
+    @pytest.mark.parametrize("argv", [
+        ["gradcheck", "--kernel", ""],
+        ["gradcheck", "--kernel", " , "],
+        ["gradcheck", "--kernel", "pow, nope"],
+        ["gradcheck", "--kernel", "pow", "--dims", ","],
+        ["train", "--fractions", " "],
+        ["grid", "--kernels", "lin pow", "--grid", "rho="],
+        ["grid", "--kernels", "lin pow", "--grid", "d=4;rho=, "],
+    ], ids=["no-kind", "commas-only", "unknown-kind", "no-dim", "no-fraction",
+            "no-grid-value", "no-second-grid-value"])
+    def test_an_empty_list_or_unknown_kind_exits_1_before_any_work(
+            self, tmp_path, corpus_file, capsys, argv):
+        out = tmp_path / "out"
+        if argv[0] != "gradcheck":
+            argv = argv + ["--corpus", corpus_file, "--out", str(out)] + FAST
+        code, stdout, err = cli_output(capsys, argv)
+        assert code == 1 and stdout == "" and not out.exists()
+        assert err.count("\n") == 1 and err.startswith("error: "), err
+        assert "empty" in err or "unknown kernel kind 'nope'" in err, err

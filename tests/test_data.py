@@ -53,6 +53,11 @@ class TestVocabulary:
         lines = path.read_text().splitlines()
         assert lines == vocab.id_to_token[2:]
 
+    def test_load_skips_blank_lines(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_bytes(b"\nthe\n\nfox\n\n")
+        assert data.Vocabulary.load(path).id_to_token == ["<bos>", "<unk>", "the", "fox"]
+
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.text(alphabet="abcde", min_size=1, max_size=3),
                     min_size=1, max_size=30))

@@ -87,3 +87,29 @@ def test_identity_reports_a_ref_git_cannot_archive_on_one_line():
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith("identity.py: git archive no-such-ref-0c3f: ")
     assert proc.stderr.count("\n") == 1, proc.stderr
+
+
+ACCEPTANCE_OUTPUT = '''ACCEPTANCE normalization: PASS
+.ACCEPTANCE kernel-ordering: FAIL (untrained 201.87; pow 17.15 log 28.07 rbf 126.67 wav 111.59)
+F.ACCEPTANCE lin-weight-observation: RECORDED (mean total lin weight 0.412, pi_mean [0.2 0.8])
+.                                                                        [100%]
+=================================== FAILURES ===================================
+    def report(name: str, ok: bool, detail: str = ""):
+>       print(f"ACCEPTANCE {name}: {status}{suffix}")
+E       AssertionError: kernel-ordering: untrained 201.87
+FAILED tests/test_acceptance.py::test_kernel_ordering - AssertionError: kerne...
+'''
+
+
+def test_identity_takes_each_acceptance_line_of_a_run():
+    spec = importlib.util.spec_from_file_location(
+        "identity", os.path.join(TOOLS, "identity.py"))
+    identity = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(identity)
+    # progress dots before a line are dropped; the report's source is no line
+    assert identity.acceptance_lines(ACCEPTANCE_OUTPUT) == [
+        "ACCEPTANCE normalization: PASS\n",
+        "ACCEPTANCE kernel-ordering: FAIL (untrained 201.87; pow 17.15 log 28.07 rbf 126.67 "
+        "wav 111.59)\n",
+        "ACCEPTANCE lin-weight-observation: RECORDED (mean total lin weight 0.412, "
+        "pi_mean [0.2 0.8])\n"]

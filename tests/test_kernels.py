@@ -470,6 +470,36 @@ class TestWorkspace:
         got = np.power(x, 0.0, out=np.empty_like(x))
         assert got.tobytes() == np.ones_like(x).tobytes()
 
+    @pytest.mark.parametrize("n", [1, 7, 4096])
+    def test_x_to_the_power_1_is_x_for_every_squared_distance(self, n):
+        # at p = 2 pow's and log's score take x^(p/2) = x ** 1.0 as x itself,
+        # which has the bits of the power for every value x can hold; a NaN
+        # stays a NaN
+        tiny = np.finfo(np.float64).smallest_subnormal
+        special = np.array([0.0, tiny, 2 * tiny, 1e-310, 1e-300, 0.5, 1.0, 2.5, 1e308,
+                            np.finfo(np.float64).max, np.inf])
+        x = np.resize(special, n * len(special))
+        got = np.power(x, 1.0, out=np.empty_like(x))
+        assert got.tobytes() == x.tobytes()
+        assert np.isnan(np.power(np.array([np.nan, -np.nan]), 1.0)).all()
+
+    @pytest.mark.parametrize("kind", ["pow", "log"])
+    def test_the_score_at_p_2_takes_no_power(self, monkeypatch, kind):
+        tiny = np.finfo(np.float64).smallest_subnormal
+        x = np.array([[0.0, tiny, 1e-310, 0.5, 2.5], [1.0, 7.0, 1e308, np.inf, 3.0]])
+        t = np.power(x, 1.0)
+        expected = -t if kind == "pow" else -np.log1p(t)
+
+        def no_power(*args, **kwargs):
+            raise AssertionError("np.power called at p = 2")
+
+        monkeypatch.setattr(np, "power", no_power)
+        st = {"d": None, "x": x.copy(), "out": np.empty_like(x)}
+        got = kernels.KERNELS[kind].score(KernelSpec(kind), st)
+        assert got.tobytes() == expected.tobytes()
+        if kind == "log":  # the VJP reads the kept power, not x
+            assert st["power"].tobytes() == t.tobytes()
+
     def test_a_mapping_too_large_to_represent_is_a_memory_error(self):
         # 8 x 2**62 bytes overflows the mapping's size before any call to
         # the system, so nothing is allocated

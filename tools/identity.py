@@ -3,17 +3,28 @@
     python tools/identity.py <ref>
 
 Extracts ``src`` at ``<ref>`` (``git archive``) into a temporary directory
-and runs this tree's ``tools/fingerprint.py`` on both ``src`` trees, once
-plainly and once pinned to one CPU (which leaves one lane). Any difference
-is printed as a unified diff. Then prints, for each ``src/ksoftmax/*.py``
-of either tree, its line count (as ``wc -l``) and its code lines: lines
-that are not blank, not only a comment and not part of a docstring.
+and compares the two ``src`` trees, running this tree's tools and tests on
+each:
 
-Exit codes: 0 when the fingerprints are identical, 1 when they differ,
-and 2 when no comparison could be made: after a usage error (with the
-usage), a ref that ``git archive`` cannot extract (with one line on
-stderr carrying git's message) or a fingerprint run that fails (with
-its stderr). ``-h`` or ``--help`` prints this text and exits 0.
+- the output of ``tools/fingerprint.py`` (metrics, checkpoints and other
+  artifact digests), run plainly;
+- the same, pinned to one CPU (which leaves one lane);
+- the ``ACCEPTANCE`` lines of ``pytest -q -s tests/test_acceptance.py``,
+  the knowingly failing ``kernel-ordering`` line included (a few minutes
+  per tree).
+
+Any difference is printed as a unified diff. Then prints, for each
+``src/ksoftmax/*.py`` of either tree, its line count (as ``wc -l``) and its
+code lines: lines that are not blank, not only a comment and not part of
+a docstring.
+
+Exit codes: 0 when all three are identical, 1 when any differs, and 2
+when no comparison could be made: after a usage error (with the usage), a
+ref that ``git archive`` cannot extract (with one line on stderr carrying
+git's message), a fingerprint run that fails (with its stderr) or an
+acceptance run that ends other than passed or failed, or prints no
+``ACCEPTANCE`` line (with its output). ``-h`` or ``--help`` prints this
+text and exits 0.
 """
 
 from __future__ import annotations
@@ -24,6 +35,7 @@ import difflib
 import glob
 import io
 import os
+import re
 import subprocess
 import sys
 import tarfile
@@ -32,6 +44,9 @@ import tokenize
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FINGERPRINT = os.path.join(ROOT, "tools", "fingerprint.py")
+ACCEPTANCE = os.path.join(ROOT, "tests", "test_acceptance.py")
+# a report line; under -q pytest's progress dot may come before it
+ACCEPTANCE_LINE = re.compile(r"ACCEPTANCE [\w-]+: .*")
 NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
             tokenize.DEDENT, tokenize.ENDMARKER}
 
@@ -75,6 +90,22 @@ def fingerprint(src: str, preexec_fn=None) -> list:
     return proc.stdout.splitlines(True)
 
 
+def acceptance_lines(output: str) -> list:
+    """The ``ACCEPTANCE <name>: ...`` lines in a pytest run's ``output``, in
+    order, from the word ACCEPTANCE to the end of the line."""
+    return [m.group() + "\n" for m in ACCEPTANCE_LINE.finditer(output)]
+
+
+def acceptance(src: str) -> list:
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-s", "-p", "no:cacheprovider",
+                           ACCEPTANCE], capture_output=True, text=True, cwd=ROOT,
+                          env=dict(os.environ, PYTHONPATH=src), check=False)
+    lines = acceptance_lines(proc.stdout)
+    if proc.returncode not in (0, 1) or not lines:  # 1: a test failed
+        fail(f"the acceptance suite did not run on {src}:\n{proc.stdout}{proc.stderr}")
+    return lines
+
+
 def fail(message: str):
     print(f"identity.py: {message}", file=sys.stderr)
     sys.exit(2)
@@ -94,13 +125,14 @@ def main(argv: list) -> int:
             tar.extractall(tmp)
         trees = {ref: os.path.join(tmp, "src"), "this tree": os.path.join(ROOT, "src")}
         differs = False
-        for mode, pin in (("plain", None), ("one CPU", pin_to_one_cpu)):
-            before, after = (fingerprint(src, pin) for src in trees.values())
-            diff = list(difflib.unified_diff(before, after, f"{ref} ({mode})",
-                                             f"this tree ({mode})"))
+        for name, run in (("fingerprint (plain)", fingerprint),
+                          ("fingerprint (one CPU)", lambda src: fingerprint(src, pin_to_one_cpu)),
+                          ("acceptance", acceptance)):
+            before, after = (run(src) for src in trees.values())
+            diff = list(difflib.unified_diff(before, after, f"{ref}: {name}",
+                                             f"this tree: {name}"))
             differs = differs or bool(diff)
-            sys.stdout.write("".join(diff) or
-                             f"fingerprint ({mode}): identical, {len(after)} lines\n")
+            sys.stdout.write("".join(diff) or f"{name}: identical, {len(after)} lines\n")
         counts = {name: sizes(src) for name, src in trees.items()}
     print(f"\n{'':<16}" + "".join(f"{name[:15]:>16}" for name in counts))
     print(f"{'file':<16}" + f"{'lines':>8}{'code':>8}" * len(counts))
