@@ -231,6 +231,29 @@ LANE_MIN_SIZE = 1 << 16
 # passes; a numpy call on a tile is still long enough for the lanes.
 TILE_SIZE = LANE_MIN_SIZE
 
+# A scoring pass takes the product H @ W over chunks of rows, which gives
+# the whole-batch product's bits when two rules hold (row_chunks). OpenBLAS
+# 0.3.31's AVX-512 kernels, on one thread, gave other bits in the last
+# V mod 8 columns for a chunk not starting at a multiple of 24 rows, and
+# for one of at most 10^6 multiply-adds (its small-matrix kernel) when the
+# whole batch does more. 96 = 4 x 24 rows: at V = 7975 a 512-row batch
+# takes 5 products, where 24-row chunks would take 21.
+CHUNK_ROWS = 96
+SMALL_GEMM = 10 ** 6
+
+
+def row_chunks(B: int, V: int, d: int) -> list:
+    """The row chunks over which a scoring pass takes the product of B x d
+    contexts and d x V words: one chunk per multiple of R rows, R the least
+    multiple of CHUNK_ROWS whose chunk does more than SMALL_GEMM
+    multiply-adds, a tail shorter than R joining the chunk before it. So
+    each chunk starts at a multiple of CHUNK_ROWS, does more than
+    SMALL_GEMM multiply-adds or is the whole batch, and holds fewer than
+    2R rows."""
+    R = CHUNK_ROWS * (1 + SMALL_GEMM // max(CHUNK_ROWS * V * d, 1))
+    bounds = [i * R for i in range(max(B // R, 1))] + [B]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
 
 def lane_count(K: int, size: int) -> int:
     """Lanes for K independent components whose B x V arrays hold ``size``
@@ -750,18 +773,23 @@ def forward_logits(spec: KernelSpec, W: np.ndarray, H: np.ndarray,
     of the tile's rows that the kind's VJP reads.
 
     A non-finite logit raises NonFiniteScore naming the mixture component
-    index ``k``. L is written to ``out`` when given. Given a workspace,
-    everything after the GEMM runs over tiles of rows of about TILE_SIZE
-    elements; without either workspace it runs on the whole batch, and
-    every array is fresh. The statistics the cache keeps are the tiles'
-    rows of B x V buffers taken from the workspace ``ws`` under keys tagged
-    with ``k``, valid until the next call given ``ws`` and the same ``k``:
-    those the kind's VJP reads (``Kernel``'s keep rule), pol's base among
-    them, and no x the VJP does not read. The temporaries, and such an x,
-    come from the lane workspace ``scratch``.
+    index ``k``. L is written to ``out`` when given (B x V). Given a
+    workspace, everything after the GEMM runs over tiles of rows of about
+    TILE_SIZE elements; without either workspace it runs on the whole
+    batch, and every array is fresh. The statistics the cache keeps are
+    the tiles' rows of B x V buffers taken from the workspace ``ws`` under
+    keys tagged with ``k``, valid until the next call given ``ws`` and the
+    same ``k``: those the kind's VJP reads (``Kernel``'s keep rule), pol's
+    base among them, and no x the VJP does not read. The temporaries, and
+    such an x, come from the lane workspace ``scratch``.
     Given ``scratch`` but no ``ws`` the pass only scores: the statistics
     are taken from the scratch too, each tile overwriting the last, and
     the cache, only the last tile's dict, is not valid for backward_logits.
+    It takes the GEMM over ``row_chunks``, each chunk's tiles before the
+    next chunk's product, which gives the whole-batch product's bits on
+    one BLAS thread. Without ``out`` each chunk's logits overwrite the
+    last in the scratch's "s1", of the largest chunk's height, and L is
+    that buffer.
 
     ``each(rows, L[rows])``, when given, is called on each tile once its
     logits are checked; it may overwrite them.
@@ -774,8 +802,12 @@ def forward_logits(spec: KernelSpec, W: np.ndarray, H: np.ndarray,
         raise DimensionMismatch("need V >= 2")
     kernel = KERNELS[spec.kind]
     B, V = H.shape[0], W.shape[1]
-    # the GEMM runs on the whole batch: BLAS gets other bits for fewer rows
-    L = np.matmul(H, W, out=np.empty((B, V)) if out is None else out)
+    scoring = ws is None and scratch is not None
+    # BLAS gets other bits for other row counts, except over row_chunks
+    chunks = row_chunks(B, V, W.shape[0]) if scoring else [slice(0, B)]
+    if out is None:
+        out = buffer(scratch if scoring else None, "s1",
+                     (max(c.stop - c.start for c in chunks), V))
     base = {"d": W.shape[0], "W": W, "H": H, "ws": ws, "k": k, "shape": (B, V)}
     if kernel.stat == "x":
         base["wn"] = np.einsum("dv,dv->v", W, W)[None, :]
@@ -788,33 +820,39 @@ def forward_logits(spec: KernelSpec, W: np.ndarray, H: np.ndarray,
                     clv=np.asarray(comp_log_vars, dtype=np.float64))
     step = max(1, B if ws is None and scratch is None else TILE_SIZE // V)
     tiles, st = [], base
-    for b0 in range(0, max(B, 1), step):  # an empty batch is one empty tile
-        rows = slice(b0, b0 + step)
-        # a tile's dict starts from the previous one's, so the terms a kind
-        # computes per word are computed once per pass
-        st = dict(st, rows=rows, b0=b0, out=L[rows], scratch=scratch)
-        tile = st["out"]  # the dot products, then the logits
-        if kernel.stat == "x":
-            st["hn"] = hn[rows]
-            x = _kept(st, "x") if keep_x else buffer(scratch, "x", tile.shape)
-            st["x"] = _sq_dist(st["wn"], st["hn"], tile, x)
-        else:
-            st["dot"] = tile
-        scored = kernel.score(spec, st)
-        if scored is not tile:  # pol, rbf and mog's log-of-sum score elsewhere
-            tile[...] = scored
-        for name in ("dot", "out", "scratch"):  # no VJP reads them
-            st.pop(name, None)
-        if not np.isfinite(tile).all():
-            b, v = np.argwhere(~np.isfinite(tile))[0]
-            raise NonFiniteScore(f"component {k} ({spec.kind}): non-finite {spec.kind} "
-                                 f"logit at (b={b0 + b}, v={v})", component=k)
-        if each is not None:
-            each(rows, tile)
-        # a pass that only scores keeps just its last tile: the statistics
-        # of the others are the lane's scratch, overwritten by now
-        tiles = [*tiles, st] if ws is not None or scratch is None else [st]
-    return L, tiles
+    for c in chunks:
+        # a chunk's logits go to its rows of a B-row ``out``, else to the
+        # first rows, over the last chunk's
+        L = np.matmul(H[c], W, out=out[c] if len(out) == B else out[:c.stop - c.start])
+        for b0 in range(c.start, max(c.stop, 1), step):  # an empty batch is one empty tile
+            rows = slice(b0, min(b0 + step, c.stop))
+            # a tile's dict starts from the previous one's, so the terms a
+            # kind computes per word are computed once per pass
+            st = dict(st, rows=rows, b0=b0, out=L[b0 - c.start:rows.stop - c.start],
+                      scratch=scratch)
+            tile = st["out"]  # the dot products, then the logits
+            if kernel.stat == "x":
+                st["hn"] = hn[rows]
+                x = _kept(st, "x") if keep_x else buffer(scratch, "x", tile.shape)
+                st["x"] = _sq_dist(st["wn"], st["hn"], tile, x)
+            else:
+                st["dot"] = tile
+            scored = kernel.score(spec, st)
+            if scored is not tile:  # pol, rbf and mog's log-of-sum score elsewhere
+                tile[...] = scored
+            for name in ("dot", "out", "scratch"):  # no VJP reads them
+                st.pop(name, None)
+            if not np.isfinite(tile).all():
+                b, v = np.argwhere(~np.isfinite(tile))[0]
+                raise NonFiniteScore(f"component {k} ({spec.kind}): non-finite "
+                                     f"{spec.kind} logit at (b={b0 + b}, v={v})",
+                                     component=k)
+            if each is not None:
+                each(rows, tile)
+            # a pass that only scores keeps just its last tile: the
+            # statistics of the others are the lane's scratch, overwritten
+            tiles = [st] if scoring else [*tiles, st]
+    return out, tiles
 
 
 def _vjp(spec: KernelSpec, tiles: list, dL: np.ndarray,

@@ -17,7 +17,9 @@ Given a workspace, the forward and backward passes run each component's
 B x V chain on the workspace's lanes (kernels.in_lanes), over tiles of
 rows, and combine the results in component order, so the bits depend
 neither on the lane count nor on the tile size. A forward pass that only
-scores at the targets keeps K x B values, not the K x B x V log-softmax.
+scores at the targets keeps K x B values, not the K x B x V log-softmax,
+and takes each component's product over row chunks (kernels.row_chunks),
+so a lane holds one chunk's logits, not the batch's.
 """
 
 from __future__ import annotations
@@ -199,11 +201,12 @@ def _forward(config: MixtureConfig, params: OutputParams, H: np.ndarray,
     without ``for_backward``: evaluation) takes those arrays from the
     lanes' scratch, so it returns no kernel caches (``kernel_caches`` is
     None), and with targets keeps no log-softmax (``lsm`` is None), only
-    each row's value at its target. With a workspace ``ws`` the K x B x V
-    arrays live in it, the components are scored on its lanes, and each
-    is scored tile by tile; the cache stays valid until the next call
-    given ``ws``. Without one every array is fresh and each component is
-    scored on the whole batch: a buffer source, not a third pass."""
+    each row's value at its target; its products run over row chunks.
+    With a workspace ``ws`` the K x B x V arrays live in it, the
+    components are scored on its lanes, and each is scored tile by tile;
+    the cache stays valid until the next call given ``ws``. Without one
+    every array is fresh and each component is scored on the whole batch:
+    a buffer source, not a third pass."""
     H = np.asarray(H, dtype=np.float64)
     if H.ndim != 2 or H.shape[1] != config.d:
         raise DimensionMismatch(f"H {H.shape} vs d={config.d}")
@@ -232,14 +235,15 @@ def _forward(config: MixtureConfig, params: OutputParams, H: np.ndarray,
 
     def score(k, scratch):
         # the logits are written to lsm[k] and log-softmaxed in place, or,
-        # at the targets only, to the lane's scratch "s1"
+        # at the targets only, chunk by chunk to the lane's scratch
+        # (kernels.forward_logits)
         def each(rows, L):
             if at_targets:
                 lsm_t[k, rows] = _log_softmax_at(L, targets[rows])
             else:
                 _log_softmax(L, L, scratch)
 
-        out = kernels.buffer(scratch, "s1", (B, config.V)) if at_targets else lsm[k]
+        out = None if at_targets else lsm[k]
         return component_logits(config, params, h_tilde[k], k, kept, out, scratch,
                                 each)[1]
 

@@ -386,6 +386,13 @@ class TestBatchLogits:
         with pytest.raises(HpbOutsideBall):
             kernels.forward_logits(KernelSpec("hpb"), W, H)
 
+    def test_hpb_names_the_first_word_column_outside_the_ball(self):
+        W = np.full((2, 6), 0.1)
+        W[0, 3] = W[1, 5] = 2.0
+        with pytest.raises(HpbOutsideBall) as e:
+            kernels.forward_logits(KernelSpec("hpb"), W, np.array([[0.1, 0.1]]))
+        assert str(e.value) == "word column 3 has norm >= 1"
+
 
 class TestGradientAudit:
     @pytest.mark.parametrize("kind", ["ssg", "mog"])

@@ -1,4 +1,8 @@
+import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -228,6 +232,28 @@ class TestLoss:
         with pytest.raises(TargetOutOfRange):
             output_layer.loss(config, params, H, np.array([config.V]))
 
+    def test_names_the_first_target_out_of_range(self):
+        config, params = make([KernelSpec("lin")])
+        H = np.zeros((4, config.d))
+        targets = np.array([1, config.V + 2, -1, config.V])
+        for ws in (None, Workspace()):
+            with pytest.raises(TargetOutOfRange) as e:
+                output_layer._forward(config, params, H, targets, ws)
+            assert str(e.value) == f"target id {config.V + 2} outside [0, {config.V})"
+
+    def test_ssg_beside_mog_reads_column_0_of_the_word_variances(self):
+        config, params = make([KernelSpec("ssg"), KernelSpec("mog")], seed=51)
+        rng = np.random.default_rng(52)
+        params.word_log_vars[:] = rng.normal(size=params.word_log_vars.shape)
+        params.component_log_vars[0][...] = 0.3
+        h = np.tanh(rng.normal(size=(3, config.d)))
+        got = output_layer.component_logits(config, params, h, 0)[0]
+        for column, same in ((0, True), (1, False)):
+            want = kernels.forward_logits(KernelSpec("ssg"), params.W, h,
+                                          params.word_log_vars[:, column],
+                                          params.component_log_vars[0])[0]
+            assert np.array_equal(got, want) == same, column
+
 
 # every kind, plus the kink (p<2) and log-of-sum variants
 SPECS = ([KernelSpec(k) for k in ALL_KINDS]
@@ -301,6 +327,37 @@ class TestTargetOnlyForward:
                                    rho=0.1, seed=20)
         failures = gradcheck.check_pipeline(cfg, V=5, B=2, seed=21)
         assert not failures, f"{mixture_id(components)}: {failures}"
+
+
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def chunk_slips() -> list:
+    """(V, d, kinds, lanes, B) for each batch whose scoring pass, over row
+    chunks, gives other log posteriors than the whole-batch pass: batches
+    on each side of the chunk rule's row counts, at the benchmark's two
+    vocabularies and two more shapes, on one lane and on two. A rule of
+    flat 96-row chunks slips at V = 202."""
+    slips, lane_count = [], kernels.lane_count
+    shapes = ((202, 32, "pow"), (1029, 32, "lin hpb"), (7975, 32, "pow ssg"),
+              (2000, 16, "wav rbf"))
+    try:
+        for (V, d, kinds), lanes in itertools.product(shapes, (1, 2)):
+            config, params = make([KernelSpec(kind) for kind in kinds.split()], d=d, V=V,
+                                  seed=49)
+            kernels.lane_count = lambda K, size: min(K, lanes)
+            rng = np.random.default_rng(50)
+            ws = Workspace()
+            for B in (1, 95, 96, 97, 191, 192, 193, 383, 384, 385, 511, 512):
+                H = np.tanh(rng.normal(size=(B, d)))
+                targets = rng.integers(0, V, B)
+                scored = output_layer._forward(config, params, H, targets, ws)
+                whole = output_layer._forward(config, params, H, targets)
+                if not np.array_equal(scored.log_posterior, whole.log_posterior):
+                    slips.append((V, d, kinds, lanes, B))
+    finally:
+        kernels.lane_count = lane_count
+    return slips
 
 
 def use_tiles(monkeypatch, rows, V):
@@ -424,6 +481,31 @@ class TestTiles:
                 assert [c[0]["k"] for c in cache.kernel_caches] == [0, 1]
         without_targets = output_layer._forward(config, params, H, None, Workspace())
         assert without_targets.kernel_caches is None
+
+    def test_a_scoring_pass_over_row_chunks_gives_the_bits_of_the_whole_batch(self):
+        # in a child with BLAS on one thread, as the ksoftmax programs run
+        # it: on more threads the product's bits depend on the thread count
+        tests = os.path.dirname(os.path.abspath(__file__))
+        path = os.pathsep.join([os.path.dirname(os.path.dirname(kernels.__file__)), tests])
+        code = "import test_output_layer as t; print(t.chunk_slips())"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=300,
+            env=dict(os.environ, PYTHONPATH=path, **dict.fromkeys(BLAS_THREADS, "1")))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+    def test_the_chunk_rule(self):
+        for V, d in ((2, 1), (202, 32), (1029, 32), (2000, 16), (7975, 4), (7975, 32),
+                     (50_000, 64)):
+            R = next(r for r in itertools.count(96, 96) if r * V * d > 10 ** 6)
+            for B in {*range(1100), *(m * R + e for m in (1, 2, 5) for e in (-1, 0, 1))}:
+                chunks = kernels.row_chunks(B, V, d)
+                assert [c.start for c in chunks] == [0] + [c.stop for c in chunks[:-1]]
+                assert chunks[-1].stop == B
+                for c in chunks:
+                    assert c.start % 96 == 0
+                    assert (c.stop - c.start) * V * d > 10 ** 6 or c == slice(0, B)
+                    assert c.stop - c.start < 2 * R
 
     def test_an_empty_batch_is_one_empty_tile(self):
         config, params = make([KernelSpec("pow"), KernelSpec("lin")], d=4, V=7)

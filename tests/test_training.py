@@ -105,6 +105,37 @@ class TestTrainStep:
         assert np.mean(losses[-k:]) < np.mean(losses[:k])
 
 
+class TestUpdateOracle:
+    # one update of a few elements against plain Python floats, in the
+    # update's order of operations: the first Adam step, from zero
+    # moments, and the third, from moments of earlier steps
+    @pytest.mark.parametrize("t", [1, 3])
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    def test_one_update_against_python_floats(self, optimizer, t):
+        lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+        state = init_state(TrainConfig(components=(KernelSpec("lin"),), n=1, d=1,
+                                       learning_rate=lr, optimizer=optimizer), 2)
+        rng = np.random.default_rng(53)
+        size = state.grad.size
+        params, grad = rng.normal(size=size), rng.normal(size=size)
+        m, v = (rng.normal(size=size), rng.uniform(0.0, 1.0, size)) if t > 1 else (
+            np.zeros(size), np.zeros(size))
+        state.flat["params"][:], state.grad[:], state.step = params, grad, t - 1
+        if optimizer == "adam":
+            state.flat["adam.m"][:], state.flat["adam.v"][:] = m, v
+        training._apply_update(state)
+        for i in range(size):
+            p, g = float(params[i]), float(grad[i])
+            if optimizer == "sgd":
+                assert state.flat["params"][i] == p - lr * g
+                continue
+            mi = b1 * float(m[i]) + (1 - b1) * g
+            vi = b2 * float(v[i]) + (1 - b2) * g * g
+            step = lr * (mi / (1 - b1 ** t)) / (math.sqrt(vi / (1 - b2 ** t)) + eps)
+            assert state.flat["adam.m"][i] == mi and state.flat["adam.v"][i] == vi
+            assert state.flat["params"][i] == p - step
+
+
 class TestClipping:
     def test_norm_after_clipping(self):
         rng = np.random.default_rng(0)
@@ -915,6 +946,16 @@ class TestConfigValidation:
                                     KernelSpec("mog", num_gauss=3)))
         make_config(components=(KernelSpec("mog", num_gauss=2), KernelSpec("ssg"),
                                 KernelSpec("mog", num_gauss=2)))
+
+    def test_defaults_are_the_cli_defaults(self, monkeypatch):
+        # a library caller gets the defaults of the ksoftmax command; an
+        # unset seed there falls back to $KSOFTMAX_SEED, then 0
+        monkeypatch.delenv("KSOFTMAX_SEED", raising=False)
+        shared = [f for f in dataclasses.fields(TrainConfig) if f.name in cli._CONFIG_KEYS]
+        assert len(shared) == 12
+        for f in shared:
+            want = cli._resolve_seed(None) if f.name == "seed" else cli._DEFAULTS[f.name]
+            assert f.default == want, f.name
 
     def test_round_trips_through_dict(self):
         config = make_config(components=(KernelSpec("mog", num_gauss=3),

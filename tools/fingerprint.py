@@ -6,12 +6,12 @@ and `log` off p = 2, mog's log-of-sum, an `ssg mog` mixture and
 `reg_across_data`), a mid-epoch `train_steps` checkpoint, K=1 steps of
 each kernel-ordering kind, a mixture large enough for the kernels to run
 its components on parallel lanes and to score in row tiles, a model large
-enough for the update to run in several chunks on the lanes, and a
-handful of CLI calls (`probe` and `curves` over the nine kinds among
-them) in a temporary directory, then prints one `name digest` line per
-artifact, and for each checkpoint one `name save-of-load
-identical|differs` line: whether saving the loaded checkpoint reproduces
-its bytes.
+enough for the update to run in several chunks on the lanes, scoring
+passes whose products run over row chunks, and a handful of CLI calls
+(`probe` and `curves` over the nine kinds among them) in a temporary
+directory, then prints one `name digest` line per artifact, and for each
+checkpoint one `name save-of-load identical|differs` line: whether saving
+the loaded checkpoint reproduces its bytes.
 Each CLI call also prints its exit code, a digest of its stdout and its
 first stderr line. The timestamped `# started` line of `run.log` is
 dropped and the temporary root is replaced by `<tmp>`, so two runs of the
@@ -38,7 +38,7 @@ os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS
 
 import numpy as np
 
-from ksoftmax import cli, data, training
+from ksoftmax import cli, data, kernels, output_layer, training
 from ksoftmax import eval as eval_mod
 from ksoftmax.cli import parse_kernel_list
 from ksoftmax.kernels import KINDS
@@ -234,6 +234,24 @@ def chunk_run(fp: Fingerprint):
     fp.files("lib.chunks", out)
 
 
+def scoring_runs(fp: Fingerprint):
+    """Scoring passes over 1,200 positions in evaluation's batches (512,
+    512 and 176 rows), d = 32, at the kernel-ordering vocabulary (V = 202,
+    K = 1 pow) and the benchmark's (V = 7,975, lin pow ssg hpb): one line
+    per vocabulary, a digest of every position's log posterior. Each
+    batch of 512 rows is scored over several row chunks."""
+    for V, kinds in ((202, "pow"), (7975, "lin pow ssg hpb")):
+        config = output_layer.MixtureConfig(parse_kernel_list(kinds), 32, V, rho=0.1)
+        params = output_layer.init_output_params(config, np.random.default_rng(7))
+        rng = np.random.default_rng(8)
+        H, targets = np.tanh(rng.normal(size=(1200, 32))), rng.integers(0, V, 1200)
+        ws, batch = kernels.Workspace(), eval_mod.EVAL_BATCH
+        rows = [output_layer._forward(config, params, H[lo:lo + batch],
+                                      targets[lo:lo + batch], ws).log_posterior
+                for lo in range(0, len(H), batch)]
+        fp.lines.append(f"lib.scoring.{V} {_digest(np.concatenate(rows).tobytes())}")
+
+
 def cli_runs(fp: Fingerprint):
     os.environ["COLUMNS"] = "80"  # argparse wraps --help to the terminal
     os.makedirs("synth")
@@ -298,6 +316,7 @@ def main() -> int:
                 k1_runs(fp, split, vocab.V)
                 lane_run(fp)
                 chunk_run(fp)
+                scoring_runs(fp)
                 cli_runs(fp)
         finally:
             os.chdir(cwd)
