@@ -236,9 +236,13 @@ TILE_SIZE = LANE_MIN_SIZE
 # 0.3.31's AVX-512 kernels, on one thread, gave other bits in the last
 # V mod 8 columns for a chunk not starting at a multiple of 24 rows, and
 # for one of at most 10^6 multiply-adds (its small-matrix kernel) when the
-# whole batch does more. 96 = 4 x 24 rows: at V = 7975 a 512-row batch
-# takes 5 products, where 24-row chunks would take 21.
-CHUNK_ROWS = 96
+# whole batch does more. So 24 rows, the alignment the bits need: at
+# V = 7975 a 512-row batch takes 21 products and no chunk reaches 48 rows,
+# where 96-row chunks took 5 and reached 191. The 16 extra products cost
+# about 1.4 ms per component per 512-row batch (medians of alternating
+# timings at d = 32: 6.9 ms for the 21 products, 5.5 ms for the 5), about
+# 3% of a K = 4 scoring pass on 2 lanes (72 against 70 ms).
+CHUNK_ROWS = 24
 SMALL_GEMM = 10 ** 6
 
 

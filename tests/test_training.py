@@ -14,7 +14,7 @@ import pytest
 from ksoftmax import cli, data, kernels, output_layer, training
 from ksoftmax import encoder as encoder_mod
 from ksoftmax import eval as eval_mod
-from ksoftmax.errors import DivergenceDetected, KsoftmaxError
+from ksoftmax.errors import CorruptCheckpoint, DivergenceDetected, KsoftmaxError
 from ksoftmax.kernels import KernelSpec, Workspace
 from ksoftmax.training import (TrainConfig, clip_gradients, grid_search,
                                init_state, load_checkpoint, named_tensors,
@@ -660,6 +660,23 @@ class TestCheckpoint:
         assert loaded.step == new.step == 7
         for (name, a), (_, b) in zip(named_tensors(new), named_tensors(loaded)):
             assert np.array_equal(a, b), name
+
+    def test_a_header_of_header_limit_bytes_loads_and_one_byte_more_does_not(self, tmp_path):
+        state = init_state(make_config(), V)
+        save_checkpoint(state, tmp_path / "a.ckpt")
+        head, body = (tmp_path / "a.ckpt").read_bytes().split(b"\nend\n", 1)
+        # an unknown header line is read and ignored: it pads the header
+        pad = training.HEADER_LIMIT - len(head) - len(b"\npad \nend\n")
+        for extra, loads in ((0, True), (1, False)):
+            path = tmp_path / f"padded{extra}.ckpt"
+            header = head + b"\npad " + b"x" * (pad + extra) + b"\nend\n"
+            assert len(header) == (1 << 20) + extra
+            path.write_bytes(header + body)
+            if loads:
+                assert load_checkpoint(path).config == state.config
+            else:
+                with pytest.raises(CorruptCheckpoint, match="no end line"):
+                    load_checkpoint(path)
 
     def test_round_trip_preserves_config(self, tmp_path):
         config = make_config(rho=0.25, optimizer="sgd",

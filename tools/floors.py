@@ -29,11 +29,13 @@ the parameters after 110 steps equal those at the default.
 ``gemm``: how many entries of ``H @ W`` (d = 32, V = 7,975) change bits
 when the product is taken over row tiles instead of the whole batch;
 then, for every batch of 1 to ``EVAL_BATCH`` rows at (d, V) = (32, 202),
-(32, 7,975), (16, 7,975) and (4, 2,000), how many change over the row
-chunks of a scoring pass (``kernels.row_chunks``), and how many over flat
-96-row chunks, the same rule without its multiply-add floor. The counts
-hold for the BLAS that runs them: the chunk rule was measured on
-OpenBLAS 0.3.31's AVX-512 kernels only.
+(32, 1,029), (32, 7,975), (64, 7,975), (16, 7,975) and (4, 2,000), how
+many change over the row chunks of a scoring pass (``kernels.row_chunks``),
+and how many over flat ``CHUNK_ROWS``-row chunks, the same rule without
+its multiply-add floor; beside each count, the tallest chunk any of
+those batches takes, in rows and in MB of float64 logits, the height of
+a lane's logits buffer. The counts hold for the BLAS that runs them: the
+chunk rule was measured on OpenBLAS 0.3.31's AVX-512 kernels only.
 
 BLAS runs on one thread, as in the ``ksoftmax`` programs.
 """
@@ -54,7 +56,7 @@ import numpy as np  # noqa: E402
 from ksoftmax import data, kernels, training  # noqa: E402
 from ksoftmax.cli import parse_kernel_list  # noqa: E402
 from ksoftmax.eval import EVAL_BATCH  # noqa: E402
-from ksoftmax.kernels import SMALL_GEMM, KernelSpec  # noqa: E402
+from ksoftmax.kernels import CHUNK_ROWS, SMALL_GEMM, KernelSpec  # noqa: E402
 
 
 def set_up(types: int, kinds: str, rho: float, steps: int):
@@ -229,20 +231,24 @@ def gemm():
         tiled = np.concatenate([H[b:b + rows] @ W for b in range(0, B, rows)])
         print(f"B={B}, {rows}-row tiles: {int(((H @ W) != tiled).sum()):,} of "
               f"{B * 7975:,} entries differ from the whole-batch product")
-    for d, V in ((32, 202), (32, 7975), (16, 7975), (4, 2000)):
+    for d, V in ((32, 202), (32, 1029), (32, 7975), (64, 7975), (16, 7975), (4, 2000)):
         W = rng.uniform(-0.1, 0.1, size=(d, V))
         H = np.tanh(rng.normal(size=(EVAL_BATCH, d)))
         counts = {}
-        for rule, small in (("the chunk rule", SMALL_GEMM), ("flat 96-row chunks", 0)):
-            kernels.SMALL_GEMM = small  # at 0 every chunk but a joined tail has 96 rows
+        for rule, small in (("the chunk rule", SMALL_GEMM),
+                            (f"flat {CHUNK_ROWS}-row chunks", 0)):
+            # at 0 every chunk but a joined tail has CHUNK_ROWS rows
+            kernels.SMALL_GEMM = small
             try:
-                slips = [int((H[:B] @ W != np.concatenate(
-                    [H[c] @ W for c in kernels.row_chunks(B, V, d)])).sum())
-                    for B in range(1, EVAL_BATCH + 1)]
+                chunks = [kernels.row_chunks(B, V, d) for B in range(1, EVAL_BATCH + 1)]
             finally:
                 kernels.SMALL_GEMM = SMALL_GEMM
+            slips = [int((H[:cs[-1].stop] @ W != np.concatenate([H[c] @ W for c in cs])).sum())
+                     for cs in chunks]
+            tallest = max(c.stop - c.start for cs in chunks for c in cs)
             counts[rule] = (f"{sum(slips):,} entries differ, in {sum(map(bool, slips))} "
-                            f"batches")
+                            f"batches, tallest chunk {tallest} rows "
+                            f"({tallest * V * 8 / 1e6:.2f} MB)")
         print(f"d={d}, V={V}, every B in 1..{EVAL_BATCH}: "
               + "; ".join(f"{rule}: {text}" for rule, text in counts.items()))
 
