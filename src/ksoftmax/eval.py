@@ -28,7 +28,9 @@ def mean_nll_and_pi(state, sentences):
     mixture's mode over all those positions, the term rho scales in loss.
     The batches are scored in ``state.ws``, the training step's workspace,
     on its lanes; the pass only scores, so it keeps nothing for backward
-    and, of the log-softmax, only the values at the targets."""
+    and, of the log-softmax, only the values at the targets. Its lanes'
+    scratch, grown to the logits of the tallest row chunk, is unmapped as
+    it returns or raises."""
     config = state.mixture
     windows, targets = data_mod.make_examples(sentences, state.config.n)
     total_nll = 0.0
@@ -37,14 +39,17 @@ def mean_nll_and_pi(state, sentences):
     count = len(targets)
     if count == 0:
         raise KsoftmaxError("empty split: no target positions to score")
-    for lo in range(0, count, EVAL_BATCH):
-        rows = slice(lo, lo + EVAL_BATCH)
-        H, _ = encoder_mod.encode(state.enc, windows[rows])
-        cache = output_layer._forward(config, state.out, H, targets[rows], state.ws)
-        total_nll -= float(cache.log_posterior.sum())
-        pi_sum += cache.pi.sum(axis=0)
-        pis.append(cache.pi)
-        del cache  # the next batch overwrites the arrays it views
+    try:
+        for lo in range(0, count, EVAL_BATCH):
+            rows = slice(lo, lo + EVAL_BATCH)
+            H, _ = encoder_mod.encode(state.enc, windows[rows])
+            cache = output_layer._forward(config, state.out, H, targets[rows], state.ws)
+            total_nll -= float(cache.log_posterior.sum())
+            pi_sum += cache.pi.sum(axis=0)
+            pis.append(cache.pi)
+            del cache  # the next batch overwrites the arrays it views
+    finally:
+        state.ws.release_scratch()
     pi_var = output_layer._pi_variance(np.concatenate(pis), config.reg_across_data)
     return total_nll / count, pi_sum / count, pi_var
 

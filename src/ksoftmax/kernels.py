@@ -893,25 +893,28 @@ def backward_logits(spec: KernelSpec, cache: list, dL: np.ndarray,
     overwritten. The kind's VJP runs tile by tile over the cache's tiles,
     ``each(rows, dL[rows])``, when given, writing each tile's cotangent
     first; both GEMMs run on the whole batch. dW is written to ``dW``
-    (C-contiguous, W's shape) when given, and otherwise taken from the
-    cache's workspace under its component's key, valid until the next
-    call given that workspace and component; the other temporaries come
-    from the lane workspace ``scratch``.
+    (C-contiguous, W's shape) when given, and is a fresh array otherwise.
+    ``dW`` may share memory with ``dL``: it is written only once both
+    products have read the cotangent. The other temporaries come from the
+    lane workspace ``scratch``.
     """
-    W, H, ws, k = (cache[0][key] for key in ("W", "H", "ws", "k"))
+    W, H = cache[0]["W"], cache[0]["H"]
     kernel = KERNELS[spec.kind]
     g = _vjp(spec, cache, dL, scratch, each)
-    dW = buffer(ws, ("dW", k), W.shape) if dW is None else dW
+    dW = np.empty(W.shape) if dW is None else dW
     if kernel.stat == "dot":
-        dW, dH = np.matmul(H.T, g["dot"], out=dW), g["dot"] @ W.T
+        dH = g["dot"] @ W.T
+        np.copyto(dW, np.matmul(H.T, g["dot"], out=buffer(scratch, "s0", W.shape)))
     else:
         # chain rule through x = wn + hn - 2 w.h; every VJP leaves its
         # scratch free by now, and none returns dx in it
         dx = g["x"]
-        np.multiply(W, dx.sum(axis=0)[None, :], out=dW)
-        dW -= np.matmul(H.T, dx, out=buffer(scratch, "s0", W.shape))
-        dW *= 2.0
+        colsum = dx.sum(axis=0)
+        hx = np.matmul(H.T, dx, out=buffer(scratch, "s0", W.shape))
         dH = 2.0 * (H * dx.sum(axis=1)[:, None] - dx @ W.T)
+        np.multiply(W, colsum[None, :], out=dW)
+        dW -= hx
+        dW *= 2.0
     if "wn" in g:
         t = np.multiply(2.0, W, out=buffer(scratch, "s0", W.shape))
         dW += np.multiply(t, g["wn"], out=t)

@@ -128,8 +128,9 @@ class ForwardCache:
     pi: np.ndarray            # B x K
     log_pi: np.ndarray        # B x K
     lsm: Optional[np.ndarray]  # K x B x V, per-component log-softmax (backward
-                               # consumes it); None when the pass scored only
-                               # at the targets
+                               # consumes it, and after a keeping pass in a
+                               # workspace writes dW terms over it); None
+                               # when the pass scored only at the targets
     targets: Optional[np.ndarray]        # B target ids; None without
     log_posterior: Optional[np.ndarray]  # B, at the targets; None without
     h_tilde: list             # K tanh outputs (or H itself when K = 1)
@@ -204,7 +205,10 @@ def _forward(config: MixtureConfig, params: OutputParams, H: np.ndarray,
     each row's value at its target; its products run over row chunks.
     With a workspace ``ws`` the K x B x V arrays live in it, the
     components are scored on its lanes, and each is scored tile by tile;
-    the cache stays valid until the next call given ``ws``. Without one
+    the cache stays valid until the next call given ``ws``. A keeping
+    pass there takes max(B, d) rows of the "lsm" buffer per component and
+    uses the first B, so backward can write each component's d x V term
+    of dW over them. Without one
     every array is fresh and each component is scored on the whole batch:
     a buffer source, not a third pass."""
     H = np.asarray(H, dtype=np.float64)
@@ -229,9 +233,11 @@ def _forward(config: MixtureConfig, params: OutputParams, H: np.ndarray,
 
     scoring = ws is not None and not for_backward
     at_targets = scoring and targets is not None
-    lsm = None if at_targets else kernels.buffer(ws, "lsm", (K, B, config.V))
-    lsm_t = np.empty((K, B)) if at_targets else None
     kept = ws if for_backward else None
+    # a kept component's rows hold its d x V term of dW in backward
+    height = max(B, config.d) if kept else B
+    lsm = None if at_targets else kernels.buffer(ws, "lsm", (K, height, config.V))[:, :B]
+    lsm_t = np.empty((K, B)) if at_targets else None
 
     def score(k, scratch):
         # the logits are written to lsm[k] and log-softmaxed in place, or,
@@ -302,8 +308,11 @@ def backward(config: MixtureConfig, params: OutputParams,
     array otherwise, which holds component 0's term until the sum, the
     rest on the calling thread. It consumes
     ``cache.lsm``: component k's logit cotangent is written over lsm[k],
-    one tile of rows at a time just before the kernel's VJP reads it. Its
-    temporaries are tiles of the lanes' scratch.
+    one tile of rows at a time just before the kernel's VJP reads it, and
+    with a workspace component k >= 1 then writes its term of W over its
+    first d rows of the "lsm" buffer (_forward gives it max(B, d)); without
+    one that term is a fresh array. Its temporaries are tiles of the
+    lanes' scratch.
     """
     H = cache.H
     B, d = H.shape
@@ -317,6 +326,7 @@ def backward(config: MixtureConfig, params: OutputParams,
         q = np.exp(cache.log_pi + lsm_t - cache.log_posterior[:, None])
     dC = np.zeros_like(params.C) if params.C is not None else None
     dW = np.empty(params.W.shape) if dW is None else dW
+    spent = cache.ws.take("lsm", (K, max(B, d), config.V))[:, :d] if cache.ws else [None] * K
 
     def chain(k, scratch):
         """(dW_k, component k's dH term, its log-variance gradients); fills dC[k]."""
@@ -330,7 +340,7 @@ def backward(config: MixtureConfig, params: OutputParams,
             dL[np.arange(len(dL)), cache.targets[rows]] -= qk[rows]
 
         dWk, dHk, dwlv_k, dclv_k = kernels.backward_logits(
-            spec, cache.kernel_caches[k], cache.lsm[k], scratch, cotangent, None if k else dW)
+            spec, cache.kernel_caches[k], cache.lsm[k], scratch, cotangent, spent[k] if k else dW)
         dHk = kernels.scale_context(spec, d, dHk)
         if K > 1:
             ht = cache.h_tilde[k]

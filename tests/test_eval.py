@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ksoftmax import data, encoder, eval as eval_mod, kernels, output_layer, training
-from ksoftmax.errors import KsoftmaxError, TargetOutOfRange
+from ksoftmax.errors import KsoftmaxError, NonFiniteScore, TargetOutOfRange
 from ksoftmax.kernels import KernelSpec
 from ksoftmax.training import TrainConfig, init_state
 
@@ -99,16 +99,49 @@ class TestPerplexity:
             assert np.array_equal(state.opt_m[name], copied.opt_m[name]), name
             assert np.array_equal(state.opt_v[name], copied.opt_v[name]), name
 
-    def test_an_eval_pass_keeps_no_k_by_b_by_v_buffer(self):
-        # it keeps each row's log-softmax value at its target, K x B values
+    def test_an_eval_pass_keeps_no_k_by_b_by_v_buffer(self, monkeypatch):
+        # it keeps each row's log-softmax value at its target, K x B values;
+        # the sizes are read just before its lanes' scratch is released
         components = tuple(KernelSpec(k) for k in ("lin", "pow", "ssg", "hpb"))
         state = make_state(V=10, components=components, seed=8)
+        sizes = []
+        release = kernels.Workspace.release_scratch
+
+        def read_sizes(ws):
+            sizes.extend(buf.size for w in [ws] + ws.scratch for buf in w._buffers.values())
+            release(ws)
+
+        monkeypatch.setattr(kernels.Workspace, "release_scratch", read_sizes)
         eval_mod.mean_nll_and_pi(state, [[2, 3, 4, 5, 6, 7, 8, 9]] * 80)
         lanes = state.ws.scratch
-        sizes = [buf.size for ws in [state.ws] + lanes for buf in ws._buffers.values()]
         assert lanes and sizes
         assert max(sizes) == eval_mod.EVAL_BATCH * 10  # a lane's logits, B x V
         assert "lsm" not in state.ws._buffers
+
+    @pytest.mark.parametrize("raises", [False, True])
+    def test_every_lane_unmaps_its_scratch_as_perplexity_returns(self, raises,
+                                                                  monkeypatch):
+        # whether the pass ends or a later batch raises NonFiniteScore
+        state = make_state(V=10, components=(KernelSpec("lin"), KernelSpec("pow")), seed=9)
+        monkeypatch.setattr(kernels, "lane_count", lambda K, size: min(K, 2))
+        monkeypatch.setattr(eval_mod, "EVAL_BATCH", 4)
+        held = []
+        release = kernels.Workspace.release_scratch
+
+        def count_buffers(ws):
+            held.extend(len(lane._buffers) for lane in ws.scratch)
+            release(ws)
+
+        monkeypatch.setattr(kernels.Workspace, "release_scratch", count_buffers)
+        sentences = [[2, 3, 4, 5, 6, 7, 8], [2, 3, 9, 4]]
+        if raises:
+            state.enc.E[9] = np.nan  # only the second sentence reads it
+            with pytest.raises(NonFiniteScore):
+                eval_mod.perplexity(state, sentences)
+        else:
+            eval_mod.perplexity(state, sentences)
+        assert len(held) == 2 and all(held)  # a batch was scored on each lane
+        assert all(not lane._buffers for lane in state.ws.scratch)
 
     def test_no_cache_outlives_its_batch(self, monkeypatch):
         # at each _forward call, count the caches of earlier batches still alive

@@ -452,6 +452,32 @@ class TestTiles:
                 assert (g is None) == (w is None) and (g is None or same_bits(g, w))
         assert lanes > 1 or ws._pool is None
 
+    @pytest.mark.parametrize("lanes", [1, 2])
+    def test_terms_of_w_over_spent_log_softmax_rows_give_the_bits_of_fresh_ones(
+            self, lanes, monkeypatch):
+        # components 1 (a dot kind) and 2 (an x kind) write their d x V
+        # terms over their first d rows of lsm, which hold max(B, d); B on
+        # each side of d, then a short batch in the rows of a long one
+        config, params = make([KernelSpec(kind) for kind in ("ssg", "pol", "hpb")],
+                              d=8, V=11, rho=0.1, seed=57)
+        monkeypatch.setattr(kernels, "lane_count", lambda K, size: min(K, lanes))
+        use_tiles(monkeypatch, 3, config.V)
+        rng = np.random.default_rng(58)
+        ws = Workspace()
+        for B in (7, 8, 9, 16, 64, 5):
+            H = np.tanh(rng.normal(size=(B, config.d)) * 2)
+            targets = rng.integers(0, config.V, B)
+            _, kept = output_layer.loss(config, params, H, targets, ws)
+            got = output_layer.backward(config, params, kept)
+            want = output_layer.backward(
+                config, params, output_layer.loss(config, params, H, targets)[1])
+            assert np.array_equal(got[1], want[1]), B
+            for name in ("W", "M", "C", "word_log_vars"):
+                assert np.array_equal(getattr(got[0], name), getattr(want[0], name)), name
+            for g, w in zip(got[0].component_log_vars, want[0].component_log_vars):
+                assert (g is None) == (w is None) and (g is None or np.array_equal(g, w))
+        assert len(ws._buffers["lsm"]) == 3 * 64 * config.V  # B = 5 ran in B = 64's
+
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_a_non_finite_logit_names_its_row_in_the_batch(self, kind, monkeypatch):
         config, params = make([KernelSpec(kind)], d=5, V=11, seed=42)

@@ -224,12 +224,13 @@ class TestWorkspace:
     @pytest.mark.parametrize("k", [0, 1])
     @pytest.mark.parametrize("kind", list(KEPT))
     def test_a_train_step_keeps_only_what_backward_reads(self, kind, k):
-        # component 0's gradient of W is written into the state's gradient
+        # component 0's gradient of W is written into the state's gradient,
+        # component 1's over its spent lsm rows
         spec = cli.parse_kernel_list(kind)[0]
         components = (spec, KernelSpec("lin")) if k == 0 else (KernelSpec("lin"), spec)
         state = init_state(make_config(components=components, rho=0.1), V)
         train_steps(state, toy_split(), 1)
-        expected = {"lsm", ("dW", 1)} | {(name, k) for name in self.KEPT[kind]}
+        expected = {"lsm"} | {(name, k) for name in self.KEPT[kind]}
         assert set(state.ws._buffers) == expected
 
     def test_train_releases_the_lanes_whole_batch_scoring_buffers(self, monkeypatch):

@@ -1,9 +1,10 @@
-"""How far a training step is from its floors, measured four ways.
+"""How far a training step is from its floors, measured five ways.
 
     PYTHONPATH=src python tools/floors.py replay [rounds]
     PYTHONPATH=src python tools/floors.py busy
     PYTHONPATH=src python tools/floors.py tiles [rounds]
     PYTHONPATH=src python tools/floors.py gemm
+    PYTHONPATH=src python tools/floors.py buffers
 
 ``replay``: a K=1 ``pow`` step at the kernel-ordering set-up (V = 202,
 n = 3, d = 32, batch 64, Adam, seed 0) through ``training.train_step``,
@@ -37,12 +38,22 @@ those batches takes, in rows and in MB of float64 logits, the height of
 a lane's logits buffer. The counts hold for the BLAS that runs them: the
 chunk rule was measured on OpenBLAS 0.3.31's AVX-512 kernels only.
 
+``buffers``: every buffer the step's workspace and its lanes' scratch
+hold, by key, in MiB of mapping, with the workspace's total and each
+lane's, and the ``VmRSS`` and ``VmHWM`` lines of ``/proc/self/status``:
+after 5 steps of the ``train-large-vocab-mix`` set-up, then after one
+``eval.perplexity`` call on the same state over the first test sentences
+that reach 1,024 tokens, as the ``eval-large-vocab-mix`` chunks do. A
+mapping's pages cost memory only once written, so RSS is the resident
+share.
+
 BLAS runs on one thread, as in the ``ksoftmax`` programs.
 """
 
 from __future__ import annotations
 
 import copy
+import itertools
 import math
 import os
 import sys
@@ -53,22 +64,23 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
-from ksoftmax import data, kernels, training  # noqa: E402
+from ksoftmax import data, eval as eval_mod, kernels, training  # noqa: E402
 from ksoftmax.cli import parse_kernel_list  # noqa: E402
 from ksoftmax.eval import EVAL_BATCH  # noqa: E402
 from ksoftmax.kernels import CHUNK_ROWS, SMALL_GEMM, KernelSpec  # noqa: E402
 
 
 def set_up(types: int, kinds: str, rho: float, steps: int):
-    """(initial state, the first ``steps`` batches of epoch 0) of a Zipf
-    corpus of ``types`` types and 100,000 tokens, as the benchmark's
+    """(initial state, the first ``steps`` batches of epoch 0, the split) of
+    a Zipf corpus of ``types`` types and 100,000 tokens, as the benchmark's
     workloads build them."""
     vocab, split = data.prepare_corpus(data.generate_zipf(types, 100_000, seed=0),
                                        max_size=types + 2, seed=0)
     config = training.TrainConfig(components=parse_kernel_list(kinds), n=3, d=32,
                                   batch_size=64, learning_rate=1e-3, seed=0, rho=rho)
     batches = data.batch_windows(split.train, config.n, config.batch_size, config.seed, epoch=0)
-    return training.init_state(config, vocab.V), [b for _, b in zip(range(steps), batches)]
+    return (training.init_state(config, vocab.V), [b for _, b in zip(range(steps), batches)],
+            split)
 
 
 def quartiles(seconds: list, scale=1e6) -> str:
@@ -160,7 +172,7 @@ def replayer(state):
 
 
 def replay(rounds: int):
-    base, batches = set_up(200, "pow", 0.1, 600)
+    base, batches, _ = set_up(200, "pow", 0.1, 600)
     ours, theirs = copy.deepcopy(base), copy.deepcopy(base)
     step = replayer(theirs)
     for windows, targets in batches:
@@ -187,7 +199,7 @@ def large(steps: int):
 
 
 def busy():
-    base, batches = large(205)
+    base, batches, _ = large(205)
     state = copy.deepcopy(base)
     for windows, targets in batches[:20]:  # map and fault in the workspace
         training.train_step(state, windows, targets)
@@ -203,7 +215,7 @@ def busy():
 
 
 def tiles(rounds: int):
-    base, batches = large(110)
+    base, batches, _ = large(110)
     sizes = [32768, 49152, 65536, 98304, 131072, 262144]
     default, times, final = kernels.TILE_SIZE, {s: [] for s in sizes}, {}
     for r in range(rounds):
@@ -253,9 +265,33 @@ def gemm():
               + "; ".join(f"{rule}: {text}" for rule, text in counts.items()))
 
 
+def held(when: str, ws):
+    print(f"{when}:")
+    for name, w in [("ws", ws)] + [(f"lane {i}", lane) for i, lane in enumerate(ws.scratch)]:
+        mib = {key: buf.size * 8 / 2 ** 20 for key, buf in w._buffers.items()}
+        print(f"  {name}: {sum(mib.values()):.2f} MiB"
+              + "".join(f"; {key} {size:.2f}" for key, size in mib.items()))
+    with open("/proc/self/status") as f:
+        print("  " + ", ".join(" ".join(line.split()) for line in f
+                               if line.startswith(("VmRSS", "VmHWM"))))
+
+
+def buffers():
+    state, batches, split = large(5)
+    for windows, targets in batches:
+        training.train_step(state, windows, targets)
+    held("after 5 steps of train-large-vocab-mix", state.ws)
+    reach = itertools.accumulate(map(len, split.test))
+    n = next(i for i, tokens in enumerate(reach, 1) if tokens >= 1024)
+    eval_mod.perplexity(state, split.test[:n])
+    held(f"after one eval.perplexity of {n} test sentences "
+         f"({sum(map(len, split.test[:n])):,} tokens)", state.ws)
+
+
 if __name__ == "__main__":
     what, *rest = sys.argv[1:] or ["-h"]
-    if what not in ("replay", "busy", "tiles", "gemm"):
+    if what not in ("replay", "busy", "tiles", "gemm", "buffers"):
         sys.exit(__doc__)
     {"replay": lambda: replay(int(rest[0]) if rest else 30), "busy": busy,
-     "tiles": lambda: tiles(int(rest[0]) if rest else 6), "gemm": gemm}[what]()
+     "tiles": lambda: tiles(int(rest[0]) if rest else 6), "gemm": gemm,
+     "buffers": buffers}[what]()
